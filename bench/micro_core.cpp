@@ -1,9 +1,11 @@
 // Micro-benchmarks for the substrate hot paths: event queue, CPU model,
-// row-set algebra, and sparse pack/unpack.
+// rank fiber switches, row-set algebra, and sparse pack/unpack.
 #include <benchmark/benchmark.h>
 
 #include "dynmpi/row_set.hpp"
 #include "dynmpi/sparse_matrix.hpp"
+#include "mpisim/machine.hpp"
+#include "mpisim/rank.hpp"
 #include "sim/cpu.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
@@ -53,6 +55,31 @@ void BM_Cpu_ReconstructRows(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_Cpu_ReconstructRows)->Arg(256)->Arg(2048);
+
+/// Host cost of one Rank::sleep yield on an N-rank machine: the switch from
+/// the rank to the engine, the wake event, and the switch back.  Advisory
+/// wall time (so a handoff between threads would count its wake-up latency
+/// too); the `per_yield` counter is the figure in docs/PERF.md.
+void BM_Baton_Yield(benchmark::State& state) {
+    const int nodes = static_cast<int>(state.range(0));
+    const int per_rank = 4096 / nodes;
+    std::int64_t yields = 0;
+    for (auto _ : state) {
+        sim::ClusterConfig c;
+        c.num_nodes = nodes;
+        msg::Machine m(c);
+        m.run([&](msg::Rank& r) {
+            for (int k = 0; k < per_rank; ++k) r.sleep(1e-3);
+        });
+        benchmark::DoNotOptimize(m.elapsed_seconds());
+        yields += static_cast<std::int64_t>(per_rank) * nodes;
+    }
+    // An inverted rate counter: seconds per yield.
+    state.counters["per_yield"] = benchmark::Counter(
+        static_cast<double>(yields),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Baton_Yield)->Arg(2)->Arg(8)->Arg(32)->UseRealTime();
 
 void BM_RowSet_Algebra(benchmark::State& state) {
     Rng rng(5);

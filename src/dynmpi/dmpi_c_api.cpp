@@ -5,20 +5,37 @@
 namespace dynmpi::capi {
 
 namespace {
-thread_local std::unique_ptr<Runtime> g_runtime;
-}
+
+/// DMPI_init's Runtime, kept in the rank's shim slot.
+struct CApiState final : msg::Rank::ShimState {
+    CApiState(msg::Rank& rank, int global_rows, RuntimeOptions opts)
+        : runtime(rank, global_rows, std::move(opts)) {}
+    Runtime runtime;
+};
+
+constexpr auto kSlot = msg::Rank::Shim::Dmpi;
+
+}  // namespace
 
 void DMPI_init(msg::Rank& rank, int global_rows, RuntimeOptions opts) {
-    DYNMPI_REQUIRE(g_runtime == nullptr,
-                   "DMPI_init called twice on this rank");
-    g_runtime = std::make_unique<Runtime>(rank, global_rows, std::move(opts));
+    DYNMPI_REQUIRE(&rank == msg::Rank::current(),
+                   "DMPI_init must be called from the rank's own program");
+    auto& slot = rank.shim_state(kSlot);
+    DYNMPI_REQUIRE(slot == nullptr, "DMPI_init called twice on this rank");
+    slot = std::make_unique<CApiState>(rank, global_rows, std::move(opts));
 }
 
-void DMPI_finalize() { g_runtime.reset(); }
+void DMPI_finalize() {
+    if (msg::Rank* rank = msg::Rank::current())
+        rank->shim_state(kSlot).reset();
+}
 
 Runtime& DMPI_runtime() {
-    DYNMPI_REQUIRE(g_runtime != nullptr, "DMPI_init has not been called");
-    return *g_runtime;
+    msg::Rank* rank = msg::Rank::current();
+    msg::Rank::ShimState* state =
+        rank != nullptr ? rank->shim_state(kSlot).get() : nullptr;
+    DYNMPI_REQUIRE(state != nullptr, "DMPI_init has not been called");
+    return static_cast<CApiState*>(state)->runtime;
 }
 
 DenseArray& DMPI_register_dense_array(const char* name, int row_elems,

@@ -2,9 +2,9 @@
 //
 // The C++ Runtime is the primary API; this shim mirrors the paper's flat
 // function style for programs ported directly from the paper's examples
-// (see examples/quickstart.cpp).  Each SPMD rank runs on its own thread, so
-// a thread_local Runtime pointer binds the free functions to "this rank's"
-// runtime instance.
+// (see examples/quickstart.cpp).  DMPI_init stores the Runtime in the calling
+// rank's shim state (msg::Rank::shim_state), and the free functions find it
+// through msg::Rank::current(), so each rank sees its own runtime instance.
 #pragma once
 
 #include <memory>
@@ -24,11 +24,11 @@ inline constexpr CommPattern DMPI_NONE = CommPattern::None;
 /// Create this rank's runtime.  Call once per rank before any other DMPI_*.
 void DMPI_init(msg::Rank& rank, int global_rows, RuntimeOptions opts = {});
 
-/// Destroy this rank's runtime (optional; also safe to leak until thread
-/// exit in tests).
+/// Destroy this rank's runtime (optional: it is destroyed anyway when the
+/// rank's program ends or its node crashes).
 void DMPI_finalize();
 
-/// The bound runtime (throws if DMPI_init has not run on this thread).
+/// The bound runtime (throws if DMPI_init has not run on this rank).
 Runtime& DMPI_runtime();
 
 DenseArray& DMPI_register_dense_array(const char* name, int row_elems,

@@ -1,5 +1,12 @@
 #include "mpisim/machine.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <cxxabi.h>
 #include <sstream>
 
 #include "mpisim/rank.hpp"
@@ -7,7 +14,104 @@
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define DYNMPI_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DYNMPI_ASAN_FIBERS 1
+#endif
+#endif
+#ifdef DYNMPI_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace dynmpi::msg {
+
+namespace {
+
+/// Rank stack size: the default thread stack on Linux.  Pages are committed
+/// only when touched (MAP_NORESERVE), so 32 ranks cost what they use.
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+
+/// The per-thread exception-handling globals of the Itanium C++ ABI
+/// (§2.2.2).  Each fiber keeps its own copy, swapped at every switch, so a
+/// rank suspended inside a catch handler still sees its own exception.
+struct EhGlobals {
+    void* caught_exceptions = nullptr;
+    unsigned int uncaught_exceptions = 0;
+};
+
+EhGlobals& eh_globals() {
+    return *reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals());
+}
+
+}  // namespace
+
+struct Machine::Fiber {
+    ucontext_t ctx{};
+    EhGlobals eh;              ///< saved while this context is switched out
+    void* map = nullptr;       ///< mmap'd stack (guard page lowest), or null
+    const void* stack_lo = nullptr; ///< usable stack, for ASan annotations
+    std::size_t stack_size = 0;
+
+    /// The engine context: runs on run()'s caller stack, whose bounds ASan
+    /// reports on the first switch into each rank.
+    Fiber() = default;
+
+    /// A rank fiber that starts in Machine::fiber_entry(m).
+    explicit Fiber(Machine* m) {
+        const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+        map = mmap(nullptr, kStackBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+        if (map == MAP_FAILED) {
+            map = nullptr;
+            throw Error("mmap of a rank fiber stack failed");
+        }
+        if (mprotect(map, page, PROT_NONE) != 0 || getcontext(&ctx) != 0) {
+            munmap(map, kStackBytes);
+            throw Error("rank fiber setup failed");
+        }
+        stack_lo = static_cast<char*>(map) + page;
+        stack_size = kStackBytes - page;
+#ifdef DYNMPI_ASAN_FIBERS
+        // The range may have held an earlier fiber's stack, whose finished
+        // frames left poisoned shadow behind.
+        __asan_unpoison_memory_region(stack_lo, stack_size);
+#endif
+        ctx.uc_stack.ss_sp = const_cast<void*>(stack_lo);
+        ctx.uc_stack.ss_size = stack_size;
+        ctx.uc_link = nullptr; // fiber_main never returns
+        const auto bits = reinterpret_cast<std::uintptr_t>(m);
+        makecontext(&ctx, reinterpret_cast<void (*)()>(&Machine::fiber_entry),
+                    2, static_cast<unsigned int>(bits >> 32),
+                    static_cast<unsigned int>(bits));
+    }
+    ~Fiber() {
+        if (map != nullptr) munmap(map, kStackBytes);
+    }
+    Fiber(const Fiber&) = delete;
+    Fiber& operator=(const Fiber&) = delete;
+
+    /// Suspend this (running) context and continue `to`; returns when some
+    /// context switches back.  `leaving` marks a finished fiber's last
+    /// switch.
+    void switch_to(Fiber& to, [[maybe_unused]] bool leaving = false) {
+        EhGlobals& current = eh_globals();
+        eh = current;
+        current = to.eh;
+#ifdef DYNMPI_ASAN_FIBERS
+        void* fake_stack = nullptr;
+        __sanitizer_start_switch_fiber(leaving ? nullptr : &fake_stack,
+                                       to.stack_lo, to.stack_size);
+#endif
+        if (swapcontext(&ctx, &to.ctx) != 0) std::abort();
+#ifdef DYNMPI_ASAN_FIBERS
+        __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+    }
+};
 
 Machine::Machine(sim::ClusterConfig config) : cluster_(std::move(config)) {
     cluster_.network().set_delivery_handler(
@@ -17,16 +121,10 @@ Machine::Machine(sim::ClusterConfig config) : cluster_(std::move(config)) {
 }
 
 Machine::~Machine() {
-    // If run() threw (or was never called), make sure no rank thread is left
-    // parked on its condition variable.
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        aborting_ = true;
-        for (auto& rs : ranks_)
-            if (rs) rs->cv.notify_all();
-    }
-    for (auto& rs : ranks_)
-        if (rs && rs->thread.joinable()) rs->thread.join();
+    // If run() threw (or was never called), unwind every rank fiber still
+    // parked mid-program so its destructors run.  Fibers catch everything,
+    // so this cannot throw.
+    abort_blocked_ranks();
 }
 
 Machine::RankState& Machine::state(int r) {
@@ -40,18 +138,16 @@ void Machine::run(std::function<void(Rank&)> fn) {
     program_ = std::move(fn); // kept beyond this frame: revived ranks rerun it
 
     const int n = num_ranks();
+    engine_ = std::make_unique<Fiber>();
     ranks_.reserve(static_cast<std::size_t>(n));
     incarnation_.assign(static_cast<std::size_t>(n), 0);
-    for (int r = 0; r < n; ++r)
-        ranks_.push_back(std::make_unique<RankState>());
-
     for (int r = 0; r < n; ++r) {
-        spawn_rank_thread(r);
-        // Kick every rank off at t=0.
+        ranks_.push_back(std::make_unique<RankState>());
+        // Kick every rank off at t=0; its fiber is created on this resume.
         cluster_.engine().at(0, [this, r] { resume_rank(r); });
     }
 
-    // Engine loop: drain events; resume events hand the baton to ranks.
+    // Engine loop: drain events; resume events switch into rank fibers.
     // Weak background events (daemons, load bursts) never keep the loop
     // alive on their own.
     sim::Engine& eng = cluster_.engine();
@@ -63,9 +159,6 @@ void Machine::run(std::function<void(Rank&)> fn) {
     for (int r = 0; r < n; ++r)
         if (state(r).phase != RankPhase::Done) stuck.push_back(r);
     if (!stuck.empty()) abort_blocked_ranks();
-
-    for (auto& rs : ranks_)
-        if (rs->thread.joinable()) rs->thread.join();
 
     elapsed_ = sim::to_seconds(eng.now());
     export_observability();
@@ -127,23 +220,26 @@ void Machine::export_observability() {
     }
 }
 
-void Machine::spawn_rank_thread(int r) {
+void Machine::fiber_entry(unsigned int hi, unsigned int lo) noexcept {
+    const auto bits = (std::uintptr_t{hi} << 32) | std::uintptr_t{lo};
+    reinterpret_cast<Machine*>(bits)->fiber_main();
+}
+
+void Machine::fiber_main() {
+    // First switch into this fiber: resume_rank set active_rank_ to us.
+#ifdef DYNMPI_ASAN_FIBERS
+    // Learn the engine's stack bounds, needed to switch back to it.
+    __sanitizer_finish_switch_fiber(nullptr, &engine_->stack_lo,
+                                    &engine_->stack_size);
+#endif
+    const int r = active_rank_;
     RankState& rs = state(r);
-    rs.thread = std::thread([this, r] {
+    {
+        // The Rank (and with it every shim state bound to it) lives exactly
+        // as long as this incarnation's program, like a process.
         Rank rank(*this, r);
-        // Wait for the first resume.
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            state(r).cv.wait(lock, [&] {
-                return active_rank_ == r || aborting_;
-            });
-            if (aborting_ && active_rank_ != r) {
-                state(r).phase = RankPhase::Done;
-                engine_cv_.notify_all();
-                return;
-            }
-            state(r).phase = RankPhase::Running;
-        }
+        rs.rank = &rank;
+        Rank::current_ = &rank;
         try {
             program_(rank);
         } catch (const MachineAborted&) {
@@ -151,39 +247,36 @@ void Machine::spawn_rank_thread(int r) {
         } catch (const NodeCrashed&) {
             // this rank's node died; the process just stops existing
         } catch (...) {
-            state(r).error = std::current_exception();
+            rs.error = std::current_exception();
         }
-        std::unique_lock<std::mutex> lock(mu_);
-        state(r).phase = RankPhase::Done;
-        active_rank_ = -1;
-        engine_cv_.notify_all();
-    });
+    }
+    rs.rank = nullptr;
+    rs.phase = RankPhase::Done;
+    active_rank_ = -1;
+    // Nothing is left on this stack; the engine frees it with the RankState.
+    rs.fiber->switch_to(*engine_, /*leaving=*/true);
+    std::abort(); // a finished fiber is never resumed
 }
 
 void Machine::on_node_revive(int node) {
-    // Engine context: no rank holds the baton.  The dead incarnation's thread
+    // Engine context: no rank is running.  The dead incarnation's fiber
     // unwound via NodeCrashed when its crash wake fired (strictly before this
-    // event), so it is Done; reap it and start a fresh incarnation that
-    // reruns the program from the top.
+    // event), so it is Done; start a fresh incarnation that reruns the
+    // program from the top.
     if (!started_) return;
     RankState* old = ranks_[static_cast<std::size_t>(node)].get();
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        DYNMPI_CHECK(old->phase == RankPhase::Done,
-                     "revive of a rank that has not unwound");
-    }
-    if (old->thread.joinable()) old->thread.join();
+    DYNMPI_CHECK(old->phase == RankPhase::Done,
+                 "revive of a rank that has not unwound");
     if (old->error) {
         // A real error (not NodeCrashed) must not be silently discarded by
         // the state swap; keep the old state so run() rethrows it.
         return;
     }
     // Packets addressed to the dead incarnation died with it: fresh state,
-    // fresh mailbox.  Deferred wakes from the old incarnation are dropped by
-    // the incarnation guard.
+    // fresh mailbox, and the old stack is unmapped here.  Deferred wakes
+    // from the old incarnation are dropped by the incarnation guard.
     ++incarnation_[static_cast<std::size_t>(node)];
     ranks_[static_cast<std::size_t>(node)] = std::make_unique<RankState>();
-    spawn_rank_thread(node);
     resume_rank(node);
 }
 
@@ -193,7 +286,6 @@ void Machine::resume_rank_inc(int r, std::uint64_t inc) {
 }
 
 void Machine::resume_rank(int r) {
-    std::unique_lock<std::mutex> lock(mu_);
     RankState& rs = state(r);
     DYNMPI_CHECK(active_rank_ == -1, "resume while another rank is active");
     if (rs.phase == RankPhase::Done && cluster_.node_crashed(r)) {
@@ -202,43 +294,53 @@ void Machine::resume_rank(int r) {
         return;
     }
     DYNMPI_CHECK(rs.phase != RankPhase::Done, "resume of finished rank");
-    active_rank_ = r;
+    if (!rs.fiber) rs.fiber = std::make_unique<Fiber>(this);
     rs.phase = RankPhase::Running;
-    rs.cv.notify_all();
-    engine_cv_.wait(lock, [&] { return active_rank_ == -1; });
+    switch_into(r);
+}
+
+void Machine::switch_into(int r) {
+    RankState& rs = state(r);
+    active_rank_ = r;
+    Rank::current_ = rs.rank;
+    engine_->switch_to(*rs.fiber);
+    Rank::current_ = nullptr;
 }
 
 void Machine::yield_from_rank(int r) {
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        RankState& rs = state(r);
-        rs.phase = RankPhase::Blocked;
-        active_rank_ = -1;
-        engine_cv_.notify_all();
-        rs.cv.wait(lock, [&] { return active_rank_ == r || aborting_; });
-        if (aborting_ && active_rank_ != r) throw MachineAborted{};
-        rs.phase = RankPhase::Running;
-    }
+    // A rank being torn down does not block again: it keeps unwinding.
+    if (aborting_) throw MachineAborted{};
+    RankState& rs = state(r);
+    rs.phase = RankPhase::Blocked;
+    active_rank_ = -1;
+    rs.fiber->switch_to(*engine_);
+    // Resumed by resume_rank, or by abort_blocked_ranks to unwind.
+    if (aborting_) throw MachineAborted{};
     // The single crash delivery point: a crash can only land while this rank
-    // holds no baton (engine context), so checking on every wake-up is both
-    // sufficient and race-free.
+    // is switched out (engine context), so checking on every wake-up is
+    // sufficient.
     if (cluster_.node_crashed(r)) throw NodeCrashed{};
 }
 
 void Machine::abort_blocked_ranks() {
-    std::unique_lock<std::mutex> lock(mu_);
+    // Engine context.  Each rank parked mid-program is switched into with
+    // aborting_ set: it throws MachineAborted from its blocking call, unwinds
+    // (running its destructors) and finishes.  A rank never resumed has no
+    // fiber and nothing to unwind.
     aborting_ = true;
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-        RankState& rs = *ranks_[r];
+    for (int r = 0; r < static_cast<int>(ranks_.size()); ++r) {
+        RankState& rs = state(r);
         if (rs.phase == RankPhase::Done) continue;
-        rs.cv.notify_all();
-        // Each aborted rank throws MachineAborted, unwinds, and marks Done.
-        engine_cv_.wait(lock, [&] { return rs.phase == RankPhase::Done; });
+        if (rs.fiber) {
+            rs.phase = RankPhase::Running;
+            switch_into(r);
+        }
+        rs.phase = RankPhase::Done;
     }
 }
 
 void Machine::on_node_crash(int node) {
-    // Engine context: no rank holds the baton, so rank states are quiescent.
+    // Engine context: no rank is running, so rank states are quiescent.
     if (ranks_.empty()) return; // cluster faults without a running program
     sim::Engine& eng = cluster_.engine();
     // Every crash starts a new revocation epoch: survivors stranded in a
@@ -273,7 +375,8 @@ void Machine::on_node_crash(int node) {
 }
 
 void Machine::revoke_control_recvs() {
-    // Rank context: the caller holds the baton, every other rank is parked.
+    // Rank context: the caller is the running fiber, every other rank is
+    // parked.
     ++revoke_epoch_;
     sim::Engine& eng = cluster_.engine();
     for (int r = 0; r < static_cast<int>(ranks_.size()); ++r) {

@@ -1,30 +1,32 @@
-// SPMD machine: runs one rank thread per simulated node under the engine.
+// SPMD machine: runs one rank per simulated node under the engine.
 //
-// Concurrency model (SimGrid-style conservative co-simulation): rank code
-// runs on real std::threads, but exactly one logical thread of control is
-// active at any instant — either the engine (processing events on the caller
-// thread) or a single rank.  A mutex-protected "baton" is handed off:
+// Concurrency model (SimGrid-style conservative co-simulation): every rank
+// is a ucontext fiber with its own stack, and every fiber runs on the thread
+// that calls Machine::run.  Exactly one context is active at any instant —
+// either the engine (processing events on the caller's stack) or a single
+// rank — and control passes by a plain context switch:
 //
-//   engine event "resume rank r"  →  rank r runs user code  →  rank blocks
-//   (compute / recv / sleep)      →  baton returns to the engine.
+//   engine event "resume rank r"  →  switch into rank r's fiber  →  user
+//   code runs  →  rank blocks (compute / recv / sleep)  →  switch back to
+//   the engine.
 //
 // Everything the simulation touches is therefore data-race-free by
-// construction, and runs are fully deterministic.
+// construction, and runs are fully deterministic.  A Machine keeps no
+// process-wide fiber state, so independent Machines may run concurrently on
+// different threads.
 //
 // Misbehaving programs are diagnosed rather than hung: if the event queue
-// drains while ranks are still blocked, the machine aborts them and throws a
-// deadlock Error naming the stuck ranks.
+// drains while ranks are still blocked, the machine aborts them (each unwinds
+// through MachineAborted, running its destructors) and throws a deadlock
+// Error naming the stuck ranks.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mpisim/tags.hpp"
@@ -46,7 +48,7 @@ public:
 };
 
 /// Thrown inside rank code when its *own* node crashes: the rank unwinds and
-/// its thread exits quietly, matching a process that simply stops existing.
+/// its fiber finishes quietly, matching a process that simply stops existing.
 /// User code should not catch it.
 class NodeCrashed : public std::exception {
 public:
@@ -89,8 +91,9 @@ public:
     int num_ranks() const { return cluster_.size(); }
 
     /// Run `fn` as an SPMD program, one instance per rank, to completion.
-    /// Blocks the calling thread; rethrows the first rank failure; throws
-    /// Error on deadlock.  One-shot: a Machine runs one program.
+    /// Every rank runs as a fiber on the calling thread; rethrows the first
+    /// rank failure; throws Error on deadlock.  One-shot: a Machine runs one
+    /// program.
     void run(std::function<void(Rank&)> fn);
 
     /// Total virtual time consumed by the program (valid after run()).
@@ -123,9 +126,12 @@ private:
 
     enum class RankPhase { Idle, Running, Blocked, Done };
 
+    /// A ucontext plus, for ranks, its mmap'd stack (defined in machine.cpp).
+    struct Fiber;
+
     struct RankState {
-        std::thread thread;
-        std::condition_variable cv;
+        std::unique_ptr<Fiber> fiber; ///< created on the first resume
+        Rank* rank = nullptr; ///< the fiber's Rank while its program runs
         RankPhase phase = RankPhase::Idle;
         std::exception_ptr error;
 
@@ -150,7 +156,7 @@ private:
     // ---- engine-side ----
     void export_observability();       ///< push traffic/engine stats to the
                                        ///< metrics registry + trace sink
-    void resume_rank(int r);           ///< hand the baton to rank r, wait for it back
+    void resume_rank(int r); ///< switch into rank r until it blocks or ends
     /// Incarnation-guarded resume for deferred wakes (sleep timers, delayed
     /// deliveries): dropped if the rank was revived since the wake was
     /// scheduled, so a dead incarnation's timers cannot fire into the new one.
@@ -162,17 +168,21 @@ private:
     void on_node_crash(int node);      ///< cluster crash handler
     void on_node_revive(int node);     ///< cluster revive handler: restart the
                                        ///< rank with a fresh incarnation
-    void spawn_rank_thread(int r);     ///< start rank r's thread running program_
+    void switch_into(int r); ///< engine → rank r's fiber, and back
     void abort_blocked_ranks();
 
     // ---- rank-side ----
-    void yield_from_rank(int r); ///< give the baton back and wait to be resumed
+    void yield_from_rank(int r); ///< switch back to the engine until resumed
+    /// makecontext entry point: the Machine pointer arrives split in halves.
+    static void fiber_entry(unsigned int hi, unsigned int lo) noexcept;
+    void fiber_main(); ///< body of every rank fiber (runs program_)
     RankState& state(int r);
 
     /// Start a new control revocation epoch: every rank blocked in a
     /// collective- or runtime-tag receive is woken with EpochRevoked so
     /// recovery protocols can restart on an epoch-salted group.  Called from
-    /// rank context (the caller holds the baton) by Rank::revoke_control.
+    /// rank context (the caller is the running fiber) by
+    /// Rank::revoke_control.
     void revoke_control_recvs();
 
     sim::Cluster cluster_;
@@ -180,9 +190,8 @@ private:
     std::function<void(Rank&)> program_; ///< kept for rank restarts (revive)
     std::vector<std::uint64_t> incarnation_; ///< bumped per rank revival
 
-    std::mutex mu_;
-    std::condition_variable engine_cv_;
-    int active_rank_ = -1; ///< -1 while the engine holds the baton
+    std::unique_ptr<Fiber> engine_; ///< run()'s caller context
+    int active_rank_ = -1; ///< -1 while the engine runs
     bool aborting_ = false;
     bool started_ = false;
     double elapsed_ = 0.0;

@@ -8,11 +8,15 @@
 namespace dynmpi::mpi {
 
 namespace {
-thread_local msg::Rank* g_rank = nullptr;
+/// MPI_Init's mark in the running rank's shim slot.
+struct MpiBinding final : msg::Rank::ShimState {};
 
 msg::Rank& bound() {
-    DYNMPI_REQUIRE(g_rank != nullptr, "MPI_Init has not been called");
-    return *g_rank;
+    msg::Rank* rank = msg::Rank::current();
+    DYNMPI_REQUIRE(
+        rank != nullptr && rank->shim_state(msg::Rank::Shim::Mpi) != nullptr,
+        "MPI_Init has not been called");
+    return *rank;
 }
 
 void check_comm(MPI_Comm comm) {
@@ -59,13 +63,17 @@ std::size_t mpi_type_size(MPI_Datatype t) {
 }
 
 int MPI_Init(msg::Rank& rank) {
-    DYNMPI_REQUIRE(g_rank == nullptr, "MPI_Init called twice");
-    g_rank = &rank;
+    DYNMPI_REQUIRE(&rank == msg::Rank::current(),
+                   "MPI_Init must be called from the rank's own program");
+    auto& slot = rank.shim_state(msg::Rank::Shim::Mpi);
+    DYNMPI_REQUIRE(slot == nullptr, "MPI_Init called twice");
+    slot = std::make_unique<MpiBinding>();
     return MPI_SUCCESS;
 }
 
 int MPI_Finalize() {
-    g_rank = nullptr;
+    if (msg::Rank* rank = msg::Rank::current())
+        rank->shim_state(msg::Rank::Shim::Mpi).reset();
     return MPI_SUCCESS;
 }
 

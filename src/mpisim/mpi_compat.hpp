@@ -51,8 +51,9 @@ struct MPI_Request {
 /// Size in bytes of one element of a datatype.
 std::size_t mpi_type_size(MPI_Datatype t);
 
-/// Bind this rank-thread to the compat layer.  (The real signature takes
-/// argc/argv; the simulator needs the Rank.)
+/// Bind the calling rank to the compat layer until MPI_Finalize or the end
+/// of its program.  (The real signature takes argc/argv; the simulator needs
+/// the Rank.)
 int MPI_Init(msg::Rank& rank);
 int MPI_Finalize();
 

@@ -9,6 +9,8 @@
 
 namespace dynmpi::msg {
 
+thread_local Rank* Rank::current_ = nullptr;
+
 double Rank::hrtime() const {
     return sim::to_seconds(machine_.cluster().engine().now());
 }
@@ -27,7 +29,7 @@ void Rank::compute(double ref_sec) {
     DYNMPI_REQUIRE(ref_sec >= 0.0, "negative compute cost");
     if (ref_sec == 0.0) return;
     // Capture the machine, not the Rank: if this node crashes mid-batch the
-    // Rank object unwinds with its thread, but the stored callback may
+    // Rank object unwinds with its fiber, but the stored callback may
     // outlive it (resume_rank tolerates the stale wake).
     Machine* m = &machine_;
     const int r = id_;

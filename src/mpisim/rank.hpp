@@ -2,13 +2,15 @@
 //
 // A Rank wraps "this process on this node": virtual compute, point-to-point
 // messaging, clocks, and access to the node's load sensors.  Blocking calls
-// hand the baton back to the engine; the rank resumes when its wake event
-// fires.
+// switch the rank's fiber back to the engine; the rank resumes when its wake
+// event fires.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -28,6 +30,10 @@ struct RowTimings {
 class Rank {
 public:
     Rank(Machine& machine, int id) : machine_(machine), id_(id) {}
+
+    /// The rank whose program is running on this thread, or nullptr while
+    /// the engine runs.  The Machine updates it at every fiber switch.
+    static Rank* current() { return current_; }
 
     int id() const { return id_; }
     int size() const { return machine_.num_ranks(); }
@@ -190,8 +196,23 @@ public:
         for (const auto& [hash, seq] : v) group_seq_[hash] = seq;
     }
 
+    // ---- shim state ----
+    // The flat-function shims (MPI_* in mpi_compat, DMPI_* in dmpi_c_api)
+    // keep "this rank's" state here and find it through current().  Each
+    // slot is owned by this Rank, so it dies when the rank's incarnation
+    // unwinds, exactly like the process it models.
+    struct ShimState {
+        virtual ~ShimState() = default;
+    };
+    enum class Shim { Mpi, Dmpi };
+    std::unique_ptr<ShimState>& shim_state(Shim s) {
+        return shims_[static_cast<std::size_t>(s)];
+    }
+
 private:
     friend class Machine;
+
+    static thread_local Rank* current_;
 
     static std::uint64_t wire_tag(int user_tag) {
         return make_tag(TagSpace::User, static_cast<std::uint64_t>(user_tag));
@@ -207,6 +228,9 @@ private:
     // Ordered so export_group_seqs() — the rejoin-bootstrap payload — walks
     // counters in hash order without a sort.
     std::map<std::uint64_t, std::uint64_t> group_seq_;
+    // Last member: shim state is destroyed first, while the rest of the Rank
+    // it may refer to is still intact.
+    std::array<std::unique_ptr<ShimState>, 2> shims_;
 };
 
 }  // namespace dynmpi::msg

@@ -2,8 +2,8 @@
 //
 // The engine is single-threaded from its own point of view: events run on the
 // thread that calls run*(), and everything the events touch is owned by that
-// logical thread of control (the SPMD machine hands a "baton" between the
-// engine and rank threads; see mpisim/machine.hpp).
+// logical thread of control (the SPMD machine switches between the engine and
+// rank fibers on this same thread; see mpisim/machine.hpp).
 #pragma once
 
 #include <functional>

@@ -13,8 +13,8 @@
 // branch.  Tests and tools may use instruments directly regardless of the
 // flag — enable() only gates the library's built-in instrumentation.
 //
-// Aggregation semantics on the simulated machine: every rank thread updates
-// the same registry (baton-serialized, so deterministically).  Cluster-wide
+// Aggregation semantics on the simulated machine: every rank fiber updates
+// the same registry (one runs at a time, so deterministically).  Cluster-wide
 // quantities (redistribution bytes, balancer rounds) therefore aggregate
 // over all ranks; run-level quantities (cycle counts) are recorded by world
 // rank 0 only.  snapshot_json()/csv() iterate names in sorted order, so two

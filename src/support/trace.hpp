@@ -16,9 +16,9 @@
 // Defining DYNMPI_TRACE_OFF at compile time makes enabled() constant-false
 // so the guard folds away entirely.
 //
-// Threading: rank threads are baton-serialized by msg::Machine (at most one
-// runs at any instant), so the process-global sink sees a deterministic,
-// race-free record order; a mutex still protects record() for safety.
+// Threading: msg::Machine runs its rank fibers one at a time on the engine
+// thread, so the process-global sink sees a deterministic, race-free record
+// order; a mutex still protects record() for Machines on other threads.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +88,7 @@ public:
     std::uint64_t dropped() const { return dropped_; }
 
     /// Buffered events, stably sorted by sim time (record order breaks ties,
-    /// which is itself deterministic under the machine's baton).
+    /// which is itself deterministic: one rank fiber runs at a time).
     std::vector<TraceEvent> sorted_events() const;
 
     /// JSONL export: one line per event, fixed key order

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "mpisim/machine.hpp"
+#include "mpisim/mpi_compat.hpp"
 #include "mpisim/rank.hpp"
+#include "sim/fault_plan.hpp"
 
 namespace dynmpi::capi {
 namespace {
@@ -167,6 +169,73 @@ TEST(CApi, GlobalReductionsAndClock) {
         DMPI_end_cycle();
         DMPI_finalize();
     });
+}
+
+TEST(CApi, ShimStateFollowsTheRunningRank) {
+    // Two ranks take turns in the DMPI_* and MPI_* shims, with a blocking
+    // receive between turns: each must only ever see its own state.
+    msg::Machine m(cfg(2));
+    std::vector<const Runtime*> runtimes(2, nullptr);
+    m.run([&](msg::Rank& r) {
+        using namespace dynmpi::mpi;
+        MPI_Init(r);
+        DMPI_init(r, 16, fast());
+        const Runtime* mine = &DMPI_runtime();
+        runtimes[static_cast<std::size_t>(r.id())] = mine;
+        const int peer = 1 - r.id();
+        for (int turn = 0; turn < 8; ++turn) {
+            int token = turn;
+            if (turn % 2 == r.id()) {
+                r.compute(1e-3);
+                MPI_Send(&token, 1, MPI_INT, peer, turn, MPI_COMM_WORLD);
+            } else {
+                MPI_Recv(&token, 1, MPI_INT, peer, turn, MPI_COMM_WORLD,
+                         nullptr);
+                EXPECT_EQ(token, turn);
+            }
+            int id = -1;
+            MPI_Comm_rank(MPI_COMM_WORLD, &id);
+            EXPECT_EQ(id, r.id());
+            EXPECT_EQ(&DMPI_runtime(), mine);
+            EXPECT_EQ(&DMPI_runtime().rank(), &r);
+        }
+        DMPI_finalize();
+        MPI_Finalize();
+    });
+    EXPECT_NE(runtimes[0], nullptr);
+    EXPECT_NE(runtimes[1], nullptr);
+    EXPECT_NE(runtimes[0], runtimes[1]);
+}
+
+TEST(CApi, RevivedRankCanInitAgain) {
+    // The crashed incarnation's runtime dies with it; the revived rank
+    // reruns the program from the top, DMPI_init included.
+    msg::Machine m(cfg(2));
+    m.cluster().install_faults(
+        sim::FaultPlan::parse("crash node=1 t=0.5\nrevive node=1 t=1.0\n"));
+    std::vector<int> inits(2, 0), finished(2, 0);
+    m.run([&](msg::Rank& r) {
+        DMPI_init(r, 8, fast());
+        ++inits[static_cast<std::size_t>(r.id())];
+        EXPECT_EQ(&DMPI_runtime().rank(), &r);
+        r.sleep(2.0); // node 1's first incarnation crashes in here
+        ++finished[static_cast<std::size_t>(r.id())];
+        DMPI_finalize();
+    });
+    EXPECT_EQ(inits, (std::vector<int>{1, 2}));
+    EXPECT_EQ(finished, (std::vector<int>{1, 1}));
+}
+
+TEST(CApi, ShimsOutsideARankAreRejected) {
+    EXPECT_THROW(DMPI_runtime(), Error);
+    DMPI_finalize(); // no bound rank: nothing to destroy
+    msg::Machine m(cfg(1));
+    EXPECT_THROW(m.run([&](msg::Rank&) {
+        msg::Machine other(cfg(1));
+        msg::Rank stranger(other, 0);
+        DMPI_init(stranger, 8, fast());
+    }),
+                 Error);
 }
 
 }  // namespace
