@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "dynmpi/redistributor.hpp"
+#include "support/rng.hpp"
 
 namespace dynmpi {
 namespace {
@@ -75,6 +76,29 @@ void BM_CyclicToBlockPlan(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CyclicToBlockPlan);
+
+void BM_RowSetBuild(benchmark::State& state) {
+    // One party's share of Distribution::cyclic(0, 14000, 8, 4): 438
+    // disjoint 4-row intervals, appended in ascending (arg 0) or shuffled
+    // (arg 1) order.  Advisory: wall-clock only, no gate reads it.
+    std::vector<RowInterval> ivs;
+    for (int base = 0; base < 14000; base += 32)
+        ivs.push_back({base, std::min(base + 4, 14000)});
+    if (state.range(0) == 1) {
+        Rng rng(438);
+        for (std::size_t i = ivs.size() - 1; i > 0; --i)
+            std::swap(ivs[i], ivs[rng.next_below(i + 1)]);
+    }
+    for (auto _ : state) {
+        RowSet s;
+        for (const RowInterval& iv : ivs) s.add(iv.lo, iv.hi);
+        benchmark::DoNotOptimize(s.intervals().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(ivs.size()));
+}
+BENCHMARK(BM_RowSetBuild)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
 // Plan-once vs. legacy pairwise schedule derivation.

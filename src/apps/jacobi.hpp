@@ -5,6 +5,14 @@
 // paper runs 2048x2048 doubles for 250 iterations; the default virtual cost
 // model reproduces that scale while the real arithmetic runs on a narrower
 // stored stripe (cols_math <= cols_stored).
+//
+// Stripe contract: each cycle writes only columns [0, cols_math) of a row —
+// columns 0 and cols_math-1 are copied, the stencil fills the ones between.
+// Columns [cols_math, cols_stored) are written once, at init, with the same
+// values in both arrays, and never again.  They stay correct because whole
+// rows travel together everywhere a row changes hands: redistribution
+// payloads, halo exchange and replica restore all carry all cols_stored
+// columns, so the virtual cost of moving a row is the paper-scale one.
 #pragma once
 
 #include "apps/app_common.hpp"
@@ -22,7 +30,10 @@ struct JacobiConfig {
 };
 
 struct JacobiResult : AppResult {
-    // checksum = global sum of the final read array's interior.
+    // checksum = global sum of the final read array's math stripe.
+    /// This rank's sum of columns [cols_math, cols_stored) over its owned
+    /// rows of both arrays — constant under the stripe contract above.
+    double stored_checksum = 0.0;
 };
 
 /// SPMD body; call from every rank of a Machine.

@@ -35,9 +35,11 @@ SorResult run_sor(msg::Rank& rank, const SorConfig& config) {
     }
     rt.commit_setup();
 
-    for (int r : U.held().to_vector())
+    for (int r : U.held().to_vector()) {
+        double* row = U.row_ptr<double>(r);
         for (int c = 0; c < config.cols_stored; ++c)
-            U.at<double>(r, c) = initial_value(r, c);
+            row[c] = initial_value(r, c);
+    }
 
     auto exchange_halo = [&](int tag_base) {
         const int rel = rt.rel_rank();
@@ -63,15 +65,17 @@ SorResult run_sor(msg::Rank& rank, const SorConfig& config) {
         const int lo = rt.start_iter(ph_red);
         const int hi = rt.end_iter(ph_red);
         for (int i = std::max(lo, 1); i <= std::min(hi, n - 2); ++i) {
-            for (int j = 1; j < w - 1; ++j) {
-                if ((i + j) % 2 != color) continue;
-                double gs = 0.25 * (U.at<double>(i - 1, j) +
-                                    U.at<double>(i + 1, j) +
-                                    U.at<double>(i, j - 1) +
-                                    U.at<double>(i, j + 1));
-                U.at<double>(i, j) =
-                    (1.0 - config.omega) * U.at<double>(i, j) +
-                    config.omega * gs;
+            // First column of this colour in [1, w-1); a row with none is
+            // not touched at all, so it is not marked dirty either.
+            const int j0 = (i + 1) % 2 == color ? 1 : 2;
+            if (j0 >= w - 1) continue;
+            const double* up = U.row_ptr<double>(i - 1);
+            double* mid = U.row_ptr<double>(i);
+            const double* down = U.row_ptr<double>(i + 1);
+            for (int j = j0; j < w - 1; j += 2) {
+                double gs =
+                    0.25 * (up[j] + down[j] + mid[j - 1] + mid[j + 1]);
+                mid[j] = (1.0 - config.omega) * mid[j] + config.omega * gs;
             }
         }
     };

@@ -37,7 +37,24 @@ public:
     std::byte* row_data(int row);
     const std::byte* row_data(int row) const;
 
-    /// Typed element access: element `j` of extended row `row`.
+    /// Typed view of a held extended row: one row lookup and one
+    /// element-size check, then plain indexing by column (no bounds check
+    /// past that).  The non-const version marks the row dirty once, exactly
+    /// as any number of non-const at<T> calls on it would; hot loops fetch
+    /// each row once through this.
+    template <typename T>
+    T* row_ptr(int row) {
+        DYNMPI_REQUIRE(sizeof(T) == elem_bytes_, "element type mismatch");
+        return reinterpret_cast<T*>(row_data(row));
+    }
+    template <typename T>
+    const T* row_ptr(int row) const {
+        DYNMPI_REQUIRE(sizeof(T) == elem_bytes_, "element type mismatch");
+        return reinterpret_cast<const T*>(row_data(row));
+    }
+
+    /// Typed element access: element `j` of extended row `row`.  Checked per
+    /// call; for cold code.
     template <typename T>
     T& at(int row, int j) {
         DYNMPI_REQUIRE(sizeof(T) == elem_bytes_, "element type mismatch");

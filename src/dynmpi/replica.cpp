@@ -1,5 +1,7 @@
 #include "dynmpi/replica.hpp"
 
+#include <iterator>
+
 #include "dynmpi/dist_array.hpp"
 #include "support/error.hpp"
 
@@ -15,12 +17,18 @@ RowSet ReplicaStore::store_blob(std::size_t array_idx,
     RowSet stored;
     std::size_t pos = 0;
     std::uint32_t nrows = DistArray::get_u32(blob, pos);
+    // Packed rows arrive ascending, so each row's slot sits at or right
+    // after the previous one: a moving hint makes the walk one pass over
+    // the map.  Out-of-order rows just fall back to a full lookup.
+    auto hint = store.begin();
     for (std::uint32_t i = 0; i < nrows; ++i) {
         int row = static_cast<int>(DistArray::get_u32(blob, pos));
         std::uint64_t nbytes = DistArray::get_u64(blob, pos);
         DYNMPI_REQUIRE(pos + nbytes <= blob.size(),
                        "replica store: truncated blob");
-        auto& slot = store[row];
+        auto it = store.try_emplace(hint, row);
+        hint = std::next(it);
+        auto& slot = it->second;
         bytes_ -= slot.size();
         slot.assign(blob.begin() + static_cast<std::ptrdiff_t>(pos),
                     blob.begin() + static_cast<std::ptrdiff_t>(pos + nbytes));

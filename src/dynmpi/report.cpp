@@ -96,6 +96,10 @@ std::string render_events(const RuntimeStats& stats) {
         case AdaptationEvent::Kind::Dropped: return "dropped      ";
         case AdaptationEvent::Kind::LogicalDrop: return "logical-drop ";
         case AdaptationEvent::Kind::Readded: return "re-added     ";
+        case AdaptationEvent::Kind::NodeCrash: return "node-crash   ";
+        case AdaptationEvent::Kind::Quarantine: return "quarantine   ";
+        case AdaptationEvent::Kind::Readmit: return "readmit      ";
+        case AdaptationEvent::Kind::Rejoin: return "rejoin       ";
         }
         return "?";
     };

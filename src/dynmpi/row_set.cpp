@@ -11,34 +11,48 @@ RowSet::RowSet(int lo, int hi) {
     if (lo < hi) intervals_.push_back({lo, hi});
 }
 
-void RowSet::normalize() {
-    if (intervals_.empty()) return;
-    std::sort(intervals_.begin(), intervals_.end(),
-              [](const RowInterval& a, const RowInterval& b) {
-                  return a.lo < b.lo;
-              });
-    std::vector<RowInterval> merged;
-    for (const auto& iv : intervals_) {
-        if (iv.empty()) continue;
-        if (!merged.empty() && iv.lo <= merged.back().hi)
-            merged.back().hi = std::max(merged.back().hi, iv.hi);
-        else
-            merged.push_back(iv);
-    }
-    intervals_ = std::move(merged);
-}
-
 void RowSet::add(int lo, int hi) {
     DYNMPI_REQUIRE(lo <= hi, "interval must have lo <= hi");
     if (lo == hi) return;
-    intervals_.push_back({lo, hi});
-    normalize();
+    // First interval that overlaps or abuts [lo, hi), then every later one
+    // that starts at or before hi: they all fuse into a single interval.
+    // An ascending append finds its slot at the back in O(log n).
+    auto first = std::lower_bound(
+        intervals_.begin(), intervals_.end(), lo,
+        [](const RowInterval& iv, int v) { return iv.hi < v; });
+    auto last = first;
+    while (last != intervals_.end() && last->lo <= hi) {
+        lo = std::min(lo, last->lo);
+        hi = std::max(hi, last->hi);
+        ++last;
+    }
+    if (first == last) {
+        intervals_.insert(first, {lo, hi});
+    } else {
+        *first = {lo, hi};
+        intervals_.erase(first + 1, last);
+    }
 }
 
 void RowSet::add(const RowSet& other) {
-    intervals_.insert(intervals_.end(), other.intervals_.begin(),
-                      other.intervals_.end());
-    normalize();
+    if (other.intervals_.empty()) return;
+    // Two-way merge of two sorted lists, coalescing as it goes.
+    std::vector<RowInterval> merged;
+    merged.reserve(intervals_.size() + other.intervals_.size());
+    auto a = intervals_.begin();
+    auto b = other.intervals_.begin();
+    while (a != intervals_.end() || b != other.intervals_.end()) {
+        const RowInterval& next =
+            b == other.intervals_.end() ||
+                    (a != intervals_.end() && a->lo <= b->lo)
+                ? *a++
+                : *b++;
+        if (!merged.empty() && next.lo <= merged.back().hi)
+            merged.back().hi = std::max(merged.back().hi, next.hi);
+        else
+            merged.push_back(next);
+    }
+    intervals_ = std::move(merged);
 }
 
 RowSet RowSet::unite(const RowSet& other) const {
@@ -66,13 +80,14 @@ RowSet RowSet::intersect(const RowSet& other) const {
 
 RowSet RowSet::subtract(const RowSet& other) const {
     RowSet out;
+    const std::vector<RowInterval>& b = other.intervals_;
+    std::size_t j = 0; // first subtrahend that can still reach the current a
     for (const auto& a : intervals_) {
+        while (j < b.size() && b[j].hi <= a.lo) ++j;
         int cur = a.lo;
-        for (const auto& b : other.intervals_) {
-            if (b.hi <= cur) continue;
-            if (b.lo >= a.hi) break;
-            if (b.lo > cur) out.intervals_.push_back({cur, b.lo});
-            cur = std::max(cur, b.hi);
+        for (std::size_t k = j; k < b.size() && b[k].lo < a.hi; ++k) {
+            if (b[k].lo > cur) out.intervals_.push_back({cur, b[k].lo});
+            cur = b[k].hi;
             if (cur >= a.hi) break;
         }
         if (cur < a.hi) out.intervals_.push_back({cur, a.hi});
@@ -132,11 +147,10 @@ void RowSet::subtract_with(const RowSet& other) {
 }
 
 bool RowSet::contains(int row) const {
-    for (const auto& iv : intervals_) {
-        if (row < iv.lo) return false;
-        if (row < iv.hi) return true;
-    }
-    return false;
+    auto it = std::upper_bound(
+        intervals_.begin(), intervals_.end(), row,
+        [](int v, const RowInterval& iv) { return v < iv.hi; });
+    return it != intervals_.end() && it->lo <= row;
 }
 
 int RowSet::count() const {

@@ -29,10 +29,14 @@ public:
 
     static RowSet single(int row) { return RowSet(row, row + 1); }
 
+    /// Union in [lo, hi): a binary search, then one in-place insert or
+    /// erase.  An ascending append touches only the back, O(log n).
     void add(int lo, int hi);
+    /// Union in another set: one linear merge.
     void add(const RowSet& other);
 
     RowSet intersect(const RowSet& other) const;
+    /// Linear in the interval counts of both sets.
     RowSet subtract(const RowSet& other) const;
     RowSet unite(const RowSet& other) const;
 
@@ -63,7 +67,6 @@ public:
     bool operator==(const RowSet&) const = default;
 
 private:
-    void normalize();
     std::vector<RowInterval> intervals_;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "dynmpi/report.hpp"
+#include "sim/fault_plan.hpp"
+
 namespace dynmpi::apps {
 namespace {
 
@@ -81,6 +84,47 @@ TEST(JacobiApp, ConvergesTowardHarmonicSolution) {
     double late = run_on(2, jc);
     // Values head monotonically toward the fixed point; checksums differ.
     EXPECT_NE(early, late);
+}
+
+// Columns [cols_math, cols_stored) are written only at init (jacobi.hpp):
+// they must still hold their initial values in both arrays after rows have
+// moved through two redistributions and a buddy restore.
+TEST(JacobiApp, StoredColumnsSurviveRedistributionAndRestore) {
+    JacobiConfig jc = small_jacobi();
+    jc.cols_stored = 24;
+    jc.cols_math = 8;
+    jc.cycles = 250;
+    jc.runtime.enable_removal = false;
+
+    // Serial reference: one node, nothing moves.
+    JacobiConfig serial = jc;
+    serial.cycles = 1;
+    double reference = 0;
+    {
+        msg::Machine m(cfg(1));
+        m.run([&](msg::Rank& r) {
+            reference = run_jacobi(r, serial).stored_checksum;
+        });
+    }
+
+    jc.runtime.replicate = true;
+    msg::Machine m(cfg(4));
+    m.cluster().add_load_interval(1, 0.1, 1.0, 2);
+    m.cluster().install_faults(sim::FaultPlan::parse("crash node=3 t=1.8\n"));
+    double stored = 0;
+    int restored = 0;
+    RuntimeStats stats;
+    m.run([&](msg::Rank& r) {
+        auto res = run_jacobi(r, jc);
+        stored += res.stored_checksum;
+        restored += res.stats.restored_rows;
+        if (r.id() == 0) stats = res.stats;
+    });
+    EXPECT_GE(stats.redistributions, 2) << render_events(stats);
+    EXPECT_GE(stats.crash_repairs, 1);
+    EXPECT_GT(restored, 0);
+    EXPECT_GT(reference, 0.0);
+    EXPECT_NEAR(stored, reference, std::abs(reference) * 1e-10);
 }
 
 TEST(JacobiApp, HookFiresOncePerCycle) {

@@ -136,8 +136,9 @@ TEST_P(BalancerProperty, CapsNeverViolatedByRandomSpills) {
         auto result = apply_row_caps(counts, caps);
         ASSERT_EQ(std::accumulate(result.begin(), result.end(), 0), rows);
         for (int j = 0; j < nodes; ++j)
-            if (caps[(std::size_t)j] > 0)
+            if (caps[(std::size_t)j] > 0) {
                 ASSERT_LE(result[(std::size_t)j], caps[(std::size_t)j]);
+            }
     }
 }
 

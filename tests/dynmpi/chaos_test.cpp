@@ -173,7 +173,7 @@ TEST_P(Chaos, InvariantsSurviveRandomLoadHistory) {
 
 TEST_P(Chaos, DeterministicUnderSameSeed) {
     std::uint64_t seed = 77777 + static_cast<std::uint64_t>(GetParam());
-    ChaosParams cp{4, 48, 100, seed};
+    ChaosParams cp{4, 48, 100, seed, {}};
     ChaosOutcome a = run_chaos(cp);
     ChaosOutcome b = run_chaos(cp);
     EXPECT_DOUBLE_EQ(a.elapsed, b.elapsed);

@@ -46,6 +46,35 @@ TEST(DenseArray, AccessToMissingRowRejected) {
     EXPECT_THROW(a.row_data(2), Error);
 }
 
+TEST(DenseArray, RowPtrChecksTypeAndHeldRow) {
+    auto a = make();
+    a.ensure_rows(RowSet(0, 2));
+    EXPECT_THROW(a.row_ptr<float>(0), Error);
+    EXPECT_THROW(a.row_ptr<double>(5), Error);
+    const DenseArray& c = a;
+    EXPECT_THROW(c.row_ptr<float>(0), Error);
+    EXPECT_THROW(c.row_ptr<double>(5), Error);
+    fill(a, 1);
+    EXPECT_EQ(c.row_ptr<double>(1), &c.at<double>(1, 0));
+    EXPECT_DOUBLE_EQ(c.row_ptr<double>(1)[3], 103.0);
+}
+
+TEST(DenseArray, RowPtrMarksOnlyItsRowDirty) {
+    auto a = make();
+    const RowSet all(0, 16);
+    a.ensure_rows(all);
+    a.clear_dirty(all);
+
+    const DenseArray& c = a;
+    for (int r = 0; r < 16; ++r) (void)c.row_ptr<double>(r);
+    EXPECT_TRUE(a.dirty_rows(all).empty());
+
+    double* row = a.row_ptr<double>(7);
+    row[2] = 1.5;
+    EXPECT_EQ(a.dirty_rows(all), RowSet::single(7));
+    EXPECT_DOUBLE_EQ(a.at<double>(7, 2), 1.5);
+}
+
 TEST(DenseArray, DropReleasesRows) {
     auto a = make();
     a.ensure_rows(RowSet(0, 8));

@@ -85,6 +85,19 @@ TEST(Distribution, CyclicOwnershipConsistentWithIters) {
     EXPECT_EQ(covered, 37);
 }
 
+// The 438-interval sets behind cyclic-to-block redistribution: every
+// party's set equals a brute-force owner_of scan.
+TEST(Distribution, LargeCyclicItersMatchOwnerScan) {
+    auto d = Distribution::cyclic(0, 14000, 8, 4);
+    for (int rel = 0; rel < 8; ++rel) {
+        std::vector<int> expect;
+        for (int i = 0; i < 14000; ++i)
+            if (d.owner_of(i) == rel) expect.push_back(i);
+        EXPECT_EQ(d.iters_of(rel).to_vector(), expect) << "party " << rel;
+    }
+    EXPECT_EQ(d.iters_of(0).intervals().size(), 438u);
+}
+
 TEST(Distribution, EveryIterationHasExactlyOneOwner) {
     auto d = Distribution::block(0, 100, {13, 0, 37, 50});
     std::vector<int> owners(100, -1);

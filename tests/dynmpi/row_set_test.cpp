@@ -169,6 +169,38 @@ std::vector<bool> bitmap(const RowSet& s, int universe) {
     for (int r : s.to_vector()) m[static_cast<size_t>(r)] = true;
     return m;
 }
+
+/// Many short intervals, appended in random order: multi-interval operands
+/// with plenty of overlaps, abutments and gaps.
+RowSet random_multi_set(Rng& rng, int universe, std::vector<bool>& model) {
+    RowSet s;
+    int k = 1 + static_cast<int>(rng.next_below(24));
+    for (int i = 0; i < k; ++i) {
+        int lo = static_cast<int>(
+            rng.next_below(static_cast<uint64_t>(universe)));
+        int hi = std::min(universe, lo + static_cast<int>(rng.next_below(9)));
+        s.add(lo, hi);
+        for (int r = lo; r < hi; ++r) model[static_cast<size_t>(r)] = true;
+    }
+    return s;
+}
+
+/// Sorted, disjoint, non-empty intervals with a gap between neighbours.
+void expect_normalized(const RowSet& s) {
+    const auto& ivs = s.intervals();
+    for (std::size_t i = 0; i < ivs.size(); ++i) {
+        ASSERT_LT(ivs[i].lo, ivs[i].hi);
+        if (i > 0) {
+            ASSERT_GT(ivs[i].lo, ivs[i - 1].hi);
+        }
+    }
+}
+
+void expect_matches(const RowSet& s, const std::vector<bool>& model,
+                    const char* what) {
+    expect_normalized(s);
+    ASSERT_EQ(bitmap(s, static_cast<int>(model.size())), model) << what;
+}
 }  // namespace
 
 TEST_P(RowSetProperty, AlgebraMatchesBitmapModel) {
@@ -197,17 +229,67 @@ TEST_P(RowSetProperty, AlgebraMatchesBitmapModel) {
         as.subtract_with(b);
         ASSERT_EQ(as, a.subtract(b));
 
-        // Normalization invariants: sorted, disjoint, non-empty intervals.
-        RowSet u = a.unite(b);
-        const auto& ivs = u.intervals();
-        for (std::size_t i = 0; i < ivs.size(); ++i) {
-            ASSERT_LT(ivs[i].lo, ivs[i].hi);
-            if (i > 0) ASSERT_GT(ivs[i].lo, ivs[i - 1].hi); // gap required
+        expect_normalized(a.unite(b));
+    }
+}
+
+TEST_P(RowSetProperty, RandomOrderAddsMatchBitmapModel) {
+    const int universe = 128;
+    Rng rng(static_cast<uint64_t>(GetParam()) * 104729);
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<bool> model(universe, false);
+        RowSet s = random_multi_set(rng, universe, model);
+        expect_matches(s, model, "random-order add(lo, hi)");
+        for (int r = 0; r < universe; ++r)
+            ASSERT_EQ(s.contains(r), model[(size_t)r]) << "contains " << r;
+    }
+}
+
+TEST_P(RowSetProperty, MultiIntervalAlgebraMatchesBitmapModel) {
+    const int universe = 128;
+    Rng rng(static_cast<uint64_t>(GetParam()) * 15485863);
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<bool> ma(universe, false), mb(universe, false);
+        RowSet a = random_multi_set(rng, universe, ma);
+        RowSet b = random_multi_set(rng, universe, mb);
+        std::vector<bool> both(universe), either(universe), diff(universe);
+        for (std::size_t i = 0; i < (size_t)universe; ++i) {
+            both[i] = ma[i] && mb[i];
+            either[i] = ma[i] || mb[i];
+            diff[i] = ma[i] && !mb[i];
         }
+
+        RowSet merged = a;
+        merged.add(b);
+        expect_matches(merged, either, "add(RowSet)");
+        expect_matches(a.unite(b), either, "unite");
+        RowSet self = a;
+        self.add(self);
+        ASSERT_EQ(self, a) << "add(self)";
+
+        expect_matches(a.subtract(b), diff, "subtract");
+        RowSet sw = a;
+        sw.subtract_with(b);
+        expect_matches(sw, diff, "subtract_with");
+        expect_matches(a.intersect(b), both, "intersect");
+        RowSet iw = a;
+        iw.intersect_with(b);
+        expect_matches(iw, both, "intersect_with");
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RowSetProperty, ::testing::Range(1, 6));
+
+// The block-cyclic iteration sets the planner builds are long ascending
+// append runs; they must coalesce exactly like one-shot construction.
+TEST(RowSet, AscendingAppendsCoalesce) {
+    RowSet s;
+    for (int base = 0; base < 1000; base += 8) s.add(base, base + 4);
+    EXPECT_EQ(s.intervals().size(), 125u);
+    EXPECT_EQ(s.count(), 500);
+    for (int base = 4; base < 1000; base += 8) s.add(base, base + 4);
+    EXPECT_EQ(s, RowSet(0, 1000));
+}
 
 }  // namespace
 }  // namespace dynmpi
