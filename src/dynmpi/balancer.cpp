@@ -163,8 +163,8 @@ std::vector<double> successive_shares(const BalanceInput& input,
     // Convergence telemetry: every calling rank records identically, so the
     // histogram aggregates (ranks x calls) samples of the same values.
     if (support::metrics().enabled()) {
-        support::metrics().counter("balancer.calls").add(1);
-        support::metrics().histogram("balancer.rounds")
+        support::metrics().counter(support::CounterId::BalancerCalls).add(1);
+        support::metrics().histogram(support::HistogramId::BalancerRounds)
             .record(static_cast<double>(rounds_used));
     }
     return w;

@@ -223,29 +223,32 @@ RedistStats execute_redistribution(msg::Rank& rank, const RedistContext& ctx,
         stats.sync_s = t_synced - t_unpacked;
         stats.cleanup_s = t_end - t_synced;
         if (support::metrics().enabled()) {
+            using support::CounterId;
+            using support::HistogramId;
             auto& mx = support::metrics();
-            mx.counter("redist.rows_moved").add(stats.rows_moved);
-            mx.counter("redist.bytes").add(stats.bytes);
-            mx.counter("redist.messages").add(stats.messages);
-            mx.histogram("redist.plan_s").record(stats.plan_s);
-            mx.histogram("redist.pack_s").record(stats.pack_s);
-            mx.histogram("redist.unpack_s").record(stats.unpack_s);
-            mx.histogram("redist.sync_s").record(stats.sync_s);
+            mx.counter(CounterId::RedistRowsMoved).add(stats.rows_moved);
+            mx.counter(CounterId::RedistBytes).add(stats.bytes);
+            mx.counter(CounterId::RedistMessages).add(stats.messages);
+            mx.histogram(HistogramId::RedistPlanS).record(stats.plan_s);
+            mx.histogram(HistogramId::RedistPackS).record(stats.pack_s);
+            mx.histogram(HistogramId::RedistUnpackS).record(stats.unpack_s);
+            mx.histogram(HistogramId::RedistSyncS).record(stats.sync_s);
         }
         if (support::trace().enabled()) {
+            using support::SpanId;
             using support::targ;
             auto& tr = support::trace();
-            tr.span(t_start, t_planned, me, "redist.plan",
+            tr.span(t_start, t_planned, me, SpanId::RedistPlan,
                     {targ("seq", redist_seq)});
-            tr.span(t_planned, t_packed, me, "redist.pack",
+            tr.span(t_planned, t_packed, me, SpanId::RedistPack,
                     {targ("seq", redist_seq), targ("rows", stats.rows_moved),
                      targ("bytes", stats.bytes),
                      targ("messages", stats.messages)});
-            tr.span(t_packed, t_unpacked, me, "redist.unpack",
+            tr.span(t_packed, t_unpacked, me, SpanId::RedistUnpack,
                     {targ("seq", redist_seq)});
-            tr.span(t_unpacked, t_synced, me, "redist.sync",
+            tr.span(t_unpacked, t_synced, me, SpanId::RedistSync,
                     {targ("seq", redist_seq)});
-            tr.span(t_synced, t_end, me, "redist.cleanup",
+            tr.span(t_synced, t_end, me, SpanId::RedistCleanup,
                     {targ("seq", redist_seq)});
         }
     }

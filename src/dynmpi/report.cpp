@@ -88,26 +88,16 @@ std::vector<double> period_sums(const RuntimeStats& stats,
 }
 
 std::string render_events(const RuntimeStats& stats) {
-    auto name = [](AdaptationEvent::Kind k) {
-        switch (k) {
-        case AdaptationEvent::Kind::LoadChange: return "load-change ";
-        case AdaptationEvent::Kind::Redistributed: return "redistributed";
-        case AdaptationEvent::Kind::Skipped: return "skipped      ";
-        case AdaptationEvent::Kind::Dropped: return "dropped      ";
-        case AdaptationEvent::Kind::LogicalDrop: return "logical-drop ";
-        case AdaptationEvent::Kind::Readded: return "re-added     ";
-        case AdaptationEvent::Kind::NodeCrash: return "node-crash   ";
-        case AdaptationEvent::Kind::Quarantine: return "quarantine   ";
-        case AdaptationEvent::Kind::Readmit: return "readmit      ";
-        case AdaptationEvent::Kind::Rejoin: return "rejoin       ";
-        }
-        return "?";
+    static const char* const kLabels[] = {
+#define DYNMPI_ADAPTATION(kind, event, counter, label) label,
+#include "support/trace_events.def"
     };
     if (stats.events.empty()) return "(no adaptation events)\n";
     std::ostringstream os;
     for (const auto& e : stats.events)
         os << "t=" << fmt(e.time_s, 2) << "s  cyc " << std::setw(4) << e.cycle
-           << "  " << name(e.kind) << "  " << e.detail << '\n';
+           << "  " << kLabels[static_cast<std::size_t>(e.kind)] << "  "
+           << e.detail << '\n';
     return os.str();
 }
 

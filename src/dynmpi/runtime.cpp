@@ -67,43 +67,23 @@ std::string counts_string(const std::vector<int>& counts) {
     return s;
 }
 
+using support::CounterId;
+using support::GaugeId;
+using support::HistogramId;
+using support::InstantId;
+using support::SpanId;
 using support::targ;
 
-/// Trace event name for an adaptation decision (docs/OBSERVABILITY.md).
-const char* adaptation_trace_name(AdaptationEvent::Kind k) {
-    switch (k) {
-    case AdaptationEvent::Kind::LoadChange: return "runtime.load_change";
-    case AdaptationEvent::Kind::Redistributed: return "runtime.redistributed";
-    case AdaptationEvent::Kind::Skipped: return "runtime.skipped";
-    case AdaptationEvent::Kind::Dropped: return "runtime.dropped";
-    case AdaptationEvent::Kind::LogicalDrop: return "runtime.logical_drop";
-    case AdaptationEvent::Kind::Readded: return "runtime.readded";
-    case AdaptationEvent::Kind::NodeCrash: return "runtime.node_crash";
-    case AdaptationEvent::Kind::Quarantine: return "runtime.quarantine";
-    case AdaptationEvent::Kind::Readmit: return "runtime.readmit";
-    case AdaptationEvent::Kind::Rejoin: return "runtime.rejoin";
-    }
-    return "runtime.event"; // dynmpi-lint: ok(trace-name) unreachable
-}
-
-/// Metric counter name for an adaptation decision (rank 0 records once per
-/// run-level decision).
-const char* adaptation_counter_name(AdaptationEvent::Kind k) {
-    switch (k) {
-    case AdaptationEvent::Kind::LoadChange: return "runtime.load_changes";
-    case AdaptationEvent::Kind::Redistributed:
-        return "runtime.redistributions";
-    case AdaptationEvent::Kind::Skipped: return "runtime.skips";
-    case AdaptationEvent::Kind::Dropped: return "runtime.drops.physical";
-    case AdaptationEvent::Kind::LogicalDrop: return "runtime.drops.logical";
-    case AdaptationEvent::Kind::Readded: return "runtime.readds";
-    case AdaptationEvent::Kind::NodeCrash: return "runtime.crashes";
-    case AdaptationEvent::Kind::Quarantine: return "runtime.quarantines";
-    case AdaptationEvent::Kind::Readmit: return "runtime.readmits";
-    case AdaptationEvent::Kind::Rejoin: return "runtime.rejoins";
-    }
-    return "runtime.events"; // dynmpi-lint: ok(trace-name) unreachable
-}
+/// Each adaptation kind's trace event and rank-0 counter, in Kind order.
+struct AdaptationIds {
+    InstantId event;
+    CounterId counter;
+};
+constexpr AdaptationIds kAdaptationIds[] = {
+#define DYNMPI_ADAPTATION(kind, event, counter, label) \
+    {InstantId::event, CounterId::counter},
+#include "support/trace_events.def"
+};
 
 const char* mode_name(int mode) {
     switch (mode) {
@@ -120,13 +100,13 @@ void Runtime::record_event(AdaptationEvent::Kind kind, std::string detail) {
     e.kind = kind;
     e.cycle = stats_.cycles;
     e.time_s = rank_.hrtime();
+    const AdaptationIds& ids = kAdaptationIds[static_cast<std::size_t>(kind)];
     if (support::trace().enabled())
-        support::trace().instant(e.time_s, rank_.id(),
-                                 adaptation_trace_name(kind),
+        support::trace().instant(e.time_s, rank_.id(), ids.event,
                                  {targ("cycle", e.cycle),
                                   targ("detail", detail)});
     if (support::metrics().enabled() && rank_.id() == 0)
-        support::metrics().counter(adaptation_counter_name(kind)).add(1);
+        support::metrics().counter(ids.counter).add(1);
     e.detail = std::move(detail);
     stats_.events.push_back(std::move(e));
 }
@@ -145,12 +125,12 @@ void Runtime::record_redist_observability(const RedistStats& ts, double t0,
             args.push_back(targ("rows." + a.array, a.rows_moved));
             args.push_back(targ("bytes." + a.array, a.bytes));
         }
-        support::trace().span(t0, t1, rank_.id(), "redist.apply",
+        support::trace().span(t0, t1, rank_.id(), SpanId::RedistApply,
                               std::move(args));
     }
     if (support::metrics().enabled()) {
-        support::metrics().histogram("redist.wall_s").record(t1 - t0);
-        support::metrics().gauge("runtime.active_nodes")
+        support::metrics().histogram(HistogramId::RedistWallS).record(t1 - t0);
+        support::metrics().gauge(GaugeId::RuntimeActiveNodes)
             .set(static_cast<double>(active_.size()));
     }
 }
@@ -486,7 +466,7 @@ void Runtime::leader_scan_reports() {
                              sim::to_seconds(
                                  cluster.daemon(w).last_sample_time());
                 support::trace().instant(rank_.hrtime(), rank_.id(),
-                                         "runtime.stale_report",
+                                         InstantId::RuntimeStaleReport,
                                          {targ("cycle", stats_.cycles),
                                           targ("node", w),
                                           targ("age_s", age)});
@@ -598,7 +578,7 @@ bool Runtime::repair_active_set() {
     if (support::trace().enabled())
         for (int d : dead)
             support::trace().instant(rank_.hrtime(), rank_.id(),
-                                     "runtime.crash_repair",
+                                     InstantId::RuntimeCrashRepair,
                                      {targ("cycle", stats_.cycles),
                                       targ("node", d),
                                       targ("rows_adopted", adopted.count())});
@@ -647,7 +627,7 @@ void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
     }
     stats_.replica_bytes += bytes_out;
     if (support::metrics().enabled() && bytes_out > 0)
-        support::metrics().counter("runtime.replica_bytes")
+        support::metrics().counter(CounterId::RuntimeReplicaBytes)
             .add(static_cast<std::int64_t>(bytes_out));
     while (replica_arrays_recvd_ < static_cast<int>(arrays_.size())) {
         auto i = static_cast<std::size_t>(replica_arrays_recvd_);
@@ -659,7 +639,7 @@ void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
     ++refreshes_done_;
     if (support::trace().enabled())
         support::trace().span(t0, rank_.hrtime(), rank_.id(),
-                              "runtime.replica_refresh",
+                              SpanId::RuntimeReplicaRefresh,
                               {targ("cycle", stats_.cycles),
                                targ("wholesale", wholesale),
                                targ("rows", rows_out),
@@ -728,11 +708,12 @@ void Runtime::perform_pending_restores() {
             rr.lost = pr.missing.count();
             stats_.restores.push_back(rr);
             if (support::metrics().enabled() && rr.restored > 0)
-                support::metrics().counter("runtime.restored_rows")
+                support::metrics().counter(CounterId::RuntimeRestoredRows)
                     .add(rr.restored);
             if (support::trace().enabled())
                 support::trace().instant(
-                    rank_.hrtime(), rank_.id(), "runtime.replica_restore",
+                    rank_.hrtime(), rank_.id(),
+                    InstantId::RuntimeReplicaRestore,
                     {targ("cycle", stats_.cycles), targ("node", pr.dead),
                      targ("buddy", pr.buddy),
                      targ("restored", rr.restored), targ("lost", rr.lost)});
@@ -1015,7 +996,7 @@ void Runtime::enter_grace() {
         phases_[ph].timer.start(my_iters(static_cast<int>(ph)).count());
     if (support::trace().enabled())
         support::trace().instant(rank_.hrtime(), rank_.id(),
-                                 "runtime.grace_enter",
+                                 InstantId::RuntimeGraceEnter,
                                  {targ("cycle", stats_.cycles),
                                   targ("grace_cycles", opts_.grace_cycles)});
 }
@@ -1132,7 +1113,7 @@ Runtime::GraceDecision Runtime::compute_grace_decision(
 
     if (support::trace().enabled())
         support::trace().instant(
-            rank_.hrtime(), rank_.id(), "balancer.decision",
+            rank_.hrtime(), rank_.id(), InstantId::BalancerDecision,
             {targ("cycle", stats_.cycles),
              targ("scheme", opts_.scheme == BalanceScheme::RelativePower
                                 ? "relative_power"
@@ -1157,7 +1138,7 @@ void Runtime::finish_post_grace(const std::vector<double>& world_loads) {
         mode_ = Mode::Monitor;
         if (support::trace().enabled())
             support::trace().instant(rank_.hrtime(), rank_.id(),
-                                     "runtime.post_grace_exit",
+                                     InstantId::RuntimePostGraceExit,
                                      {targ("cycle", stats_.cycles),
                                       targ("measured_s", measured),
                                       targ("dropped", dropped)});
@@ -1196,7 +1177,7 @@ void Runtime::finish_post_grace(const std::vector<double>& world_loads) {
         // The §4.4 predictor's verdict, before any drop is executed.
         if (support::trace().enabled())
             support::trace().instant(
-                rank_.hrtime(), rank_.id(), "runtime.removal_eval",
+                rank_.hrtime(), rank_.id(), InstantId::RuntimeRemovalEval,
                 {targ("cycle", stats_.cycles),
                  targ("predicted_unloaded_s", d.predicted_unloaded_s),
                  targ("measured_loaded_s", d.measured_loaded_s),
@@ -1387,7 +1368,7 @@ void Runtime::removed_cycle_follow() {
     post_cycle_max_.clear();
     if (support::trace().enabled())
         support::trace().instant(rank_.hrtime(), rank_.id(),
-                                 "runtime.post_grace_enter",
+                                 InstantId::RuntimePostGraceEnter,
                                  {targ("cycle", stats_.cycles),
                                   targ("post_grace_cycles",
                                        opts_.post_grace_cycles)});
@@ -1489,7 +1470,7 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
                 if (support::trace().enabled())
                     support::trace().instant(
                         rank_.hrtime(), rank_.id(),
-                        "runtime.post_grace_enter",
+                        InstantId::RuntimePostGraceEnter,
                         {targ("cycle", stats_.cycles),
                          targ("post_grace_cycles",
                               opts_.post_grace_cycles)});
@@ -1539,13 +1520,13 @@ void Runtime::end_cycle() {
     // Observability (guarded: this is the per-cycle hot path).
     if (support::trace().enabled())
         support::trace().span(cycle_start_, rank_.hrtime(), rank_.id(),
-                              "runtime.cycle",
+                              SpanId::RuntimeCycle,
                               {targ("cycle", rec.cycle),
                                targ("mode", mode_name(rec.mode)),
                                targ("redistributed", rec.redistributed)});
     if (support::metrics().enabled() && rank_.id() == 0) {
-        support::metrics().counter("runtime.cycles").add(1);
-        support::metrics().histogram("runtime.cycle_wall_s")
+        support::metrics().counter(CounterId::RuntimeCycles).add(1);
+        support::metrics().histogram(HistogramId::RuntimeCycleWallS)
             .record(rec.max_wall_s);
     }
 

@@ -115,17 +115,11 @@ struct CycleRecord {
 
 /// A structured record of one adaptation decision (for reports and tests).
 struct AdaptationEvent {
+    /// One kind per DYNMPI_ADAPTATION row of support/trace_events.def,
+    /// which also names the trace event (and its meaning) of each.
     enum class Kind {
-        LoadChange,   ///< monitor detected a dmpi_ps delta; grace begins
-        Redistributed,///< a new distribution was applied
-        Skipped,      ///< grace ended but the change was immaterial
-        Dropped,      ///< loaded node(s) physically removed
-        LogicalDrop,  ///< loaded node(s) reduced to the minimum assignment
-        Readded,      ///< this node rejoined the active set
-        NodeCrash,    ///< a node crashed; its rows were recovered
-        Quarantine,   ///< a node's reports went bad; excluded from balancing
-        Readmit,      ///< a quarantined node's reports recovered
-        Rejoin,       ///< a revived (restarted) node was readmitted
+#define DYNMPI_ADAPTATION(kind, ...) kind,
+#include "support/trace_events.def"
     };
     Kind kind = Kind::LoadChange;
     int cycle = 0;

@@ -187,29 +187,36 @@ void Machine::export_observability() {
     // across Machines in one process (bench sweeps); gauges are last-run.
     sim::Engine& eng = cluster_.engine();
     if (support::metrics().enabled()) {
+        using support::CounterId;
+        using support::GaugeId;
         auto& mx = support::metrics();
-        static const char* const kSpace[3] = {"user", "collective",
-                                              "runtime"};
+        // Indexed by TagSpace: user, collective, runtime.
+        static constexpr CounterId kMessages[3] = {
+            CounterId::MachineMessagesUser,
+            CounterId::MachineMessagesCollective,
+            CounterId::MachineMessagesRuntime};
+        static constexpr CounterId kBytes[3] = {
+            CounterId::MachineBytesUser, CounterId::MachineBytesCollective,
+            CounterId::MachineBytesRuntime};
         for (std::size_t s = 0; s < 3; ++s) {
-            mx.counter(std::string("machine.messages.") + kSpace[s])
-                .add(traffic_.messages[s]);
-            mx.counter(std::string("machine.bytes.") + kSpace[s])
-                .add(traffic_.bytes[s]);
+            mx.counter(kMessages[s]).add(traffic_.messages[s]);
+            mx.counter(kBytes[s]).add(traffic_.bytes[s]);
         }
-        mx.counter("machine.messages.control").add(traffic_.control_messages);
-        mx.counter("machine.bytes.control").add(traffic_.control_bytes);
-        mx.counter("machine.runs").add(1);
-        mx.gauge("machine.elapsed_s").set(elapsed_);
-        mx.counter("sim.events_fired").add(eng.events_fired());
-        mx.gauge("sim.peak_pending_events")
+        mx.counter(CounterId::MachineMessagesControl)
+            .add(traffic_.control_messages);
+        mx.counter(CounterId::MachineBytesControl).add(traffic_.control_bytes);
+        mx.counter(CounterId::MachineRuns).add(1);
+        mx.gauge(GaugeId::MachineElapsedS).set(elapsed_);
+        mx.counter(CounterId::SimEventsFired).add(eng.events_fired());
+        mx.gauge(GaugeId::SimPeakPendingEvents)
             .set(static_cast<double>(eng.peak_pending_events()));
-        mx.gauge("sim.pending_events")
+        mx.gauge(GaugeId::SimPendingEvents)
             .set(static_cast<double>(eng.pending_events()));
     }
     if (support::trace().enabled()) {
         using support::targ;
         support::trace().instant(
-            elapsed_, /*rank=*/-1, "machine.run_end",
+            elapsed_, /*rank=*/-1, support::InstantId::MachineRunEnd,
             {targ("elapsed_s", elapsed_),
              targ("messages", traffic_.total_messages()),
              targ("bytes", traffic_.total_bytes()),

@@ -89,12 +89,15 @@ void Rank::send_wire(int dst, std::uint64_t wire_tag, const void* data,
         if (attempt >= retries) return; // give up; peer sees a lost message
         if (support::trace().enabled()) {
             using support::targ;
-            support::trace().instant(hrtime(), id_, "net.send_retry",
+            support::trace().instant(hrtime(), id_,
+                                     support::InstantId::NetSendRetry,
                                      {targ("src", id_), targ("dst", dst),
                                       targ("attempt", attempt + 1)});
         }
         if (support::metrics().enabled())
-            support::metrics().counter("net.send_retries").add(1);
+            support::metrics()
+                .counter(support::CounterId::NetSendRetries)
+                .add(1);
         sleep(net_params().send_backoff_s * static_cast<double>(1 << attempt));
     }
 }

@@ -180,27 +180,26 @@ FaultInjector::FaultInjector(Cluster& cluster, FaultPlan plan)
     }
 }
 
-void FaultInjector::note(const char* event, const FaultSpec& f) {
+void FaultInjector::note(support::InstantId event, const FaultSpec& f) {
     if (support::trace().enabled()) {
         using support::targ;
         support::trace().instant(
             to_seconds(cluster_.engine().now()), /*rank=*/-1, event,
             {targ("kind", fault_kind_name(f.kind)), targ("node", f.node)});
     }
-    // The literal is an event-name comparator, not a metric emission.
-    const bool injected =
-        std::string(event) == "fault.inject"; // dynmpi-lint: ok(trace-name)
-    if (support::metrics().enabled() && injected) {
-        support::metrics().counter("fault.injected").add(1);
+    if (support::metrics().enabled() &&
+        event == support::InstantId::FaultInject) {
+        using support::CounterId;
+        support::metrics().counter(CounterId::FaultInjected).add(1);
         support::metrics()
-            .counter(std::string("fault.injected.") + fault_kind_name(f.kind))
+            .counter(CounterId::FaultInjectedKind, fault_kind_name(f.kind))
             .add(1);
     }
 }
 
 void FaultInjector::inject(const FaultSpec& f) {
     ++injected_;
-    note("fault.inject", f);
+    note(support::InstantId::FaultInject, f);
     switch (f.kind) {
     case FaultKind::Crash:
         cluster_.crash_node(f.node);
@@ -233,7 +232,7 @@ void FaultInjector::inject(const FaultSpec& f) {
 }
 
 void FaultInjector::clear(const FaultSpec& f) {
-    note("fault.clear", f);
+    note(support::InstantId::FaultClear, f);
     switch (f.kind) {
     case FaultKind::Slowdown:
         cluster_.node(f.node).cpu().set_speed(

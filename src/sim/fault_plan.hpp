@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/cluster.hpp"
+#include "support/trace.hpp"
 
 namespace dynmpi::sim {
 
@@ -66,8 +67,9 @@ public:
 
 /// Arms a FaultPlan against a cluster.  Construction schedules every fault;
 /// the injector must outlive the engine run (Cluster::install_faults keeps
-/// it alive).  Each injection (and each window expiry) emits a trace event
-/// ("fault.inject" / "fault.clear") and bumps the "fault.injected" counter.
+/// it alive).  Each injection (and each window expiry) emits a fault.inject
+/// (fault.clear) trace event; each injection bumps the fault.injected
+/// counters.
 class FaultInjector {
 public:
     FaultInjector(Cluster& cluster, FaultPlan plan);
@@ -81,7 +83,7 @@ public:
 private:
     void inject(const FaultSpec& f);
     void clear(const FaultSpec& f);
-    void note(const char* event, const FaultSpec& f);
+    void note(support::InstantId event, const FaultSpec& f);
 
     Cluster& cluster_;
     FaultPlan plan_;

@@ -42,6 +42,44 @@ double Histogram::percentile(double p) const {
     return sorted[rank - 1];
 }
 
+namespace {
+
+const char* const kCounterNames[] = {
+#define DYNMPI_COUNTER(id, name, ...) name,
+#include "support/trace_events.def"
+};
+const char* const kGaugeNames[] = {
+#define DYNMPI_GAUGE(id, name, ...) name,
+#include "support/trace_events.def"
+};
+const char* const kHistogramNames[] = {
+#define DYNMPI_HISTOGRAM(id, name, ...) name,
+#include "support/trace_events.def"
+};
+
+}  // namespace
+
+const char* metric_name(CounterId id) {
+    return kCounterNames[static_cast<std::size_t>(id)];
+}
+
+const char* metric_name(GaugeId id) {
+    return kGaugeNames[static_cast<std::size_t>(id)];
+}
+
+const char* metric_name(HistogramId id) {
+    return kHistogramNames[static_cast<std::size_t>(id)];
+}
+
+Counter& MetricsRegistry::counter(CounterId family, std::string_view member) {
+    std::string name = metric_name(family);
+    const std::size_t placeholder = name.rfind(".<");
+    DYNMPI_REQUIRE(placeholder != std::string::npos && name.back() == '>',
+                   "metric " + name + " is not a family");
+    name.replace(placeholder + 1, std::string::npos, member);
+    return counters_[name];
+}
+
 void MetricsRegistry::reset() {
     counters_.clear();
     gauges_.clear();

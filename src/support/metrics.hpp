@@ -1,7 +1,8 @@
 // Metrics registry (the aggregate half of the observability layer;
 // docs/OBSERVABILITY.md holds the catalog of instrument names).
 //
-// Three instrument kinds, all named by dotted strings:
+// Three instrument kinds, each addressed by an id generated from
+// support/trace_events.def (the only place an instrument is named):
 //
 //   Counter   — monotonically increasing integer (events, bytes, rows);
 //   Gauge     — last-write-wins double (elapsed seconds, queue depths);
@@ -24,9 +25,31 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dynmpi::support {
+
+/// Instrument ids: one per DYNMPI_COUNTER / DYNMPI_GAUGE / DYNMPI_HISTOGRAM
+/// row of trace_events.def.
+enum class CounterId {
+#define DYNMPI_COUNTER(id, ...) id,
+#include "support/trace_events.def"
+};
+enum class GaugeId {
+#define DYNMPI_GAUGE(id, ...) id,
+#include "support/trace_events.def"
+};
+enum class HistogramId {
+#define DYNMPI_HISTOGRAM(id, ...) id,
+#include "support/trace_events.def"
+};
+
+/// The dotted name of an instrument, e.g. `redist.bytes`; a family's name
+/// ends in its placeholder (`fault.injected.<kind>`).
+const char* metric_name(CounterId id);
+const char* metric_name(GaugeId id);
+const char* metric_name(HistogramId id);
 
 class Counter {
 public:
@@ -71,12 +94,17 @@ public:
     void disable() { enabled_ = false; }
     bool enabled() const { return enabled_; }
 
-    /// Find-or-create by name.  References stay valid until reset().
-    Counter& counter(const std::string& name) { return counters_[name]; }
-    Gauge& gauge(const std::string& name) { return gauges_[name]; }
-    Histogram& histogram(const std::string& name) {
-        return histograms_[name];
+    /// Find-or-create by id.  References stay valid until reset().
+    Counter& counter(CounterId id) { return counters_[metric_name(id)]; }
+    Gauge& gauge(GaugeId id) { return gauges_[metric_name(id)]; }
+    Histogram& histogram(HistogramId id) {
+        return histograms_[metric_name(id)];
     }
+
+    /// Find-or-create one member of a counter family: `member` replaces the
+    /// placeholder (`fault.injected.<kind>` + "crash" -> the counter
+    /// `fault.injected.crash`).  Throws Error if `family` is not a family.
+    Counter& counter(CounterId family, std::string_view member);
 
     std::size_t size() const {
         return counters_.size() + gauges_.size() + histograms_.size();

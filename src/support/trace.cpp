@@ -10,7 +10,25 @@ namespace {
 
 std::string render_int(long long v) { return std::to_string(v); }
 
+const char* const kInstantNames[] = {
+#define DYNMPI_INSTANT(id, name, ...) name,
+#include "support/trace_events.def"
+};
+
+const char* const kSpanNames[] = {
+#define DYNMPI_SPAN(id, name, ...) name,
+#include "support/trace_events.def"
+};
+
 }  // namespace
+
+const char* event_name(InstantId id) {
+    return kInstantNames[static_cast<std::size_t>(id)];
+}
+
+const char* event_name(SpanId id) {
+    return kSpanNames[static_cast<std::size_t>(id)];
+}
 
 TraceArg targ(std::string key, const std::string& value) {
     return TraceArg{std::move(key), value, /*quoted=*/true};
@@ -47,7 +65,7 @@ std::string json_number(double v) {
     return buf;
 }
 
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
     std::string out;
     out.reserve(s.size());
     for (char c : s) {
@@ -94,24 +112,24 @@ void TraceSink::record(TraceEvent ev) {
     events_.push_back(std::move(ev));
 }
 
-void TraceSink::instant(double time_s, int rank, std::string name,
+void TraceSink::instant(double time_s, int rank, InstantId id,
                         std::vector<TraceArg> args) {
     if (!enabled()) return;
     TraceEvent ev;
     ev.time_s = time_s;
     ev.rank = rank;
-    ev.name = std::move(name);
+    ev.name = event_name(id);
     ev.args = std::move(args);
     record(std::move(ev));
 }
 
-void TraceSink::span(double t0_s, double t1_s, int rank, std::string name,
+void TraceSink::span(double t0_s, double t1_s, int rank, SpanId id,
                      std::vector<TraceArg> args) {
     if (!enabled()) return;
     TraceEvent ev;
     ev.time_s = t0_s;
     ev.rank = rank;
-    ev.name = std::move(name);
+    ev.name = event_name(id);
     ev.dur_s = t1_s > t0_s ? t1_s - t0_s : 0.0;
     ev.args = std::move(args);
     record(std::move(ev));

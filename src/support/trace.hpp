@@ -13,8 +13,8 @@
 //
 // The sink is disabled by default and recording is a no-op while disabled;
 // hot paths must guard argument construction with `trace().enabled()`.
-// Defining DYNMPI_TRACE_OFF at compile time makes enabled() constant-false
-// so the guard folds away entirely.
+// Events are named only by the ids generated from support/trace_events.def,
+// so a call site cannot emit a name the catalog lacks.
 //
 // Threading: msg::Machine runs its rank fibers one at a time on the engine
 // thread, so the process-global sink sees a deterministic, race-free record
@@ -25,9 +25,26 @@
 #include <deque>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dynmpi::support {
+
+/// Instant-event ids: one per DYNMPI_INSTANT row of trace_events.def.
+enum class InstantId {
+#define DYNMPI_INSTANT(id, ...) id,
+#include "support/trace_events.def"
+};
+
+/// Span-event ids: one per DYNMPI_SPAN row of trace_events.def.
+enum class SpanId {
+#define DYNMPI_SPAN(id, ...) id,
+#include "support/trace_events.def"
+};
+
+/// The dotted event name of an id, e.g. `runtime.grace_enter`.
+const char* event_name(InstantId id);
+const char* event_name(SpanId id);
 
 /// One key/value argument of a trace event.  The value is pre-rendered to
 /// text at record time; `quoted` says whether JSON export wraps it in quotes
@@ -49,10 +66,10 @@ TraceArg targ(std::string key, bool value);
 /// One structured event.  `dur_s > 0` makes it a span (Chrome "X" complete
 /// event starting at time_s); otherwise it is an instant.
 struct TraceEvent {
-    double time_s = 0.0; ///< virtual sim time (seconds), never wall clock
-    int rank = -1;       ///< emitting rank; -1 = machine/engine scope
-    std::string name;    ///< dotted event type, e.g. "runtime.grace_enter"
-    double dur_s = 0.0;  ///< span length in sim seconds (0 = instant)
+    double time_s = 0.0;   ///< virtual sim time (seconds), never wall clock
+    int rank = -1;         ///< emitting rank; -1 = machine/engine scope
+    std::string_view name; ///< event_name() of its id (static storage)
+    double dur_s = 0.0;    ///< span length in sim seconds (0 = instant)
     std::vector<TraceArg> args;
 };
 
@@ -64,22 +81,15 @@ public:
     void enable(std::size_t capacity = kDefaultCapacity);
     void disable();
 
-#ifdef DYNMPI_TRACE_OFF
-    bool enabled() const { return false; }
-#else
     bool enabled() const { return enabled_; }
-#endif
 
-    /// Append one event (no-op while disabled).  When the ring is full the
-    /// oldest event is discarded and dropped() incremented.
-    void record(TraceEvent ev);
-
-    /// Convenience: record an instant event.
-    void instant(double time_s, int rank, std::string name,
+    /// Record an instant event (no-op while disabled).  When the ring is
+    /// full the oldest event is discarded and dropped() incremented.
+    void instant(double time_s, int rank, InstantId id,
                  std::vector<TraceArg> args = {});
 
-    /// Convenience: record a span covering [t0_s, t1_s].
-    void span(double t0_s, double t1_s, int rank, std::string name,
+    /// Record a span covering [t0_s, t1_s] (no-op while disabled).
+    void span(double t0_s, double t1_s, int rank, SpanId id,
               std::vector<TraceArg> args = {});
 
     void clear();
@@ -101,6 +111,8 @@ public:
     std::string chrome_trace() const;
 
 private:
+    void record(TraceEvent ev);
+
     mutable std::mutex mu_;
     bool enabled_ = false;
     std::size_t capacity_ = kDefaultCapacity;
@@ -112,7 +124,7 @@ private:
 TraceSink& trace();
 
 /// Escape a string for embedding in a JSON string literal.
-std::string json_escape(const std::string& s);
+std::string json_escape(std::string_view s);
 
 /// Render a double the way every exporter does ("%.9g": full precision,
 /// no trailing-zero noise, deterministic).

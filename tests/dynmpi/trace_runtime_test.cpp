@@ -128,23 +128,26 @@ TEST(TraceRuntime, MetricsMatchTheTrace) {
     Observed guard;
     run_traced(60);
     auto& mx = support::metrics();
+    using support::CounterId;
+    using support::GaugeId;
+    using support::HistogramId;
 
     // Run-level metrics are rank-0-gated.
-    EXPECT_EQ(mx.counter("runtime.cycles").value(), 60u);
-    EXPECT_GE(mx.counter("runtime.load_changes").value(), 1u);
-    EXPECT_GE(mx.counter("runtime.redistributions").value(), 1u);
-    EXPECT_EQ(mx.histogram("runtime.cycle_wall_s").count(), 60u);
+    EXPECT_EQ(mx.counter(CounterId::RuntimeCycles).value(), 60u);
+    EXPECT_GE(mx.counter(CounterId::RuntimeLoadChanges).value(), 1u);
+    EXPECT_GE(mx.counter(CounterId::RuntimeRedistributions).value(), 1u);
+    EXPECT_EQ(mx.histogram(HistogramId::RuntimeCycleWallS).count(), 60u);
 
     // Cluster-wide transfer totals aggregate over all ranks.
-    EXPECT_GT(mx.counter("redist.rows_moved").value(), 0u);
-    EXPECT_GT(mx.counter("redist.bytes").value(), 0u);
-    EXPECT_GT(mx.counter("balancer.calls").value(), 0u);
+    EXPECT_GT(mx.counter(CounterId::RedistRowsMoved).value(), 0u);
+    EXPECT_GT(mx.counter(CounterId::RedistBytes).value(), 0u);
+    EXPECT_GT(mx.counter(CounterId::BalancerCalls).value(), 0u);
 
     // Machine/engine summary instruments.
-    EXPECT_EQ(mx.counter("machine.runs").value(), 1u);
-    EXPECT_GT(mx.counter("sim.events_fired").value(), 0u);
-    EXPECT_GT(mx.gauge("machine.elapsed_s").value(), 0.0);
-    EXPECT_GT(mx.gauge("sim.peak_pending_events").value(), 0.0);
+    EXPECT_EQ(mx.counter(CounterId::MachineRuns).value(), 1u);
+    EXPECT_GT(mx.counter(CounterId::SimEventsFired).value(), 0u);
+    EXPECT_GT(mx.gauge(GaugeId::MachineElapsedS).value(), 0.0);
+    EXPECT_GT(mx.gauge(GaugeId::SimPeakPendingEvents).value(), 0.0);
 
     // Snapshots of the same registry are deterministic.
     EXPECT_EQ(mx.snapshot_json(), mx.snapshot_json());

@@ -2,6 +2,7 @@
 // percentiles, deterministic JSON/CSV snapshots.
 #include <gtest/gtest.h>
 
+#include "support/error.hpp"
 #include "support/metrics.hpp"
 
 namespace dynmpi::support {
@@ -9,17 +10,30 @@ namespace {
 
 TEST(Metrics, CounterAccumulates) {
     MetricsRegistry r;
-    r.counter("redist.bytes").add(100);
-    r.counter("redist.bytes").add(28);
-    EXPECT_EQ(r.counter("redist.bytes").value(), 128u);
-    EXPECT_EQ(r.counter("fresh").value(), 0u);
+    r.counter(CounterId::RedistBytes).add(100);
+    r.counter(CounterId::RedistBytes).add(28);
+    EXPECT_EQ(r.counter(CounterId::RedistBytes).value(), 128u);
+    EXPECT_EQ(r.counter(CounterId::RedistMessages).value(), 0u);
+}
+
+TEST(Metrics, FamilyMembersAreNamedAtRunTime) {
+    MetricsRegistry r;
+    r.counter(CounterId::FaultInjectedKind, "crash").add(2);
+    r.counter(CounterId::FaultInjectedKind, "revive").add(1);
+    EXPECT_EQ(r.counter(CounterId::FaultInjectedKind, "crash").value(), 2u);
+    std::string s = r.snapshot_json();
+    EXPECT_NE(s.find("\"fault.injected.crash\": 2"), std::string::npos);
+    EXPECT_NE(s.find("\"fault.injected.revive\": 1"), std::string::npos);
+    EXPECT_EQ(s.find("<kind>"), std::string::npos);
+    // Only a family takes a member name.
+    EXPECT_THROW(r.counter(CounterId::FaultInjected, "crash"), Error);
 }
 
 TEST(Metrics, GaugeLastWriteWins) {
     MetricsRegistry r;
-    r.gauge("runtime.active_nodes").set(4);
-    r.gauge("runtime.active_nodes").set(3);
-    EXPECT_DOUBLE_EQ(r.gauge("runtime.active_nodes").value(), 3.0);
+    r.gauge(GaugeId::RuntimeActiveNodes).set(4);
+    r.gauge(GaugeId::RuntimeActiveNodes).set(3);
+    EXPECT_DOUBLE_EQ(r.gauge(GaugeId::RuntimeActiveNodes).value(), 3.0);
 }
 
 TEST(Metrics, HistogramStats) {
@@ -53,8 +67,8 @@ TEST(Metrics, PercentileSingleSample) {
 TEST(Metrics, DisabledByDefaultButInstrumentsAlwaysWork) {
     MetricsRegistry r;
     EXPECT_FALSE(r.enabled());
-    r.counter("x").add(1); // direct use is not gated
-    EXPECT_EQ(r.counter("x").value(), 1u);
+    r.counter(CounterId::MachineRuns).add(1); // direct use is not gated
+    EXPECT_EQ(r.counter(CounterId::MachineRuns).value(), 1u);
     r.enable();
     EXPECT_TRUE(r.enabled());
 }
@@ -62,17 +76,17 @@ TEST(Metrics, DisabledByDefaultButInstrumentsAlwaysWork) {
 TEST(Metrics, SnapshotJsonSortedAndDeterministic) {
     auto build = [] {
         MetricsRegistry r;
-        r.counter("zeta").add(2);
-        r.counter("alpha").add(1);
-        r.gauge("mid").set(0.5);
-        r.histogram("h").record(1.0);
-        r.histogram("h").record(3.0);
+        r.counter(CounterId::RuntimeCycles).add(2);
+        r.counter(CounterId::BalancerCalls).add(1);
+        r.gauge(GaugeId::MachineElapsedS).set(0.5);
+        r.histogram(HistogramId::RedistWallS).record(1.0);
+        r.histogram(HistogramId::RedistWallS).record(3.0);
         return r.snapshot_json();
     };
     std::string a = build();
     EXPECT_EQ(a, build());
-    // std::map iteration: alpha before zeta regardless of insertion order.
-    EXPECT_LT(a.find("\"alpha\""), a.find("\"zeta\""));
+    // std::map iteration: sorted by name regardless of insertion order.
+    EXPECT_LT(a.find("\"balancer.calls\""), a.find("\"runtime.cycles\""));
     EXPECT_NE(a.find("\"count\": 2"), std::string::npos);
     EXPECT_NE(a.find("\"mean\": 2"), std::string::npos);
 }
@@ -87,22 +101,23 @@ TEST(Metrics, SnapshotJsonEmptyRegistry) {
 
 TEST(Metrics, CsvHasHeaderAndKinds) {
     MetricsRegistry r;
-    r.counter("c").add(5);
-    r.gauge("g").set(1.5);
-    r.histogram("h").record(2.0);
+    r.counter(CounterId::BalancerCalls).add(5);
+    r.gauge(GaugeId::MachineElapsedS).set(1.5);
+    r.histogram(HistogramId::RedistWallS).record(2.0);
     std::string csv = r.csv();
     EXPECT_EQ(csv.substr(0, csv.find('\n')),
               "name,kind,value,count,sum,min,max,mean,p50,p90,p99");
-    EXPECT_NE(csv.find("c,counter,5,"), std::string::npos);
-    EXPECT_NE(csv.find("g,gauge,1.5,"), std::string::npos);
-    EXPECT_NE(csv.find("h,histogram,,1,2,2,2,2,2,2,2"), std::string::npos);
+    EXPECT_NE(csv.find("balancer.calls,counter,5,"), std::string::npos);
+    EXPECT_NE(csv.find("machine.elapsed_s,gauge,1.5,"), std::string::npos);
+    EXPECT_NE(csv.find("redist.wall_s,histogram,,1,2,2,2,2,2,2,2"),
+              std::string::npos);
 }
 
 TEST(Metrics, ResetDropsInstrumentsKeepsFlag) {
     MetricsRegistry r;
     r.enable();
-    r.counter("a").add(1);
-    r.histogram("b").record(1.0);
+    r.counter(CounterId::RuntimeCycles).add(1);
+    r.histogram(HistogramId::BalancerRounds).record(1.0);
     EXPECT_EQ(r.size(), 2u);
     r.reset();
     EXPECT_EQ(r.size(), 0u);

@@ -13,8 +13,8 @@ namespace {
 TEST(Trace, DisabledSinkRecordsNothing) {
     TraceSink s;
     EXPECT_FALSE(s.enabled());
-    s.instant(1.0, 0, "runtime.grace_enter");
-    s.span(1.0, 2.0, 1, "redist.pack");
+    s.instant(1.0, 0, InstantId::RuntimeGraceEnter);
+    s.span(1.0, 2.0, 1, SpanId::RedistPack);
     EXPECT_EQ(s.size(), 0u);
     EXPECT_EQ(s.jsonl(), "");
 }
@@ -22,7 +22,7 @@ TEST(Trace, DisabledSinkRecordsNothing) {
 TEST(Trace, EnableClearsAndRecords) {
     TraceSink s;
     s.enable();
-    s.instant(0.5, 2, "runtime.load_change");
+    s.instant(0.5, 2, InstantId::RuntimeLoadChange);
     EXPECT_EQ(s.size(), 1u);
     s.enable(); // re-enable wipes the buffer
     EXPECT_EQ(s.size(), 0u);
@@ -31,7 +31,7 @@ TEST(Trace, EnableClearsAndRecords) {
 TEST(Trace, JsonlFixedKeyOrderAndFormat) {
     TraceSink s;
     s.enable();
-    s.instant(1.25, 3, "runtime.grace_enter",
+    s.instant(1.25, 3, InstantId::RuntimeGraceEnter,
               {targ("cycle", 7), targ("grace_cycles", 5)});
     std::string line = s.jsonl();
     EXPECT_EQ(line,
@@ -42,7 +42,8 @@ TEST(Trace, JsonlFixedKeyOrderAndFormat) {
 TEST(Trace, SpanCarriesDuration) {
     TraceSink s;
     s.enable();
-    s.span(1.0, 1.5, 0, "redist.pack", {targ("bytes", std::uint64_t{4096})});
+    s.span(1.0, 1.5, 0, SpanId::RedistPack,
+           {targ("bytes", std::uint64_t{4096})});
     std::string line = s.jsonl();
     EXPECT_NE(line.find("\"dur\":0.500000000"), std::string::npos);
     EXPECT_NE(line.find("\"bytes\":4096"), std::string::npos);
@@ -51,7 +52,7 @@ TEST(Trace, SpanCarriesDuration) {
 TEST(Trace, StringArgsAreQuotedAndEscaped) {
     TraceSink s;
     s.enable();
-    s.instant(0.0, 0, "runtime.skipped",
+    s.instant(0.0, 0, InstantId::RuntimeSkipped,
               {targ("detail", std::string("a \"b\"\nc"))});
     std::string line = s.jsonl();
     EXPECT_NE(line.find("\"detail\":\"a \\\"b\\\"\\nc\""), std::string::npos);
@@ -60,7 +61,7 @@ TEST(Trace, StringArgsAreQuotedAndEscaped) {
 TEST(Trace, BoolAndDoubleArgs) {
     TraceSink s;
     s.enable();
-    s.instant(0.0, 0, "runtime.removal_eval",
+    s.instant(0.0, 0, InstantId::RuntimeRemovalEval,
               {targ("drop", true), targ("predicted_unloaded_s", 0.125)});
     std::string line = s.jsonl();
     EXPECT_NE(line.find("\"drop\":true"), std::string::npos);
@@ -70,21 +71,22 @@ TEST(Trace, BoolAndDoubleArgs) {
 TEST(Trace, ExportSortsByTimeStably) {
     TraceSink s;
     s.enable();
-    s.instant(2.0, 0, "b");
-    s.instant(1.0, 0, "a");
-    s.instant(2.0, 1, "c"); // same time as "b": record order must hold
+    s.span(2.0, 3.0, 0, SpanId::RedistSync);
+    s.instant(1.0, 0, InstantId::FaultClear);
+    s.instant(2.0, 1, InstantId::FaultInject); // same time: record order holds
     auto evs = s.sorted_events();
     ASSERT_EQ(evs.size(), 3u);
-    EXPECT_EQ(evs[0].name, "a");
-    EXPECT_EQ(evs[1].name, "b");
-    EXPECT_EQ(evs[2].name, "c");
+    EXPECT_EQ(evs[0].name, "fault.clear");
+    EXPECT_EQ(evs[1].name, "redist.sync");
+    EXPECT_EQ(evs[2].name, "fault.inject");
 }
 
 TEST(Trace, RingDropsOldestAndCounts) {
     TraceSink s;
     s.enable(/*capacity=*/4);
     for (int i = 0; i < 10; ++i)
-        s.instant(static_cast<double>(i), 0, "ev", {targ("i", i)});
+        s.instant(static_cast<double>(i), 0, InstantId::RuntimeSkipped,
+                  {targ("i", i)});
     EXPECT_EQ(s.size(), 4u);
     EXPECT_EQ(s.dropped(), 6u);
     auto evs = s.sorted_events();
@@ -95,8 +97,8 @@ TEST(Trace, ByteIdenticalAcrossIdenticalRecordings) {
     auto run = [] {
         TraceSink s;
         s.enable();
-        s.instant(0.25, 0, "runtime.load_change", {targ("cycle", 3)});
-        s.span(0.25, 0.75, 1, "redist.pack", {targ("rows", 42)});
+        s.instant(0.25, 0, InstantId::RuntimeLoadChange, {targ("cycle", 3)});
+        s.span(0.25, 0.75, 1, SpanId::RedistPack, {targ("rows", 42)});
         return s.jsonl();
     };
     EXPECT_EQ(run(), run());
@@ -105,8 +107,8 @@ TEST(Trace, ByteIdenticalAcrossIdenticalRecordings) {
 TEST(Trace, ChromeTraceShape) {
     TraceSink s;
     s.enable();
-    s.instant(1.0, 2, "runtime.grace_enter", {targ("cycle", 1)});
-    s.span(1.0, 2.0, 0, "runtime.cycle");
+    s.instant(1.0, 2, InstantId::RuntimeGraceEnter, {targ("cycle", 1)});
+    s.span(1.0, 2.0, 0, SpanId::RuntimeCycle);
     std::string j = s.chrome_trace();
     EXPECT_NE(j.find("\"traceEvents\":["), std::string::npos);
     EXPECT_NE(j.find("\"ph\":\"i\""), std::string::npos); // instant

@@ -4,15 +4,6 @@
 enum class TagSpace { User, Collective, Runtime };
 TagSpace tag_space(unsigned long long t);
 
-struct Sink {
-    void instant(double, int, const char*);
-};
-Sink& trace();
-struct Registry {
-    int& counter(const char*);
-};
-Registry& metrics();
-
 // pid -> slot lookups only; never iterated.
 struct Table {
     std::unordered_map<int, int> slots; // dynmpi-lint: ok(unordered-lookup)
@@ -25,9 +16,4 @@ int classify(unsigned long long t) {
     case TagSpace::Runtime: return 2;
     }
     return -1;
-}
-
-void emit() {
-    trace().instant(0.0, 0, "runtime.documented");
-    metrics().counter("runtime.good_metric");
 }

@@ -9,8 +9,9 @@ Checks, line by line:
     (object) are present and typed; "dur", when present, is a positive
     number;
   * "t" is non-decreasing over the file (traces export sorted by sim time);
-  * known event names carry their required args (unknown event names are
-    an error — the schema is closed; extend the table when adding events).
+  * the event name is in src/support/trace_events.def and carries the
+    required args listed there (the schema is closed: unknown names are an
+    error).
 
 With --require-adaptation the trace must additionally contain the full
 Monitor -> Grace -> redistribute -> PostGrace story:
@@ -21,50 +22,49 @@ first appearance.
 Exit status: 0 valid, 1 invalid, 2 usage/IO error.
 """
 import json
+import os
+import re
 import sys
 
-# Closed schema: event name -> args that must be present.  Events may carry
-# more args than listed (e.g. redist.apply's per-array rows.<name> keys).
-KNOWN_EVENTS = {
-    "runtime.cycle": {"cycle", "mode", "redistributed"},
-    "runtime.load_change": {"cycle", "detail"},
-    "runtime.grace_enter": {"cycle", "grace_cycles"},
-    "runtime.redistributed": {"cycle", "detail"},
-    "runtime.skipped": {"cycle", "detail"},
-    "runtime.dropped": {"cycle", "detail"},
-    "runtime.logical_drop": {"cycle", "detail"},
-    "runtime.readded": {"cycle", "detail"},
-    "runtime.post_grace_enter": {"cycle", "post_grace_cycles"},
-    "runtime.post_grace_exit": {"cycle", "measured_s", "dropped"},
-    "runtime.removal_eval": {
-        "cycle", "predicted_unloaded_s", "measured_loaded_s",
-        "unloaded_nodes", "drop",
-    },
-    "runtime.node_crash": {"cycle", "detail"},
-    "runtime.crash_repair": {"cycle", "node", "rows_adopted"},
-    "runtime.replica_refresh": {"cycle", "wholesale", "rows", "bytes"},
-    "runtime.replica_restore": {"cycle", "node", "buddy", "restored", "lost"},
-    "runtime.rejoin": {"cycle", "detail"},
-    "runtime.quarantine": {"cycle", "detail"},
-    "runtime.readmit": {"cycle", "detail"},
-    "runtime.stale_report": {"cycle", "node", "age_s"},
-    "fault.inject": {"kind", "node"},
-    "fault.clear": {"kind", "node"},
-    "net.send_retry": {"src", "dst", "attempt"},
-    "balancer.decision": {"cycle", "scheme", "candidates", "material"},
-    "redist.apply": {
-        "cycle", "active_before", "active_after", "rows", "bytes", "messages",
-    },
-    "redist.plan": {"seq"},
-    "redist.pack": {"seq", "rows", "bytes", "messages"},
-    "redist.unpack": {"seq"},
-    "redist.sync": {"seq"},
-    "redist.cleanup": {"seq"},
-    "machine.run_end": {
-        "elapsed_s", "messages", "bytes", "control_messages",
-        "events_fired", "peak_pending_events",
-    },
-}
+# The one definition of every event and metric (docs/OBSERVABILITY.md).
+CATALOG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src", "support", "trace_events.def")
+
+_TOKEN_RE = re.compile(
+    r'"(?P<lit>(?:[^"\\]|\\.)*)"|(?P<word>\w+)|(?P<punct>\S)')
+
+
+def read_catalog(path=CATALOG):
+    """The rows of trace_events.def in file order, as (macro, fields) pairs,
+    e.g. ("DYNMPI_SPAN", ["RedistPlan", "redist.plan", ...]).  Comment and
+    preprocessor lines are skipped; adjacent string literals join, as in C.
+    """
+    with open(path, encoding="utf-8") as f:
+        text = "\n".join(line for line in f.read().splitlines()
+                         if not line.lstrip().startswith(("//", "#")))
+    rows, macro, fields, field = [], None, [], None
+    for m in _TOKEN_RE.finditer(text):
+        if macro is None:
+            macro = m["word"]
+        elif m["punct"] in (",", ")"):
+            fields.append(field)
+            field = None
+            if m["punct"] == ")":
+                rows.append((macro, fields))
+                macro, fields = None, []
+        elif m["punct"] is None:
+            field = m["word"] or (field or "") + m["lit"]
+    return rows
+
+
+def required_args(path=CATALOG):
+    """Closed schema: event name -> args that must be present.  Events may
+    carry more args than listed (e.g. redist.apply's per-array rows.<name>
+    keys)."""
+    return {fields[1]: set(fields[3].split())
+            for macro, fields in read_catalog(path)
+            if macro in ("DYNMPI_INSTANT", "DYNMPI_SPAN")}
+
 
 ADAPTATION_STORY = [
     "runtime.load_change",
@@ -80,7 +80,7 @@ def fail(lineno, msg):
     return False
 
 
-def check_line(lineno, line):
+def check_line(lineno, line, schema):
     try:
         ev = json.loads(line)
     except json.JSONDecodeError as e:
@@ -111,7 +111,7 @@ def check_line(lineno, line):
         ok = fail(lineno, f"unexpected top-level keys: {sorted(extra)}")
 
     if isinstance(name, str) and isinstance(args, dict):
-        required = KNOWN_EVENTS.get(name)
+        required = schema.get(name)
         if required is None:
             ok = fail(lineno, f'unknown event name "{name}"')
         else:
@@ -135,6 +135,7 @@ def main(argv):
         print(f"check_trace: {e}", file=sys.stderr)
         return 2
 
+    schema = required_args()
     ok = True
     prev_t = None
     first_seen = {}
@@ -142,7 +143,7 @@ def main(argv):
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        ev, line_ok = check_line(lineno, line)
+        ev, line_ok = check_line(lineno, line, schema)
         ok &= line_ok
         if ev is None:
             continue

@@ -7,12 +7,6 @@ full catalogue):
   DET001  banned randomness source (only support/rng.hpp is sanctioned)
   DET002  banned wall-clock / calendar-time source (only sim/time.hpp)
   DET003  unordered container without an `ok(unordered-lookup)` suppression
-  TRC001  emitted trace event missing from tools/check_trace.py's schema
-  TRC002  schema event never emitted by src/ (dead schema entry)
-  TRC003  schema event missing from docs/OBSERVABILITY.md
-  TRC004  emitted metric missing from the docs metrics catalog
-  TRC005  observability name literal not known to schema or docs
-  TRC006  documented catalog name never emitted (stale doc entry)
   TAG001  raw tag-space arithmetic / wide literal outside mpisim/tags.hpp
   TAG002  TagSpace switch that is not exhaustive and has no default
   EXC001  throwing protocol call inside a destructor
@@ -22,8 +16,8 @@ Suppressions are line-scoped comments understood by every check:
 
     // dynmpi-lint: ok(<token>)      same line or the line directly above
 
-with tokens: randomness, wall-clock, unordered-lookup, trace-name,
-raw-tag, tag-switch, protocol-throw.  `// dynmpi-lint: repair-critical`
+with tokens: randomness, wall-clock, unordered-lookup, raw-tag,
+tag-switch, protocol-throw.  `// dynmpi-lint: repair-critical`
 marks the function that follows as repair-critical (EXC002 scope).
 """
 

@@ -2,20 +2,14 @@
 """dynmpi-lint driver.
 
 Usage:
-  python3 tools/dynmpi_lint/lint.py --repo . [--build build]
-      [--backend auto|regex|clang] [--format text|json] [--list-checks]
+  python3 tools/dynmpi_lint/lint.py --repo . [--format text|json]
+      [--list-checks]
 
 Scans src/**/*.{cpp,hpp} of the repo for violations of the Dyn-MPI
-determinism and protocol invariants, cross-checks every emitted
-observability name against tools/check_trace.py and docs/OBSERVABILITY.md,
-and prints findings as `path:line:col: CODE: message`, sorted and
-deterministic.  Exit status: 0 clean, 1 findings, 2 usage/IO error.
-
-The libclang backend (``--backend clang``/``auto``) refines the DET checks
-to AST precision when python3-clang and a loadable libclang are installed;
-``--backend regex`` (what CI and the fixture tests pin) needs only the
-standard library.  See docs/STATIC_ANALYSIS.md for the check catalogue and
-suppression syntax.
+determinism and protocol invariants and prints findings as
+`path:line:col: CODE: message`, sorted and deterministic.  Exit status:
+0 clean, 1 findings, 2 usage/IO error.  Needs only the standard library;
+see docs/STATIC_ANALYSIS.md for the check catalogue and suppression syntax.
 """
 
 import argparse
@@ -26,14 +20,10 @@ import sys
 if __package__ in (None, ""):  # executed as a script
     sys.path.insert(0, os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
-    from dynmpi_lint import __doc__ as _catalogue  # noqa: F401
-    from dynmpi_lint import source, determinism, tags, exceptions, \
-        trace_schema, compiledb, clang_backend
+    from dynmpi_lint import source, determinism, tags, exceptions
     import dynmpi_lint as _pkg
 else:
-    from . import source, determinism, tags, exceptions, trace_schema, \
-        compiledb, clang_backend
-    from . import __doc__ as _catalogue  # noqa: F401
+    from . import source, determinism, tags, exceptions
     import dynmpi_lint as _pkg
 
 
@@ -50,52 +40,17 @@ def gather_sources(repo):
     return files
 
 
-def run(repo, build=None, backend="auto", schema=None, docs=None):
-    """Lint the tree; returns (findings, notes)."""
-    repo = os.path.abspath(repo)
-    schema = schema or os.path.join(repo, "tools", "check_trace.py")
-    docs = docs or os.path.join(repo, "docs", "OBSERVABILITY.md")
-    notes = []
-    sources = gather_sources(repo)
+def run(repo):
+    """Lint the tree; returns the sorted findings."""
+    sources = gather_sources(os.path.abspath(repo))
     if not sources:
         raise FileNotFoundError(f"no C++ sources under {repo}/src")
-
-    use_clang = False
-    if backend in ("auto", "clang"):
-        use_clang = clang_backend.available()
-        if backend == "clang" and not use_clang:
-            raise RuntimeError("libclang backend requested but python "
-                               "clang bindings / libclang are unavailable")
-        if not use_clang:
-            notes.append("libclang unavailable; using the regex backend")
-    db = compiledb.CompileDb.load(build) if build else None
-    if use_clang and db is None:
-        notes.append("no compile_commands.json; libclang parses with "
-                     "default flags")
-
     findings = []
     for sf in sources:
-        det = []
-        determinism.check(sf, det)
-        if use_clang:
-            ast_det = []
-            if clang_backend.check_tu(sf, db.args_for(sf.path) if db else
-                                      None, ast_det):
-                det = ast_det
-        findings.extend(det)
+        determinism.check(sf, findings)
         tags.check(sf, findings)
         exceptions.check(sf, findings)
-
-    for path, what in ((schema, "trace schema"), (docs, "observability docs")):
-        if not os.path.isfile(path):
-            raise FileNotFoundError(f"{what} not found at {path}")
-    trace_schema.check(
-        sources,
-        schema, os.path.relpath(schema, repo).replace(os.sep, "/"),
-        docs, os.path.relpath(docs, repo).replace(os.sep, "/"),
-        findings)
-
-    return sorted(set(findings)), notes
+    return sorted(set(findings))
 
 
 def main(argv=None):
@@ -103,14 +58,6 @@ def main(argv=None):
         prog="dynmpi-lint",
         description="Determinism & protocol static analysis for Dyn-MPI")
     ap.add_argument("--repo", default=".", help="repository root")
-    ap.add_argument("--build", default=None,
-                    help="build dir holding compile_commands.json")
-    ap.add_argument("--backend", choices=("auto", "regex", "clang"),
-                    default="auto")
-    ap.add_argument("--schema", default=None,
-                    help="override tools/check_trace.py path")
-    ap.add_argument("--docs", default=None,
-                    help="override docs/OBSERVABILITY.md path")
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--list-checks", action="store_true",
                     help="print the check catalogue and exit")
@@ -121,15 +68,11 @@ def main(argv=None):
         return 0
 
     try:
-        findings, notes = run(args.repo, build=args.build,
-                              backend=args.backend, schema=args.schema,
-                              docs=args.docs)
-    except (FileNotFoundError, RuntimeError) as e:
+        findings = run(args.repo)
+    except FileNotFoundError as e:
         print(f"dynmpi-lint: error: {e}", file=sys.stderr)
         return 2
 
-    for note in notes:
-        print(f"dynmpi-lint: note: {note}", file=sys.stderr)
     if args.format == "json":
         print(json.dumps([f.__dict__ for f in findings], indent=2))
     else:

@@ -1,11 +1,10 @@
 """Lexical model of one C++ source file.
 
-A single character-level pass splits the file into three synchronized views:
+A single character-level pass splits the file into two synchronized views:
 
   * ``code_lines``   — line-by-line code with comments blanked and string /
     char literal *contents* blanked (the quotes survive, so token-level
     regexes never fire inside prose);
-  * ``literals``     — every string literal with its (line, col, value);
   * ``suppressions`` — ``dynmpi-lint: ok(token)`` comment tokens per line,
     plus the lines carrying a ``dynmpi-lint: repair-critical`` marker.
 
@@ -24,9 +23,7 @@ class SourceFile:
     def __init__(self, path, rel, text):
         self.path = path
         self.rel = rel  # repo-relative posix path
-        self.raw_lines = text.split("\n")
         self.code_lines = []
-        self.literals = []       # list of (line, col, value), 1-based
         self.suppressions = {}   # line -> set of tokens
         self.repair_markers = [] # lines with a repair-critical marker
         self._scan(text)
@@ -98,8 +95,6 @@ class SourceFile:
                     closer = ")" + m.group(1) + '"'
                     end = text.find(closer, i + m.end())
                     end = n if end < 0 else end + len(closer)
-                    value = text[i + m.end():end - len(closer)]
-                    self.literals.append((line, col + 1, value))
                     code.append('"')
                     code.append('"')
                     for ch in text[i:end]:
@@ -112,19 +107,13 @@ class SourceFile:
             if c == '"' or c == "'":
                 quote = c
                 j = i + 1
-                buf = []
                 while j < n and text[j] != quote:
                     if text[j] == "\\" and j + 1 < n:
-                        buf.append(text[j:j + 2])
                         j += 2
                     elif text[j] == "\n":
                         break  # unterminated on this line; bail out
                     else:
-                        buf.append(text[j])
                         j += 1
-                value = "".join(buf)
-                if quote == '"':
-                    self.literals.append((line, col + 1, value))
                 code.append(quote)
                 code.append(quote)
                 span = (j + 1 if j < n and text[j] == quote else j) - i
