@@ -1,5 +1,6 @@
 #include "dynmpi/dense_array.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dynmpi {
@@ -8,22 +9,10 @@ DenseArray::DenseArray(std::string name, int global_rows, int row_elems,
                        std::size_t elem_bytes)
     : DistArray(std::move(name), global_rows),
       row_elems_(row_elems),
-      elem_bytes_(elem_bytes) {
+      elem_bytes_(elem_bytes),
+      rows_(global_rows_) {
     DYNMPI_REQUIRE(row_elems_ > 0, "extended row needs elements");
     DYNMPI_REQUIRE(elem_bytes_ > 0, "element size must be positive");
-}
-
-std::byte* DenseArray::row_data(int row) {
-    auto it = rows_.find(row);
-    DYNMPI_REQUIRE(it != rows_.end(), "access to non-held row of " + name_);
-    mark_row_dirty(row);
-    return it->second.data();
-}
-
-const std::byte* DenseArray::row_data(int row) const {
-    auto it = rows_.find(row);
-    DYNMPI_REQUIRE(it != rows_.end(), "access to non-held row of " + name_);
-    return it->second.data();
 }
 
 std::vector<std::byte> DenseArray::pack_rows(const RowSet& rows) const {
@@ -46,22 +35,35 @@ std::vector<std::byte> DenseArray::pack_rows(const RowSet& rows) const {
 }
 
 void DenseArray::unpack_rows(const std::vector<std::byte>& data) {
+    // First pass: validate every row and find the incoming span, so a
+    // malformed buffer changes nothing and the table is sized once.
     std::size_t pos = 0;
-    std::uint32_t nrows = get_u32(data, pos);
+    const std::uint32_t nrows = get_u32(data, pos);
+    const std::size_t first_row = pos;
+    int lo = global_rows_, hi = 0;
     for (std::uint32_t k = 0; k < nrows; ++k) {
         int row = static_cast<int>(get_u32(data, pos));
         DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
                        "unpacked row id out of range for " + name_);
         std::uint64_t nbytes = get_u64(data, pos);
         DYNMPI_REQUIRE(nbytes == row_bytes(), "dense row size mismatch");
-        DYNMPI_REQUIRE(pos + nbytes <= data.size(), "truncated dense row");
-        auto [it, inserted] = rows_.try_emplace(row);
-        if (inserted) {
-            it->second.resize(row_bytes());
+        DYNMPI_REQUIRE(nbytes <= data.size() - pos, "truncated dense row");
+        pos += nbytes;
+        lo = std::min(lo, row);
+        hi = std::max(hi, row + 1);
+    }
+    if (nrows > 0) rows_.cover(held_, lo, hi);
+    pos = first_row;
+    for (std::uint32_t k = 0; k < nrows; ++k) {
+        int row = static_cast<int>(get_u32(data, pos));
+        pos += 8;
+        auto& slot = rows_.slot(row);
+        if (!slot) {
+            slot = std::make_unique_for_overwrite<std::byte[]>(row_bytes());
             ++stats_.rows_allocated;
         }
-        std::memcpy(it->second.data(), data.data() + pos, nbytes);
-        pos += nbytes;
+        std::memcpy(slot.get(), data.data() + pos, row_bytes());
+        pos += row_bytes();
         held_.add(row, row + 1);
         mark_row_dirty(row);
     }
@@ -69,22 +71,24 @@ void DenseArray::unpack_rows(const std::vector<std::byte>& data) {
 }
 
 void DenseArray::drop_rows(const RowSet& rows) {
-    for (int r : rows.to_vector()) {
-        if (rows_.erase(r) > 0) ++stats_.rows_freed;
-    }
-    held_ = held_.subtract(rows);
+    stats_.rows_freed += static_cast<std::uint64_t>(rows_.erase(rows));
+    held_.subtract_with(rows);
+    rows_.fit(held_);
 }
 
 void DenseArray::ensure_rows(const RowSet& rows) {
-    for (int r : rows.to_vector()) {
-        DYNMPI_REQUIRE(r >= 0 && r < global_rows_, "row out of range");
-        auto [it, inserted] = rows_.try_emplace(r);
-        if (inserted) {
-            it->second.assign(row_bytes(), std::byte{0});
+    if (rows.empty()) return;
+    DYNMPI_REQUIRE(rows.first() >= 0 && rows.last() < global_rows_,
+                   "row out of range");
+    rows_.cover(held_, rows.first(), rows.last() + 1);
+    for (const RowInterval& iv : rows.intervals())
+        for (int r = iv.lo; r < iv.hi; ++r) {
+            auto& slot = rows_.slot(r);
+            if (slot) continue;
+            slot = std::make_unique<std::byte[]>(row_bytes());
             ++stats_.rows_allocated;
             mark_row_dirty(r);
         }
-    }
     held_.add(rows);
 }
 
@@ -176,7 +180,8 @@ std::vector<std::byte> ContiguousDenseArray::pack_rows(
 void ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
     std::size_t pos = 0;
     std::uint32_t nrows = get_u32(data, pos);
-    // First pass: find the new extent.
+    // First pass: validate every row and find the new extent, so a
+    // malformed buffer throws before the array changes.
     RowSet incoming;
     std::size_t scan = pos;
     for (std::uint32_t k = 0; k < nrows; ++k) {
@@ -184,6 +189,8 @@ void ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
         DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
                        "unpacked row id out of range for " + name_);
         std::uint64_t nbytes = get_u64(data, scan);
+        DYNMPI_REQUIRE(nbytes == row_bytes(), "dense row size mismatch");
+        DYNMPI_REQUIRE(nbytes <= data.size() - scan, "truncated dense row");
         scan += nbytes;
         incoming.add(row, row + 1);
     }
@@ -196,7 +203,6 @@ void ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
     for (std::uint32_t k = 0; k < nrows; ++k) {
         int row = static_cast<int>(get_u32(data, pos));
         std::uint64_t nbytes = get_u64(data, pos);
-        DYNMPI_REQUIRE(nbytes == row_bytes(), "dense row size mismatch");
         held_.add(row, row + 1);
         mark_row_dirty(row);
         std::memcpy(buffer_.data() +

@@ -4,7 +4,8 @@
 // An n-dimensional array is projected onto two dimensions: the distributed
 // first dimension, and *extended rows* holding the product of the remaining
 // dimensions.  Each extended row is its own contiguous allocation, and the
-// top level is a per-row pointer table.  Redistribution therefore:
+// top level is a RowTable: one row pointer per slot, indexed by row id over
+// a window that spans the held rows.  Redistribution therefore:
 //   - ships whole extended rows in single messages,
 //   - reuses surviving rows by pointer (no copy), and
 //   - allocates/frees only the rows that actually change hands.
@@ -14,9 +15,8 @@
 // and copies everything.  It exists for the ablation bench.
 #pragma once
 
-#include <unordered_map>
-
 #include "dynmpi/dist_array.hpp"
+#include "dynmpi/row_table.hpp"
 #include "support/error.hpp"
 
 namespace dynmpi {
@@ -33,9 +33,20 @@ public:
         return static_cast<std::size_t>(row_elems_) * elem_bytes_;
     }
 
-    /// Raw storage of a held row.
-    std::byte* row_data(int row);
-    const std::byte* row_data(int row) const;
+    /// Raw storage of a held row.  The non-const version marks it dirty.
+    std::byte* row_data(int row) {
+        std::byte* p = rows_.find(row);
+        if (!p) [[unlikely]]
+            fail_non_held(row);
+        mark_row_dirty(row);
+        return p;
+    }
+    const std::byte* row_data(int row) const {
+        std::byte* p = rows_.find(row);
+        if (!p) [[unlikely]]
+            fail_non_held(row);
+        return p;
+    }
 
     /// Typed view of a held extended row: one row lookup and one
     /// element-size check, then plain indexing by column (no bounds check
@@ -81,11 +92,7 @@ public:
 private:
     int row_elems_;
     std::size_t elem_bytes_;
-    // Top-level "pointer vector": row id → extended row storage.  Accessed
-    // strictly by key (find/try_emplace/erase); every iteration that feeds
-    // pack_rows or replica blobs walks a sorted RowSet instead.
-    std::unordered_map<int, std::vector<std::byte>> // dynmpi-lint: ok(unordered-lookup)
-        rows_;
+    RowTable<std::byte[]> rows_; ///< row id → extended row storage
 };
 
 /// Baseline allocator: the local block lives in one contiguous buffer.

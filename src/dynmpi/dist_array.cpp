@@ -17,6 +17,12 @@ void DistArray::retain_only(const RowSet& keep) {
     drop_rows(held_.subtract(keep));
 }
 
+void DistArray::fail_non_held(int row) const {
+    detail::fail("precondition", "row is held", __FILE__, __LINE__,
+                 "access to non-held row " + std::to_string(row) + " of " +
+                     name_);
+}
+
 void DistArray::mark_rows_dirty(const RowSet& rows) {
     for (const RowInterval& iv : rows.intervals())
         for (int r = iv.lo; r < iv.hi; ++r) mark_row_dirty(r);

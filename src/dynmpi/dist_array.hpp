@@ -90,6 +90,10 @@ public:
                                  std::size_t& pos);
 
 protected:
+    /// Throws the "access to non-held row" Error.  Out of line, so the
+    /// inline row lookups of the subclasses stay one compare and one load.
+    [[noreturn]] void fail_non_held(int row) const;
+
     std::string name_;
     int global_rows_;
     RowSet held_;

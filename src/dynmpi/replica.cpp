@@ -24,7 +24,7 @@ RowSet ReplicaStore::store_blob(std::size_t array_idx,
     for (std::uint32_t i = 0; i < nrows; ++i) {
         int row = static_cast<int>(DistArray::get_u32(blob, pos));
         std::uint64_t nbytes = DistArray::get_u64(blob, pos);
-        DYNMPI_REQUIRE(pos + nbytes <= blob.size(),
+        DYNMPI_REQUIRE(nbytes <= blob.size() - pos,
                        "replica store: truncated blob");
         auto it = store.try_emplace(hint, row);
         hint = std::next(it);
@@ -64,17 +64,6 @@ std::vector<std::byte> ReplicaStore::extract(std::size_t array_idx,
     return out;
 }
 
-RowSet ReplicaStore::rows_held(std::size_t array_idx,
-                               const RowSet& scope) const {
-    DYNMPI_REQUIRE(array_idx < rows_.size(), "replica store: bad array");
-    const auto& store = rows_[array_idx];
-    RowSet held;
-    for (const auto& iv : scope.intervals())
-        for (int r = iv.lo; r < iv.hi; ++r)
-            if (store.count(r)) held.add(r, r + 1);
-    return held;
-}
-
 RowSet ReplicaStore::rows_in_blob(const std::vector<std::byte>& blob) {
     RowSet rows;
     std::size_t pos = 0;
@@ -82,7 +71,7 @@ RowSet ReplicaStore::rows_in_blob(const std::vector<std::byte>& blob) {
     for (std::uint32_t i = 0; i < nrows; ++i) {
         int row = static_cast<int>(DistArray::get_u32(blob, pos));
         std::uint64_t nbytes = DistArray::get_u64(blob, pos);
-        DYNMPI_REQUIRE(pos + nbytes <= blob.size(),
+        DYNMPI_REQUIRE(nbytes <= blob.size() - pos,
                        "replica blob: truncated row");
         pos += nbytes;
         rows.add(row, row + 1);

@@ -37,9 +37,6 @@ public:
     std::vector<std::byte> extract(std::size_t array_idx,
                                    const RowSet& rows) const;
 
-    /// Rows of `array_idx` currently replicated within `scope`.
-    RowSet rows_held(std::size_t array_idx, const RowSet& scope) const;
-
     /// Row ids framed in a pack-format blob (no payload copies).
     static RowSet rows_in_blob(const std::vector<std::byte>& blob);
 

@@ -6,20 +6,10 @@
 namespace dynmpi {
 
 SparseMatrix::SparseMatrix(std::string name, int global_rows, int global_cols)
-    : DistArray(std::move(name), global_rows), global_cols_(global_cols) {
+    : DistArray(std::move(name), global_rows),
+      global_cols_(global_cols),
+      rows_(global_rows_) {
     DYNMPI_REQUIRE(global_cols_ > 0, "matrix needs at least one column");
-}
-
-SparseMatrix::RowList& SparseMatrix::row_mut(int r) {
-    auto it = rows_.find(r);
-    DYNMPI_REQUIRE(it != rows_.end(), "access to non-held row of " + name_);
-    return it->second;
-}
-
-const SparseMatrix::RowList& SparseMatrix::row(int r) const {
-    auto it = rows_.find(r);
-    DYNMPI_REQUIRE(it != rows_.end(), "access to non-held row of " + name_);
-    return it->second;
 }
 
 void SparseMatrix::set(int row, int col, double value) {
@@ -59,7 +49,9 @@ int SparseMatrix::row_nnz(int r) const {
 
 int SparseMatrix::nnz() const {
     int n = 0;
-    for (const auto& [r, list] : rows_) n += static_cast<int>(list.size());
+    for (const RowInterval& iv : held_.intervals())
+        for (int r = iv.lo; r < iv.hi; ++r)
+            n += static_cast<int>(rows_.find(r)->size());
     return n;
 }
 
@@ -70,29 +62,29 @@ int SparseMatrix::nnz() const {
 SparseMatrix::Cursor::Cursor(SparseMatrix& m) : m_(m) { move_first(); }
 
 void SparseMatrix::Cursor::move_first() {
-    held_rows_ = m_.held().to_vector();
-    row_idx_ = 0;
-    if (!held_rows_.empty())
-        elem_ = m_.row_mut(held_rows_[0]).begin();
+    held_ = m_.held().intervals();
+    iv_ = 0;
+    if (!held_.empty()) {
+        row_ = held_[0].lo;
+        elem_ = m_.row_mut(row_).begin();
+    }
     skip_empty_rows();
 }
 
-void SparseMatrix::Cursor::skip_empty_rows() {
-    while (row_idx_ < held_rows_.size() &&
-           elem_ == m_.row_mut(held_rows_[row_idx_]).end()) {
-        ++row_idx_;
-        if (row_idx_ < held_rows_.size())
-            elem_ = m_.row_mut(held_rows_[row_idx_]).begin();
-    }
+void SparseMatrix::Cursor::step_row() {
+    if (++row_ == held_[iv_].hi && ++iv_ < held_.size()) row_ = held_[iv_].lo;
+    if (!at_end()) elem_ = m_.row_mut(row_).begin();
 }
 
-bool SparseMatrix::Cursor::at_end() const {
-    return row_idx_ >= held_rows_.size();
+void SparseMatrix::Cursor::skip_empty_rows() {
+    while (!at_end() && elem_ == m_.row_mut(row_).end()) step_row();
 }
+
+bool SparseMatrix::Cursor::at_end() const { return iv_ >= held_.size(); }
 
 int SparseMatrix::Cursor::current_row() const {
     DYNMPI_REQUIRE(!at_end(), "cursor past the end");
-    return held_rows_[row_idx_];
+    return row_;
 }
 
 const SparseEntry& SparseMatrix::Cursor::current() const {
@@ -111,16 +103,14 @@ SparseEntry SparseMatrix::Cursor::next() {
 void SparseMatrix::Cursor::set_next(double value) {
     DYNMPI_REQUIRE(!at_end(), "cursor past the end");
     elem_->value = value;
-    m_.mark_row_dirty(held_rows_[row_idx_]);
+    m_.mark_row_dirty(row_);
     ++elem_;
     skip_empty_rows();
 }
 
 void SparseMatrix::Cursor::advance_row() {
     DYNMPI_REQUIRE(!at_end(), "cursor past the end");
-    ++row_idx_;
-    if (row_idx_ < held_rows_.size())
-        elem_ = m_.row_mut(held_rows_[row_idx_]).begin();
+    step_row();
     skip_empty_rows();
 }
 
@@ -131,25 +121,17 @@ void SparseMatrix::Cursor::advance_row() {
 std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
     // Pack each linked-list row into the flat wire vector (paper §4.4: a row
     // "must be packed into a vector" before transfer).  The buffer is sized
-    // by an exact precount so the write pass never reallocates, and rows_ is
-    // ordered, so each interval is one lower_bound plus a linear walk instead
-    // of a map lookup per row.
+    // by an exact precount so the write pass never reallocates.
     std::size_t total = 4;
-    for (const RowInterval& iv : rows.intervals()) {
-        auto it = rows_.lower_bound(iv.lo);
-        for (int r = iv.lo; r < iv.hi; ++r, ++it) {
-            DYNMPI_REQUIRE(it != rows_.end() && it->first == r,
-                           "access to non-held row of " + name_);
-            total += 12 + it->second.size() * sizeof(SparseEntry);
-        }
-    }
+    for (const RowInterval& iv : rows.intervals())
+        for (int r = iv.lo; r < iv.hi; ++r)
+            total += 12 + row(r).size() * sizeof(SparseEntry);
     std::vector<std::byte> out;
     out.reserve(total);
     put_u32(out, static_cast<std::uint32_t>(rows.count()));
     for (const RowInterval& iv : rows.intervals()) {
-        auto it = rows_.lower_bound(iv.lo);
-        for (int r = iv.lo; r < iv.hi; ++r, ++it) {
-            const RowList& list = it->second;
+        for (int r = iv.lo; r < iv.hi; ++r) {
+            const RowList& list = *rows_.find(r);
             put_u32(out, static_cast<std::uint32_t>(r));
             put_u64(out, list.size() * sizeof(SparseEntry));
             for (const auto& e : list) {
@@ -164,8 +146,12 @@ std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
 }
 
 void SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
+    // First pass: validate every row and find the incoming span, so a
+    // malformed buffer changes nothing and the table is sized once.
     std::size_t pos = 0;
-    std::uint32_t nrows = get_u32(data, pos);
+    const std::uint32_t nrows = get_u32(data, pos);
+    const std::size_t first_row = pos;
+    int lo = global_rows_, hi = 0;
     for (std::uint32_t k = 0; k < nrows; ++k) {
         int r = static_cast<int>(get_u32(data, pos));
         DYNMPI_REQUIRE(r >= 0 && r < global_rows_,
@@ -173,16 +159,27 @@ void SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
         std::uint64_t nbytes = get_u64(data, pos);
         DYNMPI_REQUIRE(nbytes % sizeof(SparseEntry) == 0,
                        "sparse row payload not a whole number of entries");
-        DYNMPI_REQUIRE(pos + nbytes <= data.size(), "truncated sparse row");
-        std::size_t count = nbytes / sizeof(SparseEntry);
-        auto [it, inserted] = rows_.try_emplace(r);
-        if (inserted) ++stats_.rows_allocated;
-        it->second.clear();
+        DYNMPI_REQUIRE(nbytes <= data.size() - pos, "truncated sparse row");
+        pos += nbytes;
+        lo = std::min(lo, r);
+        hi = std::max(hi, r + 1);
+    }
+    if (nrows > 0) rows_.cover(held_, lo, hi);
+    pos = first_row;
+    for (std::uint32_t k = 0; k < nrows; ++k) {
+        int r = static_cast<int>(get_u32(data, pos));
+        std::size_t count = get_u64(data, pos) / sizeof(SparseEntry);
+        auto& slot = rows_.slot(r);
+        if (!slot) {
+            slot = std::make_unique<RowList>();
+            ++stats_.rows_allocated;
+        }
+        slot->clear();
         for (std::size_t i = 0; i < count; ++i) {
             SparseEntry e;
             std::memcpy(&e, data.data() + pos, sizeof(SparseEntry));
             pos += sizeof(SparseEntry);
-            it->second.push_back(e); // wire order is column order
+            slot->push_back(e); // wire order is column order
         }
         held_.add(r, r + 1);
         mark_row_dirty(r);
@@ -191,20 +188,24 @@ void SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
 }
 
 void SparseMatrix::drop_rows(const RowSet& rows) {
-    for (int r : rows.to_vector())
-        if (rows_.erase(r) > 0) ++stats_.rows_freed;
-    held_ = held_.subtract(rows);
+    stats_.rows_freed += static_cast<std::uint64_t>(rows_.erase(rows));
+    held_.subtract_with(rows);
+    rows_.fit(held_);
 }
 
 void SparseMatrix::ensure_rows(const RowSet& rows) {
-    for (int r : rows.to_vector()) {
-        DYNMPI_REQUIRE(r >= 0 && r < global_rows_, "row out of range");
-        auto [it, inserted] = rows_.try_emplace(r);
-        if (inserted) {
+    if (rows.empty()) return;
+    DYNMPI_REQUIRE(rows.first() >= 0 && rows.last() < global_rows_,
+                   "row out of range");
+    rows_.cover(held_, rows.first(), rows.last() + 1);
+    for (const RowInterval& iv : rows.intervals())
+        for (int r = iv.lo; r < iv.hi; ++r) {
+            auto& slot = rows_.slot(r);
+            if (slot) continue;
+            slot = std::make_unique<RowList>();
             ++stats_.rows_allocated;
             mark_row_dirty(r);
         }
-    }
     held_.add(rows);
 }
 

@@ -2,7 +2,8 @@
 //
 // Each held row is a linked list of (column id, value) pairs kept sorted by
 // column.  The format mirrors the dense scheme as closely as possible: the
-// distributed dimension is a per-row table, and an "extended row" is the
+// distributed dimension is the same RowTable of row pointers, indexed by row
+// id over a window that spans the held rows, and an "extended row" is the
 // list.  Redistribution packs a row's list into a flat vector for the wire
 // and rebuilds the list on receipt (paper §4.4) — data *and* metadata move
 // together.
@@ -14,9 +15,9 @@
 
 #include <algorithm>
 #include <list>
-#include <map>
 
 #include "dynmpi/dist_array.hpp"
+#include "dynmpi/row_table.hpp"
 #include "support/error.hpp"
 
 namespace dynmpi {
@@ -48,7 +49,12 @@ public:
     bool erase(int row, int col);
 
     /// The stored list for a held row (sorted by column).
-    const RowList& row(int r) const;
+    const RowList& row(int r) const {
+        const RowList* list = rows_.find(r);
+        if (!list) [[unlikely]]
+            fail_non_held(r);
+        return *list;
+    }
 
     /// Number of stored elements in a held row.
     int row_nnz(int r) const;
@@ -86,10 +92,13 @@ public:
 
     private:
         void skip_empty_rows();
+        /// Move to the first element of the next held row.
+        void step_row();
 
         SparseMatrix& m_;
-        std::vector<int> held_rows_;
-        std::size_t row_idx_ = 0;
+        std::vector<RowInterval> held_; ///< held rows at move_first()
+        std::size_t iv_ = 0;            ///< interval of row_
+        int row_ = 0;
         RowList::iterator elem_;
     };
 
@@ -111,13 +120,15 @@ public:
     }
 
 private:
-    RowList& row_mut(int r);
+    RowList& row_mut(int r) {
+        RowList* list = rows_.find(r);
+        if (!list) [[unlikely]]
+            fail_non_held(r);
+        return *list;
+    }
 
     int global_cols_;
-    // Ordered: nnz() and friends iterate this map, and sparse row blobs are
-    // replica-/redistribution-visible, so iteration order must not depend
-    // on hash seeding.
-    std::map<int, RowList> rows_;
+    RowTable<RowList> rows_; ///< row id → the row's list
 };
 
 }  // namespace dynmpi

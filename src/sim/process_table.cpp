@@ -38,15 +38,6 @@ std::vector<ProcessInfo> ProcessTable::snapshot() const {
     return out;
 }
 
-int ProcessTable::count_runnable() const {
-    int n = 0;
-    for (const auto& p : procs_)
-        if (p.pid != -1 &&
-            (p.state == ProcState::Running || p.state == ProcState::Ready))
-            ++n;
-    return n;
-}
-
 std::size_t ProcessTable::size() const {
     std::size_t n = 0;
     for (const auto& p : procs_)

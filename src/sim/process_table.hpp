@@ -44,9 +44,6 @@ public:
     /// `ps`-style snapshot of all live processes.
     std::vector<ProcessInfo> snapshot() const;
 
-    /// Count of processes in Running or Ready state.
-    int count_runnable() const;
-
     std::size_t size() const;
 
 private:

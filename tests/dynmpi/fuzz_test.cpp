@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "dynmpi/dense_array.hpp"
+#include "dynmpi/replica.hpp"
 #include "dynmpi/runtime.hpp"
 #include "dynmpi/sparse_matrix.hpp"
 #include "mpisim/machine.hpp"
@@ -33,15 +34,45 @@ std::vector<std::byte> packed_sparse() {
     return m.pack_rows(RowSet(0, 4));
 }
 
+/// Unpacks `bad` into a dense array of type ArrayT that already holds rows
+/// 4 and 5, and expects a clean rejection that leaves the array unchanged.
+template <typename ArrayT>
+void expect_rejected_unchanged(const std::vector<std::byte>& bad) {
+    ArrayT dst("A", 8, 4, sizeof(double));
+    dst.ensure_rows(RowSet(4, 6));
+    for (int j = 0; j < 4; ++j) dst.template at<double>(5, j) = 7.0 + j;
+    const auto before = dst.pack_rows(RowSet(4, 6));
+    EXPECT_THROW(dst.unpack_rows(bad), Error);
+    EXPECT_EQ(dst.held(), RowSet(4, 6));
+    EXPECT_EQ(dst.pack_rows(RowSet(4, 6)), before);
+}
+
 TEST(Fuzz, TruncatedDenseBufferRejected) {
     auto good = packed_dense();
-    for (std::size_t cut : {0u, 2u, 5u, 17u, 40u}) {
+    for (std::size_t cut : {0ul, 2ul, 5ul, 17ul, 40ul, good.size() - 8}) {
         if (cut >= good.size()) continue;
+        SCOPED_TRACE(cut);
         std::vector<std::byte> bad(good.begin(),
                                    good.begin() + (std::ptrdiff_t)cut);
-        DenseArray dst("A", 8, 4, sizeof(double));
-        EXPECT_THROW(dst.unpack_rows(bad), Error) << "cut=" << cut;
+        expect_rejected_unchanged<DenseArray>(bad);
+        expect_rejected_unchanged<ContiguousDenseArray>(bad);
     }
+}
+
+TEST(Fuzz, HugeRowLengthRejected) {
+    // A payload length near 2^64 must not wrap the bounds check.
+    auto good = packed_sparse();
+    std::uint64_t huge = ~std::uint64_t{0} - 15; // a whole number of entries
+    std::memcpy(good.data() + 8, &huge, sizeof huge);
+    SparseMatrix dst("S", 8, 16);
+    EXPECT_THROW(dst.unpack_rows(good), Error);
+    auto dense = packed_dense();
+    std::memcpy(dense.data() + 8, &huge, sizeof huge);
+    expect_rejected_unchanged<DenseArray>(dense);
+    expect_rejected_unchanged<ContiguousDenseArray>(dense);
+    ReplicaStore store(1);
+    EXPECT_THROW(store.store_blob(0, dense), Error);
+    EXPECT_THROW(ReplicaStore::rows_in_blob(dense), Error);
 }
 
 TEST(Fuzz, TruncatedSparseBufferRejected) {
@@ -78,9 +109,16 @@ TEST(Fuzz, RandomBuffersNeverCrash) {
         for (auto& b : junk)
             b = static_cast<std::byte>(rng.next_below(256));
         DenseArray d("A", 8, 4, sizeof(double));
+        ContiguousDenseArray c("C", 8, 4, sizeof(double));
         SparseMatrix s("S", 8, 16);
         try {
             d.unpack_rows(junk);
+            ++accepted;
+        } catch (const Error&) {
+            ++rejected;
+        }
+        try {
+            c.unpack_rows(junk);
             ++accepted;
         } catch (const Error&) {
             ++rejected;
@@ -94,7 +132,7 @@ TEST(Fuzz, RandomBuffersNeverCrash) {
     }
     // Random junk should essentially never validate (a zero-row header is
     // the only trivially-valid input).
-    EXPECT_GT(rejected, 300);
+    EXPECT_GT(rejected, 450);
     (void)accepted;
 }
 
@@ -106,6 +144,7 @@ TEST(Fuzz, MutatedValidBufferEitherRejectedOrConsistent) {
         std::size_t pos = rng.next_below(mutated.size());
         mutated[pos] = static_cast<std::byte>(rng.next_below(256));
         DenseArray dst("A", 8, 4, sizeof(double));
+        ContiguousDenseArray cdst("C", 8, 4, sizeof(double));
         try {
             dst.unpack_rows(mutated);
             // If accepted, the array must be internally consistent: every
@@ -114,6 +153,20 @@ TEST(Fuzz, MutatedValidBufferEitherRejectedOrConsistent) {
                 (void)dst.row_data(r);
         } catch (const Error&) {
             // Clean rejection is fine.
+        }
+        try {
+            cdst.unpack_rows(mutated);
+            for (int r : cdst.held().to_vector())
+                (void)cdst.row_data(r);
+            EXPECT_EQ(cdst.local_bytes(),
+                      cdst.held().empty()
+                          ? 0u
+                          : static_cast<std::size_t>(cdst.held().last() -
+                                                     cdst.held().first() + 1) *
+                                cdst.row_bytes());
+        } catch (const Error&) {
+            EXPECT_TRUE(cdst.held().empty());
+            EXPECT_EQ(cdst.local_bytes(), 0u);
         }
     }
     SUCCEED();

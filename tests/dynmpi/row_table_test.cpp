@@ -1,0 +1,363 @@
+// Model-based tests of the §4.1 row table behind DenseArray and
+// SparseMatrix.
+//
+// Seeded random sequences of ensure_rows / drop_rows / retain_only /
+// unpack_rows / row writes run against each array and against a std::map
+// model of its held rows.  After every step the held set, every row's
+// contents, rows_allocated / rows_freed, nnz() and the pack_rows bytes must
+// match the model, and every non-held row id — holes inside the table's
+// window, negative ids and ids >= global_rows — must throw.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <climits>
+#include <cstddef>
+#include <cstring>
+#include <map>
+#include <vector>
+
+#include "dynmpi/dense_array.hpp"
+#include "dynmpi/row_table.hpp"
+#include "dynmpi/sparse_matrix.hpp"
+#include "support/rng.hpp"
+
+namespace dynmpi {
+namespace {
+
+constexpr int kRows = 96;
+constexpr int kElems = 3;
+constexpr int kCols = 16;
+
+struct Dense {
+    using Array = DenseArray;
+    using Row = std::vector<double>;
+
+    static Array make(const char* name) {
+        return Array(name, kRows, kElems, sizeof(double));
+    }
+    static Row fresh() { return Row(kElems, 0.0); }
+    static Row read(const Array& a, int r) {
+        const double* p = a.row_ptr<double>(r);
+        return Row(p, p + kElems);
+    }
+    static Row write(Array& a, int r, Rng& rng) {
+        double* p = a.row_ptr<double>(r);
+        for (int j = 0; j < kElems; ++j) p[j] = rng.uniform(-1.0, 1.0);
+        return read(a, r);
+    }
+    static void expect_write_rejected(Array& a, int r) {
+        EXPECT_THROW(a.row_data(r), Error) << "row " << r;
+        EXPECT_THROW(a.at<double>(r, 0), Error) << "row " << r;
+    }
+    static std::size_t stored(const Row&) { return 0; }
+    static std::size_t nnz(const Array&) { return 0; }
+    static std::vector<std::byte> canonical(std::vector<std::byte> wire) {
+        return wire;
+    }
+    static void put_payload(std::vector<std::byte>& out, const Row& row) {
+        DistArray::put_u64(out, row.size() * sizeof(double));
+        std::byte b[sizeof(double)];
+        for (double v : row) {
+            std::memcpy(b, &v, sizeof v);
+            out.insert(out.end(), b, b + sizeof v);
+        }
+    }
+};
+
+struct Sparse {
+    using Array = SparseMatrix;
+    using Row = std::map<int, double>; ///< column → value
+
+    static Array make(const char* name) { return Array(name, kRows, kCols); }
+    static Row fresh() { return {}; }
+    static Row read(const Array& a, int r) {
+        Row row;
+        for (const SparseEntry& e : a.row(r)) row.emplace(e.col, e.value);
+        EXPECT_EQ(row.size(), a.row(r).size()) << "duplicate column";
+        return row;
+    }
+    static Row write(Array& a, int r, Rng& rng) {
+        for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k)
+            a.set(r, static_cast<int>(rng.next_below(kCols)),
+                  rng.uniform(-1.0, 1.0));
+        if (rng.next_below(4) == 0)
+            a.erase(r, static_cast<int>(rng.next_below(kCols)));
+        return read(a, r);
+    }
+    static void expect_write_rejected(Array& a, int r) {
+        EXPECT_THROW(a.set(r, 0, 1.0), Error) << "row " << r;
+        EXPECT_THROW(a.erase(r, 0), Error) << "row " << r;
+        EXPECT_THROW(a.get(r, 0), Error) << "row " << r;
+    }
+    static std::size_t stored(const Row& row) { return row.size(); }
+    static std::size_t nnz(const Array& a) {
+        return static_cast<std::size_t>(a.nnz());
+    }
+    /// Zero the padding between an entry's column and value, which the
+    /// packer copies verbatim and which therefore holds arbitrary bytes.
+    static std::vector<std::byte> canonical(std::vector<std::byte> wire) {
+        constexpr auto pad = static_cast<std::ptrdiff_t>(
+            offsetof(SparseEntry, col) + sizeof(int));
+        constexpr auto pad_end =
+            static_cast<std::ptrdiff_t>(offsetof(SparseEntry, value));
+        std::size_t pos = 0;
+        for (std::uint32_t n = DistArray::get_u32(wire, pos); n > 0; --n) {
+            pos += 4;
+            std::uint64_t nbytes = DistArray::get_u64(wire, pos);
+            for (std::size_t e = pos; e < pos + nbytes;
+                 e += sizeof(SparseEntry)) {
+                auto at = wire.begin() + static_cast<std::ptrdiff_t>(e);
+                std::fill(at + pad, at + pad_end, std::byte{0});
+            }
+            pos += nbytes;
+        }
+        return wire;
+    }
+    static void put_payload(std::vector<std::byte>& out, const Row& row) {
+        DistArray::put_u64(out, row.size() * sizeof(SparseEntry));
+        std::byte b[sizeof(SparseEntry)];
+        for (const auto& [col, value] : row) {
+            SparseEntry e{col, value};
+            std::memcpy(b, &e, sizeof e);
+            out.insert(out.end(), b, b + sizeof e);
+        }
+    }
+};
+
+/// The held rows of one array as a plain ordered map, with the allocation
+/// counters the array should report.
+template <typename T>
+struct Model {
+    std::map<int, typename T::Row> rows;
+    std::uint64_t allocated = 0;
+    std::uint64_t freed = 0;
+
+    RowSet held() const {
+        RowSet s;
+        for (const auto& [r, row] : rows) s.add(r, r + 1);
+        return s;
+    }
+
+    void ensure(const RowSet& s) {
+        for (int r : s.to_vector())
+            if (rows.try_emplace(r, T::fresh()).second) ++allocated;
+    }
+    void drop(const RowSet& s) {
+        for (int r : s.to_vector()) freed += rows.erase(r);
+    }
+    void retain_only(const RowSet& keep) { drop(held().subtract(keep)); }
+
+    std::vector<std::byte> pack() const {
+        std::vector<std::byte> out;
+        DistArray::put_u32(out, static_cast<std::uint32_t>(rows.size()));
+        for (const auto& [r, row] : rows) {
+            DistArray::put_u32(out, static_cast<std::uint32_t>(r));
+            T::put_payload(out, row);
+        }
+        return out;
+    }
+};
+
+template <typename T>
+void expect_matches(typename T::Array& a, const Model<T>& m) {
+    const RowSet held = m.held();
+    ASSERT_EQ(a.held(), held);
+    for (const auto& [r, row] : m.rows) ASSERT_EQ(T::read(a, r), row) << r;
+    EXPECT_EQ(a.stats().rows_allocated, m.allocated);
+    EXPECT_EQ(a.stats().rows_freed, m.freed);
+    std::size_t nnz = 0;
+    for (const auto& [r, row] : m.rows) nnz += T::stored(row);
+    EXPECT_EQ(T::nnz(a), nnz);
+    EXPECT_EQ(T::canonical(a.pack_rows(held)), T::canonical(m.pack()));
+    // Non-held rows: out of range, just outside the held span, and the
+    // first and last holes inside it (inside the table's window).
+    std::vector<int> absent = {INT_MIN, -1000, -1, kRows, kRows + 7, INT_MAX};
+    if (!held.empty()) {
+        if (held.first() > 0) absent.push_back(held.first() - 1);
+        if (held.last() + 1 < kRows) absent.push_back(held.last() + 1);
+        const RowSet holes =
+            RowSet(held.first(), held.last() + 1).subtract(held);
+        if (!holes.empty()) {
+            absent.push_back(holes.first());
+            absent.push_back(holes.last());
+        }
+    }
+    for (int r : absent) {
+        EXPECT_THROW(T::read(a, r), Error) << "row " << r;
+        T::expect_write_rejected(a, r);
+    }
+}
+
+/// One to three runs of rows; every other one is strided like a cyclic
+/// layout, which leaves holes inside the table's window.
+RowSet random_rows(Rng& rng) {
+    RowSet s;
+    for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k) {
+        const int lo = static_cast<int>(rng.next_below(kRows));
+        const int len = 1 + static_cast<int>(rng.next_below(32));
+        const int hi = std::min(kRows, lo + len);
+        const int stride = 2 + static_cast<int>(rng.next_below(3));
+        const int step = rng.next_below(2) == 0 ? 1 : stride;
+        for (int r = lo; r < hi; r += step) s.add(r, r + 1);
+    }
+    return s;
+}
+
+/// Fills `rows` of a scratch array with random contents, packs them and
+/// unpacks the buffer into `a`; the model records the same contents.
+template <typename T>
+void unpack_random(typename T::Array& a, Model<T>& m, const RowSet& rows,
+                   Rng& rng) {
+    auto src = T::make("src");
+    src.ensure_rows(rows);
+    for (int r : rows.to_vector()) {
+        auto row = T::write(src, r, rng);
+        auto [it, inserted] = m.rows.insert_or_assign(r, std::move(row));
+        if (inserted) ++m.allocated;
+    }
+    a.unpack_rows(src.pack_rows(rows));
+}
+
+template <typename T>
+class RowTableModel : public ::testing::Test {};
+using ArrayKinds = ::testing::Types<Dense, Sparse>;
+TYPED_TEST_SUITE(RowTableModel, ArrayKinds);
+
+TYPED_TEST(RowTableModel, RandomSequencesMatchMapModel) {
+    using T = TypeParam;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        auto a = T::make("A");
+        Model<T> m;
+        for (int step = 0; step < 120; ++step) {
+            SCOPED_TRACE(step);
+            const RowSet rows = random_rows(rng);
+            switch (rng.next_below(6)) {
+            case 0:
+                a.ensure_rows(rows);
+                m.ensure(rows);
+                break;
+            case 1:
+                a.drop_rows(rows);
+                m.drop(rows);
+                break;
+            case 2:
+                a.retain_only(rows);
+                m.retain_only(rows);
+                break;
+            case 3:
+                unpack_random(a, m, rows, rng);
+                break;
+            default:
+                for (auto& [r, row] : m.rows)
+                    if (rng.next_below(3) == 0) row = T::write(a, r, rng);
+                break;
+            }
+            expect_matches(a, m);
+            if (::testing::Test::HasFatalFailure()) return;
+        }
+    }
+}
+
+TYPED_TEST(RowTableModel, WindowGrowsAtFrontAndBack) {
+    using T = TypeParam;
+    Rng rng(7);
+    auto a = T::make("A");
+    Model<T> m;
+    a.ensure_rows(RowSet(40, 44));
+    m.ensure(RowSet(40, 44));
+    for (int r = 40; r < 44; ++r) m.rows[r] = T::write(a, r, rng);
+    expect_matches(a, m);
+    // Front, past any headroom: ensure, then unpack down to row 0.
+    a.ensure_rows(RowSet(20, 22));
+    m.ensure(RowSet(20, 22));
+    expect_matches(a, m);
+    unpack_random(a, m, RowSet(0, 2), rng);
+    expect_matches(a, m);
+    // Back: unpack, then ensure up to the last row.
+    unpack_random(a, m, RowSet(70, 72), rng);
+    expect_matches(a, m);
+    a.ensure_rows(RowSet(kRows - 1, kRows));
+    m.ensure(RowSet(kRows - 1, kRows));
+    expect_matches(a, m);
+    // One row at a time, ascending and then descending.
+    for (int r = 44; r < 70; ++r) {
+        a.ensure_rows(RowSet::single(r));
+        m.ensure(RowSet::single(r));
+    }
+    for (int r = 19; r >= 2; --r) {
+        unpack_random(a, m, RowSet::single(r), rng);
+    }
+    expect_matches(a, m);
+}
+
+TYPED_TEST(RowTableModel, DropEveryRowThenReadd) {
+    using T = TypeParam;
+    Rng rng(11);
+    auto a = T::make("A");
+    Model<T> m;
+    unpack_random(a, m, RowSet(10, 60), rng);
+    expect_matches(a, m);
+    a.drop_rows(RowSet(0, kRows));
+    m.drop(RowSet(0, kRows));
+    expect_matches(a, m);
+    EXPECT_EQ(a.local_bytes(), 0u);
+    // Re-added rows come back fresh, not with their old contents.
+    a.ensure_rows(RowSet(30, 50));
+    m.ensure(RowSet(30, 50));
+    expect_matches(a, m);
+    a.retain_only(RowSet());
+    m.retain_only(RowSet());
+    expect_matches(a, m);
+    unpack_random(a, m, RowSet(80, 90), rng);
+    expect_matches(a, m);
+}
+
+TYPED_TEST(RowTableModel, ShrinkKeepsSurvivors) {
+    using T = TypeParam;
+    Rng rng(13);
+    auto a = T::make("A");
+    Model<T> m;
+    unpack_random(a, m, RowSet(0, kRows), rng);
+    // Shrink from both ends until one row is left; the table narrows on
+    // the way, and every survivor keeps its contents.
+    for (int lo = 0, hi = kRows; hi - lo > 1; lo += 3, hi -= 5) {
+        const RowSet keep(lo, std::max(lo + 1, hi));
+        a.retain_only(keep);
+        m.retain_only(keep);
+        expect_matches(a, m);
+    }
+}
+
+TYPED_TEST(RowTableModel, OutOfRangeEnsureRejectedWithoutChange) {
+    using T = TypeParam;
+    auto a = T::make("A");
+    Model<T> m;
+    a.ensure_rows(RowSet(5, 9));
+    m.ensure(RowSet(5, 9));
+    RowSet bad(10, 12);
+    bad.add(kRows, kRows + 2);
+    EXPECT_THROW(a.ensure_rows(bad), Error);
+    EXPECT_THROW(a.ensure_rows(RowSet(-3, 2)), Error);
+    expect_matches(a, m);
+}
+
+TEST(RowTable, FindRejectsEveryRowOutsideTheWindow) {
+    RowTable<int> t(100);
+    EXPECT_EQ(t.find(0), nullptr);
+    t.cover(RowSet(), 10, 20);
+    t.slot(10) = std::make_unique<int>(1);
+    t.slot(19) = std::make_unique<int>(2);
+    EXPECT_EQ(*t.find(10), 1);
+    EXPECT_EQ(*t.find(19), 2);
+    EXPECT_EQ(t.find(15), nullptr);
+    for (int r : {INT_MIN, -1, 0, 4, 26, 99, 100, INT_MAX})
+        EXPECT_EQ(t.find(r), nullptr) << r;
+    EXPECT_THROW(t.slot(200), Error);
+    EXPECT_EQ(t.erase(RowSet(0, 100)), 2);
+    EXPECT_EQ(t.find(10), nullptr);
+}
+
+}  // namespace
+}  // namespace dynmpi
