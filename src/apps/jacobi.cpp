@@ -57,18 +57,13 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
             const int hi = rt.end_iter(ph); // inclusive
 
             // Halo exchange on the read array (paper Figure 1 pattern).
-            std::vector<std::byte> ghost(row_bytes);
             if (rel > 0) rt.send_rel(rel - 1, 10, read.row_data(lo), row_bytes);
             if (rel < nact - 1)
                 rt.send_rel(rel + 1, 11, read.row_data(hi), row_bytes);
-            if (rel < nact - 1) {
-                rt.recv_rel(rel + 1, 10, ghost.data(), row_bytes);
-                std::memcpy(read.row_data(hi + 1), ghost.data(), row_bytes);
-            }
-            if (rel > 0) {
-                rt.recv_rel(rel - 1, 11, ghost.data(), row_bytes);
-                std::memcpy(read.row_data(lo - 1), ghost.data(), row_bytes);
-            }
+            if (rel < nact - 1)
+                rt.recv_rel(rel + 1, 10, read.row_data(hi + 1), row_bytes);
+            if (rel > 0)
+                rt.recv_rel(rel - 1, 11, read.row_data(lo - 1), row_bytes);
 
             // Real stencil on the math stripe only: columns [w, cols_stored)
             // are never written after init (see jacobi.hpp).  Reads go

@@ -46,19 +46,14 @@ SorResult run_sor(msg::Rank& rank, const SorConfig& config) {
         const int nact = rt.num_active();
         const int lo = rt.start_iter(ph_red);
         const int hi = rt.end_iter(ph_red);
-        std::vector<std::byte> ghost(row_bytes);
         if (rel > 0)
             rt.send_rel(rel - 1, tag_base, U.row_data(lo), row_bytes);
         if (rel < nact - 1)
             rt.send_rel(rel + 1, tag_base + 1, U.row_data(hi), row_bytes);
-        if (rel < nact - 1) {
-            rt.recv_rel(rel + 1, tag_base, ghost.data(), row_bytes);
-            std::memcpy(U.row_data(hi + 1), ghost.data(), row_bytes);
-        }
-        if (rel > 0) {
-            rt.recv_rel(rel - 1, tag_base + 1, ghost.data(), row_bytes);
-            std::memcpy(U.row_data(lo - 1), ghost.data(), row_bytes);
-        }
+        if (rel < nact - 1)
+            rt.recv_rel(rel + 1, tag_base, U.row_data(hi + 1), row_bytes);
+        if (rel > 0)
+            rt.recv_rel(rel - 1, tag_base + 1, U.row_data(lo - 1), row_bytes);
     };
 
     auto sweep = [&](int color) {

@@ -253,12 +253,6 @@ DenseArray& Runtime::dense(const std::string& name) {
     return *p;
 }
 
-SparseMatrix& Runtime::sparse(const std::string& name) {
-    auto* p = dynamic_cast<SparseMatrix*>(info(name).array.get());
-    DYNMPI_REQUIRE(p != nullptr, name + " is not a sparse matrix");
-    return *p;
-}
-
 double Runtime::my_load() const {
     return rank_.ps_daemon().avg_competing();
 }

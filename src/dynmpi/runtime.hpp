@@ -244,7 +244,6 @@ public:
     const RuntimeStats& stats() const { return stats_; }
     const CommCosts& comm_costs() const { return comm_costs_; }
     DenseArray& dense(const std::string& name);
-    SparseMatrix& sparse(const std::string& name);
     msg::Rank& rank() { return rank_; }
     int global_rows() const { return global_rows_; }
     const RuntimeOptions& options() const { return opts_; }

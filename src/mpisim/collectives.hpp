@@ -12,8 +12,8 @@
 // any group size, including singletons.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "mpisim/rank.hpp"
@@ -34,9 +34,20 @@ public:
     explicit Group(std::vector<int> members, std::uint64_t salt = 0)
         : members_(std::move(members)) {
         DYNMPI_REQUIRE(!members_.empty(), "group must be non-empty");
+        int top = 0;
+        for (int m : members_) {
+            DYNMPI_REQUIRE(m >= 0, "group member must be a non-negative rank");
+            top = std::max(top, m);
+        }
+        index_.assign(static_cast<std::size_t>(top) + 1, -1);
         std::uint64_t h = splitmix64(members_.size());
-        for (int m : members_)
+        for (int i = 0; i < size(); ++i) {
+            const int m = members_[static_cast<std::size_t>(i)];
+            int& slot = index_[static_cast<std::size_t>(m)];
+            DYNMPI_REQUIRE(slot < 0, "group member listed twice");
+            slot = i;
             h = hash_combine(h, static_cast<std::uint64_t>(m));
+        }
         if (salt != 0) h = hash_combine(h, splitmix64(salt));
         hash_ = h;
     }
@@ -53,18 +64,12 @@ public:
         DYNMPI_REQUIRE(rel >= 0 && rel < size(), "relative rank out of range");
         return members_[static_cast<std::size_t>(rel)];
     }
-    /// Relative rank of an absolute rank, or -1 if not a member.  Backed by
-    /// a lazily built member→relative-rank index so the redistribution
-    /// planner's per-party probes are not linear scans (std::map: the index
-    /// is never iterated, but determinism must not hinge on that).
+    /// Relative rank of an absolute rank, or -1 if not a member: one bounds
+    /// check and one load into the index built by the constructor.
     int index_of(int rank) const {
-        if (index_.empty()) {
-            if (members_.empty()) return -1;
-            for (int i = 0; i < size(); ++i)
-                index_.emplace(members_[static_cast<std::size_t>(i)], i);
-        }
-        auto it = index_.find(rank);
-        return it == index_.end() ? -1 : it->second;
+        // A negative rank wraps to a huge index and fails the bounds check.
+        const auto r = static_cast<std::size_t>(rank);
+        return r < index_.size() ? index_[r] : -1;
     }
     bool contains(int rank) const { return index_of(rank) >= 0; }
     const std::vector<int>& members() const { return members_; }
@@ -75,7 +80,9 @@ public:
 private:
     std::vector<int> members_;
     std::uint64_t hash_ = 0;
-    mutable std::map<int, int> index_; ///< built on first index_of/contains
+    /// Relative rank by absolute rank, -1 for non-members; sized to the
+    /// largest member + 1.
+    std::vector<int> index_;
 };
 
 namespace detail {

@@ -1,7 +1,6 @@
 #include "mpisim/machine.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -26,6 +25,90 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+#if !defined(__x86_64__) || !defined(__linux__)
+#error "rank fibers need dynmpi_fiber_switch (machine.cpp) ported to this target"
+#endif
+
+// dynmpi_fiber_switch(void** save_sp, void* to_sp): suspend the calling
+// context and continue the one whose stack pointer is `to_sp`.  It pushes the
+// System V callee-saved registers (rbp, rbx, r12-r15) and the callee-saved
+// floating-point control state (MXCSR, x87 control word), stores rsp in
+// *save_sp, loads `to_sp`, pops the other side's frame and returns into it.
+// Every suspended context's stack holds exactly this frame, so the CFI below
+// describes both sides of the swap.
+//
+// dynmpi_fiber_start is the first return address of a new fiber (see
+// Fiber(Machine*)): it calls the function in r13 with the argument in r12.
+// It marks the outermost frame of the fiber for unwinders and debuggers.
+asm(R"(
+    .text
+    .globl dynmpi_fiber_switch
+    .hidden dynmpi_fiber_switch
+    .type dynmpi_fiber_switch, @function
+    .p2align 4
+dynmpi_fiber_switch:
+    .cfi_startproc
+    pushq %rbp
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbp, 0
+    pushq %rbx
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbx, 0
+    pushq %r12
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r12, 0
+    pushq %r13
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r13, 0
+    pushq %r14
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r14, 0
+    pushq %r15
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r15, 0
+    subq $8, %rsp
+    .cfi_adjust_cfa_offset 8
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    .cfi_adjust_cfa_offset -8
+    popq %r15
+    .cfi_adjust_cfa_offset -8
+    popq %r14
+    .cfi_adjust_cfa_offset -8
+    popq %r13
+    .cfi_adjust_cfa_offset -8
+    popq %r12
+    .cfi_adjust_cfa_offset -8
+    popq %rbx
+    .cfi_adjust_cfa_offset -8
+    popq %rbp
+    .cfi_adjust_cfa_offset -8
+    ret
+    .cfi_endproc
+    .size dynmpi_fiber_switch, .-dynmpi_fiber_switch
+
+    .globl dynmpi_fiber_start
+    .hidden dynmpi_fiber_start
+    .type dynmpi_fiber_start, @function
+    .p2align 4
+dynmpi_fiber_start:
+    .cfi_startproc
+    .cfi_undefined %rip
+    movq %r12, %rdi
+    call *%r13
+    ud2
+    .cfi_endproc
+    .size dynmpi_fiber_start, .-dynmpi_fiber_start
+)");
+
+extern "C" void dynmpi_fiber_switch(void** save_sp, void* to_sp);
+extern "C" void dynmpi_fiber_start();
+
 namespace dynmpi::msg {
 
 namespace {
@@ -46,10 +129,32 @@ EhGlobals& eh_globals() {
     return *reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals());
 }
 
+/// The frame dynmpi_fiber_switch pops, lowest address first.  A new fiber's
+/// frame holds its entry function and argument in r13 and r12, a null rbp
+/// that ends frame-pointer walks, and dynmpi_fiber_start as return address.
+struct SwitchFrame {
+    std::uint32_t mxcsr;
+    std::uint16_t x87_cw;
+    std::uint16_t pad;
+    void* r15;
+    void* r14;
+    void (*r13)(Machine*) noexcept;
+    Machine* r12;
+    void* rbx;
+    void* rbp;
+    void (*ret)();
+};
+static_assert(sizeof(SwitchFrame) == 64);
+
+/// Power-on floating-point control state: round to nearest, all exceptions
+/// masked, and for x87 64-bit precision.  Every new fiber starts with it.
+constexpr std::uint32_t kDefaultMxcsr = 0x1f80;
+constexpr std::uint16_t kDefaultX87Cw = 0x037f;
+
 }  // namespace
 
 struct Machine::Fiber {
-    ucontext_t ctx{};
+    void* sp = nullptr;        ///< saved stack pointer while switched out
     EhGlobals eh;              ///< saved while this context is switched out
     void* map = nullptr;       ///< mmap'd stack (guard page lowest), or null
     const void* stack_lo = nullptr; ///< usable stack, for ASan annotations
@@ -59,7 +164,7 @@ struct Machine::Fiber {
     /// reports on the first switch into each rank.
     Fiber() = default;
 
-    /// A rank fiber that starts in Machine::fiber_entry(m).
+    /// A rank fiber whose first switch-in calls Machine::fiber_entry(m).
     explicit Fiber(Machine* m) {
         const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
         map = mmap(nullptr, kStackBytes, PROT_READ | PROT_WRITE,
@@ -69,7 +174,7 @@ struct Machine::Fiber {
             map = nullptr;
             throw Error("mmap of a rank fiber stack failed");
         }
-        if (mprotect(map, page, PROT_NONE) != 0 || getcontext(&ctx) != 0) {
+        if (mprotect(map, page, PROT_NONE) != 0) {
             munmap(map, kStackBytes);
             throw Error("rank fiber setup failed");
         }
@@ -80,13 +185,17 @@ struct Machine::Fiber {
         // frames left poisoned shadow behind.
         __asan_unpoison_memory_region(stack_lo, stack_size);
 #endif
-        ctx.uc_stack.ss_sp = const_cast<void*>(stack_lo);
-        ctx.uc_stack.ss_size = stack_size;
-        ctx.uc_link = nullptr; // fiber_main never returns
-        const auto bits = reinterpret_cast<std::uintptr_t>(m);
-        makecontext(&ctx, reinterpret_cast<void (*)()>(&Machine::fiber_entry),
-                    2, static_cast<unsigned int>(bits >> 32),
-                    static_cast<unsigned int>(bits));
+        // The frame sits at the (16-byte aligned) top of the stack, so the
+        // trampoline's call leaves the entry function the ABI's alignment.
+        char* top = static_cast<char*>(map) + kStackBytes;
+        auto* frame = reinterpret_cast<SwitchFrame*>(top) - 1;
+        *frame = SwitchFrame{};
+        frame->mxcsr = kDefaultMxcsr;
+        frame->x87_cw = kDefaultX87Cw;
+        frame->r13 = &Machine::fiber_entry;
+        frame->r12 = m;
+        frame->ret = &dynmpi_fiber_start;
+        sp = frame;
     }
     ~Fiber() {
         if (map != nullptr) munmap(map, kStackBytes);
@@ -106,7 +215,7 @@ struct Machine::Fiber {
         __sanitizer_start_switch_fiber(leaving ? nullptr : &fake_stack,
                                        to.stack_lo, to.stack_size);
 #endif
-        if (swapcontext(&ctx, &to.ctx) != 0) std::abort();
+        dynmpi_fiber_switch(&sp, to.sp);
 #ifdef DYNMPI_ASAN_FIBERS
         __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -227,10 +336,7 @@ void Machine::export_observability() {
     }
 }
 
-void Machine::fiber_entry(unsigned int hi, unsigned int lo) noexcept {
-    const auto bits = (std::uintptr_t{hi} << 32) | std::uintptr_t{lo};
-    reinterpret_cast<Machine*>(bits)->fiber_main();
-}
+void Machine::fiber_entry(Machine* m) noexcept { m->fiber_main(); }
 
 void Machine::fiber_main() {
     // First switch into this fiber: resume_rank set active_rank_ to us.

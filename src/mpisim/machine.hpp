@@ -1,8 +1,8 @@
 // SPMD machine: runs one rank per simulated node under the engine.
 //
 // Concurrency model (SimGrid-style conservative co-simulation): every rank
-// is a ucontext fiber with its own stack, and every fiber runs on the thread
-// that calls Machine::run.  Exactly one context is active at any instant —
+// is a fiber with its own stack, and every fiber runs on the thread that
+// calls Machine::run.  Exactly one context is active at any instant —
 // either the engine (processing events on the caller's stack) or a single
 // rank — and control passes by a plain context switch:
 //
@@ -14,6 +14,19 @@
 // construction, and runs are fully deterministic.  A Machine keeps no
 // process-wide fiber state, so independent Machines may run concurrently on
 // different threads.
+//
+// The switch (dynmpi_fiber_switch in machine.cpp) is twenty instructions
+// of x86-64 assembly.  It saves exactly what the System V ABI says a call
+// preserves: rbp, rbx, r12–r15, the stack pointer, and the floating-point
+// control state (MXCSR and the x87 control word), so each rank keeps its
+// own rounding mode.  Every new fiber starts with the default floating-point
+// environment.  Around the switch, C++ code also swaps the per-thread
+// exception-handling globals and, under ASan, announces the stack change.
+// The C library's user-context switch is not used: it also saves the signal
+// mask, which costs an rt_sigprocmask system call per switch.  Nothing in src/
+// installs signal handlers or changes the signal mask, so all fibers share
+// the thread's mask and none needs its own copy.  Only x86-64 Linux is
+// supported; other targets fail to compile until the switch is ported.
 //
 // Misbehaving programs are diagnosed rather than hung: if the event queue
 // drains while ranks are still blocked, the machine aborts them (each unwinds
@@ -126,7 +139,8 @@ private:
 
     enum class RankPhase { Idle, Running, Blocked, Done };
 
-    /// A ucontext plus, for ranks, its mmap'd stack (defined in machine.cpp).
+    /// A saved stack pointer plus, for ranks, its mmap'd stack (defined in
+    /// machine.cpp).
     struct Fiber;
 
     struct RankState {
@@ -173,8 +187,8 @@ private:
 
     // ---- rank-side ----
     void yield_from_rank(int r); ///< switch back to the engine until resumed
-    /// makecontext entry point: the Machine pointer arrives split in halves.
-    static void fiber_entry(unsigned int hi, unsigned int lo) noexcept;
+    /// First function of every rank fiber, called by the switch trampoline.
+    static void fiber_entry(Machine* m) noexcept;
     void fiber_main(); ///< body of every rank fiber (runs program_)
     RankState& state(int r);
 

@@ -79,9 +79,8 @@ void Rank::send_wire(int dst, std::uint64_t wire_tag, const void* data,
         p.dst = dst;
         p.tag = wire_tag;
         p.control = control_mode_;
-        p.payload.resize(bytes);
-        if (bytes > 0)
-            std::memcpy(p.payload.data(), data, bytes);
+        const auto* first = static_cast<const std::byte*>(data);
+        p.payload.assign(first, first + bytes);
         if (machine_.cluster().network().transmit(std::move(p))) return;
         // Transient send failure: bounded retry with exponential backoff.
         // Retried packets are byte-identical, so a duplicate that does get

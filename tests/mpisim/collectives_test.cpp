@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "mpisim/machine.hpp"
@@ -196,6 +197,48 @@ TEST(Collectives, NonMemberCallRejected) {
 
 TEST(Collectives, EmptyGroupRejected) {
     EXPECT_THROW(Group g(std::vector<int>{}), Error);
+}
+
+TEST(Group, IndexOfCoversMembersAndEveryKindOfNonMember) {
+    const Group g({5, 2, 9, 0});
+    EXPECT_EQ(g.index_of(5), 0);
+    EXPECT_EQ(g.index_of(2), 1);
+    EXPECT_EQ(g.index_of(9), 2);
+    EXPECT_EQ(g.index_of(0), 3);
+    for (int gap : {1, 3, 4, 6, 7, 8}) EXPECT_EQ(g.index_of(gap), -1) << gap;
+    for (int neg : {-1, -2, -1000, std::numeric_limits<int>::min()})
+        EXPECT_EQ(g.index_of(neg), -1) << neg;
+    for (int above : {10, 11, 1000, std::numeric_limits<int>::max()})
+        EXPECT_EQ(g.index_of(above), -1) << above;
+    EXPECT_FALSE(g.contains(-1));
+    EXPECT_FALSE(g.contains(10));
+    EXPECT_EQ(Group().index_of(0), -1); // default-constructed: no members
+}
+
+TEST(Group, CopiesAndSaltedGroupsKeepTheIndex) {
+    const std::vector<int> members = {7, 3, 12, 1};
+    const Group g(members);
+    Group copy = g;
+    Group assigned({0});
+    assigned = g;
+    const Group salted(members, /*salt=*/42);
+    EXPECT_NE(salted.hash(), g.hash());
+    const Group* copies[] = {&copy, &assigned, &salted};
+    for (const Group* h : copies) {
+        EXPECT_EQ(*h, g);
+        for (int r = -2; r <= 14; ++r)
+            EXPECT_EQ(h->index_of(r), g.index_of(r)) << r;
+        for (int i = 0; i < h->size(); ++i)
+            EXPECT_EQ(h->index_of(members[static_cast<std::size_t>(i)]), i);
+    }
+}
+
+TEST(Group, ConstructorRejectsNegativeAndRepeatedMembers) {
+    EXPECT_THROW(Group({0, -1, 2}), Error);
+    EXPECT_THROW(Group({-5}), Error);
+    EXPECT_THROW(Group({3, 1, 3}), Error);
+    EXPECT_THROW(Group({0, 0}), Error);
+    EXPECT_THROW(Group({4, 2, 4}, /*salt=*/7), Error);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cfenv>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -297,6 +298,67 @@ TEST(Machine, TwentyCrashReviveCyclesUnwindEveryIncarnation) {
     EXPECT_EQ(finished, (std::vector<int>{1, 1}));
     EXPECT_EQ(destroyed, 22); // every incarnation's guard, crashed or not
     EXPECT_EQ(m.cluster().node_generation(1), 20);
+}
+
+// ---- per-fiber floating-point control state ----
+
+/// 1/3 in the current rounding mode (volatile: computed at run time).
+double one_third() {
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    return one / three;
+}
+
+/// Restores round-to-nearest on the test thread however the test exits.
+struct RoundingReset {
+    ~RoundingReset() { std::fesetround(FE_TONEAREST); }
+};
+
+TEST(Machine, EveryFiberKeepsItsOwnRoundingMode) {
+    constexpr std::array<int, 4> kModes = {FE_TONEAREST, FE_UPWARD,
+                                           FE_DOWNWARD, FE_TOWARDZERO};
+    std::array<double, 4> want{};
+    RoundingReset reset;
+    for (std::size_t i = 0; i < kModes.size(); ++i) {
+        ASSERT_EQ(std::fesetround(kModes[i]), 0);
+        want[i] = one_third();
+    }
+    ASSERT_NE(want[1], want[2]); // the probe does see the rounding mode
+
+    // The engine runs in a mode no rank uses; new fibers must not inherit
+    // it, and the ranks' modes must not leak back into it.
+    ASSERT_EQ(std::fesetround(FE_DOWNWARD), 0);
+    Machine m(cfg(4));
+    std::vector<int> start_mode(4, -1), mismatches(4, 0);
+    m.run([&](Rank& r) {
+        const auto id = static_cast<std::size_t>(r.id());
+        start_mode[id] = std::fegetround();
+        std::fesetround(kModes[id]);
+        for (int i = 0; i < 300; ++i) {
+            // Staggered sleeps interleave the ranks differently each round.
+            r.sleep(1e-3 * (1 + (r.id() + i) % 3));
+            if (std::fegetround() != kModes[id] || one_third() != want[id])
+                ++mismatches[id];
+        }
+    });
+    EXPECT_EQ(std::fegetround(), FE_DOWNWARD);
+    EXPECT_EQ(start_mode, (std::vector<int>(4, FE_TONEAREST)));
+    EXPECT_EQ(mismatches, (std::vector<int>(4, 0)));
+}
+
+TEST(Machine, RevivedRankStartsWithDefaultRoundingMode) {
+    RoundingReset reset;
+    Machine m(cfg(2));
+    m.cluster().install_faults(sim::FaultPlan::parse(
+        "crash node=1 t=1.05\nrevive node=1 t=1.55\n"));
+    std::vector<int> start_modes; // rank 1, one entry per incarnation
+    m.run([&](Rank& r) {
+        if (r.id() == 1) start_modes.push_back(std::fegetround());
+        std::fesetround(FE_UPWARD);
+        for (int k = 0; k < 30; ++k) r.sleep(0.1);
+    });
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(start_modes, (std::vector<int>{FE_TONEAREST, FE_TONEAREST}));
 }
 
 }  // namespace
