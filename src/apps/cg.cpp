@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -42,6 +43,66 @@ std::vector<std::pair<int, double>> row_entries(const CgConfig& cfg, int r) {
             out.emplace_back(r + band, offdiag_value(cfg.seed, r, r + band));
     }
     return out;
+}
+
+/// Sum of a[i] * b[i] over `rows`, ascending.  The non-const row access
+/// marks the rows of both arrays dirty, as the element accessors did.
+double local_dot(const RowSet& rows, DenseArray& a, DenseArray& b) {
+    double s = 0.0;
+    for (const RowInterval& iv : rows.intervals())
+        for (int i = iv.lo; i < iv.hi; ++i)
+            s += *a.row_ptr<double>(i) * *b.row_ptr<double>(i);
+    return s;
+}
+
+/// Gather the full search direction p (AllGather pattern): one value per
+/// row of the phase [0, n).  Every slot is written, so the buffer is not
+/// zero-filled first.  Callers free it right after the matrix product:
+/// held across the yields that follow, it would raise peak memory.
+std::unique_ptr<double[]> gather_p(msg::Rank& rank, const Runtime& rt,
+                                   const RowSet& mine, DenseArray& P, int n) {
+    std::vector<double> vals;
+    vals.reserve(static_cast<std::size_t>(mine.count()));
+    for (const RowInterval& iv : mine.intervals())
+        for (int i = iv.lo; i < iv.hi; ++i)
+            vals.push_back(*P.row_ptr<double>(i));
+    auto gathered = msg::allgather(rank, rt.active_group(), vals);
+    auto full_p =
+        std::make_unique_for_overwrite<double[]>(static_cast<std::size_t>(n));
+    std::size_t scattered = 0;
+    for (int rel = 0; rel < rt.num_active(); ++rel) {
+        const RowSet rows = rt.distribution().iters_of(rel);
+        const auto& got = gathered[static_cast<std::size_t>(rel)];
+        DYNMPI_CHECK(got.size() == static_cast<std::size_t>(rows.count()),
+                     "gathered p misaligned");
+        const double* v = got.data();
+        for (const RowInterval& iv : rows.intervals()) {
+            std::copy(v, v + iv.size(), full_p.get() + iv.lo);
+            v += iv.size();
+        }
+        scattered += got.size();
+    }
+    DYNMPI_CHECK(scattered == static_cast<std::size_t>(n),
+                 "gathered p misses rows");
+    return full_p;
+}
+
+/// q = A * p over `rows`.  Returns each row's virtual cost, which tracks
+/// its stored entries.
+std::vector<double> apply_a(const CgConfig& cfg, const RowSet& rows,
+                            const SparseMatrix& A, const double* full_p,
+                            DenseArray& Q) {
+    std::vector<double> costs;
+    costs.reserve(static_cast<std::size_t>(rows.count()));
+    for (const RowInterval& iv : rows.intervals())
+        for (int i = iv.lo; i < iv.hi; ++i) {
+            const SparseMatrix::RowList& row = A.row(i);
+            double s = 0.0;
+            for (const auto& e : row) s += e.value * full_p[e.col];
+            *Q.row_ptr<double>(i) = s;
+            costs.push_back(cfg.sec_per_nnz * static_cast<int>(row.size()));
+        }
+    return costs;
 }
 
 }  // namespace
@@ -109,68 +170,42 @@ CgResult run_cg(msg::Rank& rank, const CgConfig& config) {
     };
     init_rows(rt.my_iters(ph));
 
-    auto local_dot = [&](DenseArray& a, DenseArray& b) {
-        double s = 0.0;
-        for (int i : rt.my_iters(ph).to_vector())
-            s += a.at<double>(i, 0) * b.at<double>(i, 0);
-        return s;
-    };
-
     double rr = rt.allreduce_active(
-        rt.participating() ? local_dot(R, R) : 0.0, msg::OpSum{});
+        rt.participating() ? local_dot(rt.my_iters(ph), R, R) : 0.0,
+        msg::OpSum{});
 
     CgResult out;
     for (int cycle = 0; cycle < config.cycles; ++cycle) {
         fire_hook(config.on_cycle, rank, cycle);
         rt.begin_cycle();
         if (rt.participating()) {
-            // Gather the full search direction p (AllGather pattern).
-            std::vector<double> mine;
-            std::vector<int> my_rows = rt.my_iters(ph).to_vector();
-            mine.reserve(my_rows.size());
-            for (int i : my_rows) mine.push_back(P.at<double>(i, 0));
-            auto gathered =
-                msg::allgather(rank, rt.active_group(), mine);
-            std::vector<double> full_p(static_cast<std::size_t>(n), 0.0);
-            for (int rel = 0; rel < rt.num_active(); ++rel) {
-                auto rows = rt.distribution().iters_of(rel).to_vector();
-                const auto& vals = gathered[static_cast<std::size_t>(rel)];
-                DYNMPI_CHECK(vals.size() == rows.size(),
-                             "gathered p misaligned");
-                for (std::size_t k = 0; k < rows.size(); ++k)
-                    full_p[static_cast<std::size_t>(rows[k])] = vals[k];
-            }
-
-            // q = A * p over my rows; virtual cost tracks stored entries.
-            std::vector<double> costs;
-            costs.reserve(my_rows.size());
-            for (int i : my_rows) {
-                double s = 0.0;
-                for (const auto& e : A.row(i))
-                    s += e.value * full_p[static_cast<std::size_t>(e.col)];
-                Q.at<double>(i, 0) = s;
-                costs.push_back(config.sec_per_nnz * A.row_nnz(i));
-            }
+            const RowSet mine = rt.my_iters(ph);
+            const std::vector<double> costs = apply_a(
+                config, mine, A, gather_p(rank, rt, mine, P, n).get(), Q);
             rt.run_phase(ph, costs);
         }
 
         double pq = rt.allreduce_active(
-            rt.participating() ? local_dot(P, Q) : 0.0, msg::OpSum{});
+            rt.participating() ? local_dot(rt.my_iters(ph), P, Q) : 0.0,
+            msg::OpSum{});
         double alpha = rr / pq;
         if (rt.participating()) {
-            for (int i : rt.my_iters(ph).to_vector()) {
-                X.at<double>(i, 0) += alpha * P.at<double>(i, 0);
-                R.at<double>(i, 0) -= alpha * Q.at<double>(i, 0);
-            }
+            for (const RowInterval& iv : rt.my_iters(ph).intervals())
+                for (int i = iv.lo; i < iv.hi; ++i) {
+                    *X.row_ptr<double>(i) += alpha * *P.row_ptr<double>(i);
+                    *R.row_ptr<double>(i) -= alpha * *Q.row_ptr<double>(i);
+                }
         }
         double rr_new = rt.allreduce_active(
-            rt.participating() ? local_dot(R, R) : 0.0, msg::OpSum{});
+            rt.participating() ? local_dot(rt.my_iters(ph), R, R) : 0.0,
+            msg::OpSum{});
         double beta = rr_new / rr;
         rr = rr_new;
         if (rt.participating()) {
-            for (int i : rt.my_iters(ph).to_vector())
-                P.at<double>(i, 0) =
-                    R.at<double>(i, 0) + beta * P.at<double>(i, 0);
+            for (const RowInterval& iv : rt.my_iters(ph).intervals())
+                for (int i = iv.lo; i < iv.hi; ++i)
+                    *P.row_ptr<double>(i) =
+                        *R.row_ptr<double>(i) + beta * *P.row_ptr<double>(i);
         }
         out.residual_history.push_back(rr);
         rt.end_cycle();
@@ -210,77 +245,58 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
         Q.at<double>(i, 0) = 0.0;
     }
 
-    auto local_dot = [&](DenseArray& a, DenseArray& b) {
-        double s = 0.0;
-        for (int i : rt.my_iters(ph).to_vector())
-            s += a.at<double>(i, 0) * b.at<double>(i, 0);
-        return s;
-    };
     auto sum_active = [&](double v) {
         return msg::allreduce_scalar(rank, rt.active_group(), v, msg::OpSum{});
     };
 
-    double rr = sum_active(local_dot(R, R));
+    double rr = sum_active(local_dot(rt.my_iters(ph), R, R));
 
     CgRecoverResult out;
     int repairs_seen = rt.stats().crash_repairs;
+    std::vector<double> snap_x, snap_r, snap_p, snap_q;
     for (int cycle = 0; cycle < config.cycles; ++cycle) {
         fire_hook(config.on_cycle, rank, cycle);
         for (;;) {
             // Snapshot the cycle-start state of my rows.  After a rollback
             // the restored + rolled-back rows are again at cycle start, so
             // re-snapshotting each attempt also covers freshly adopted rows
-            // before a possible second crash.
-            std::vector<int> snap_rows = rt.my_iters(ph).to_vector();
-            std::vector<double> snap_x, snap_r, snap_p, snap_q;
-            for (int i : snap_rows) {
-                snap_x.push_back(X.at<double>(i, 0));
-                snap_r.push_back(R.at<double>(i, 0));
-                snap_p.push_back(P.at<double>(i, 0));
-                snap_q.push_back(Q.at<double>(i, 0));
-            }
+            // before a possible second crash.  The reads go through the
+            // non-const accessor, so they mark all four vectors dirty.
+            const RowSet snap_rows = rt.my_iters(ph);
+            snap_x.clear();
+            snap_r.clear();
+            snap_p.clear();
+            snap_q.clear();
+            for (const RowInterval& iv : snap_rows.intervals())
+                for (int i = iv.lo; i < iv.hi; ++i) {
+                    snap_x.push_back(*X.row_ptr<double>(i));
+                    snap_r.push_back(*R.row_ptr<double>(i));
+                    snap_p.push_back(*P.row_ptr<double>(i));
+                    snap_q.push_back(*Q.row_ptr<double>(i));
+                }
             const double rr_snap = rr;
 
             try {
                 rt.begin_cycle();
-                std::vector<double> mine;
-                std::vector<int> my_rows = rt.my_iters(ph).to_vector();
-                mine.reserve(my_rows.size());
-                for (int i : my_rows) mine.push_back(P.at<double>(i, 0));
-                auto gathered = msg::allgather(rank, rt.active_group(), mine);
-                std::vector<double> full_p(static_cast<std::size_t>(n), 0.0);
-                for (int rel = 0; rel < rt.num_active(); ++rel) {
-                    auto rows = rt.distribution().iters_of(rel).to_vector();
-                    const auto& vals = gathered[static_cast<std::size_t>(rel)];
-                    DYNMPI_CHECK(vals.size() == rows.size(),
-                                 "gathered p misaligned");
-                    for (std::size_t k = 0; k < rows.size(); ++k)
-                        full_p[static_cast<std::size_t>(rows[k])] = vals[k];
-                }
-
-                std::vector<double> costs;
-                costs.reserve(my_rows.size());
-                for (int i : my_rows) {
-                    double s = 0.0;
-                    for (const auto& e : A.row(i))
-                        s += e.value * full_p[static_cast<std::size_t>(e.col)];
-                    Q.at<double>(i, 0) = s;
-                    costs.push_back(config.sec_per_nnz * A.row_nnz(i));
-                }
+                const RowSet mine = rt.my_iters(ph);
+                const std::vector<double> costs = apply_a(
+                    config, mine, A, gather_p(rank, rt, mine, P, n).get(), Q);
                 rt.run_phase(ph, costs);
 
-                double pq = sum_active(local_dot(P, Q));
+                double pq = sum_active(local_dot(rt.my_iters(ph), P, Q));
                 double alpha = rr / pq;
-                for (int i : my_rows) {
-                    X.at<double>(i, 0) += alpha * P.at<double>(i, 0);
-                    R.at<double>(i, 0) -= alpha * Q.at<double>(i, 0);
-                }
-                double rr_new = sum_active(local_dot(R, R));
+                for (const RowInterval& iv : mine.intervals())
+                    for (int i = iv.lo; i < iv.hi; ++i) {
+                        *X.row_ptr<double>(i) += alpha * *P.row_ptr<double>(i);
+                        *R.row_ptr<double>(i) -= alpha * *Q.row_ptr<double>(i);
+                    }
+                double rr_new = sum_active(local_dot(rt.my_iters(ph), R, R));
                 double beta = rr_new / rr;
                 rr = rr_new;
-                for (int i : my_rows)
-                    P.at<double>(i, 0) =
-                        R.at<double>(i, 0) + beta * P.at<double>(i, 0);
+                for (const RowInterval& iv : mine.intervals())
+                    for (int i = iv.lo; i < iv.hi; ++i)
+                        *P.row_ptr<double>(i) = *R.row_ptr<double>(i) +
+                                                beta * *P.row_ptr<double>(i);
                 rt.end_cycle();
             } catch (const msg::PeerFailure&) {
                 // A peer died mid-cycle.  Wake every rank stranded in the
@@ -300,13 +316,14 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
             // cycle-start state, so no rollback is needed for them.
             repairs_seen = rt.stats().crash_repairs;
             ++out.redo_cycles;
-            for (std::size_t k = 0; k < snap_rows.size(); ++k) {
-                int i = snap_rows[k];
-                X.at<double>(i, 0) = snap_x[k];
-                R.at<double>(i, 0) = snap_r[k];
-                P.at<double>(i, 0) = snap_p[k];
-                Q.at<double>(i, 0) = snap_q[k];
-            }
+            std::size_t k = 0;
+            for (const RowInterval& iv : snap_rows.intervals())
+                for (int i = iv.lo; i < iv.hi; ++i, ++k) {
+                    *X.row_ptr<double>(i) = snap_x[k];
+                    *R.row_ptr<double>(i) = snap_r[k];
+                    *P.row_ptr<double>(i) = snap_p[k];
+                    *Q.row_ptr<double>(i) = snap_q[k];
+                }
             rr = rr_snap;
         }
         out.residual_history.push_back(rr);

@@ -16,25 +16,28 @@ DenseArray::DenseArray(std::string name, int global_rows, int row_elems,
 }
 
 std::vector<std::byte> DenseArray::pack_rows(const RowSet& rows) const {
-    // Exact-size reserve: every row contributes a fixed 12-byte header plus
-    // row_bytes() of payload, so the write pass never reallocates.
-    std::vector<std::byte> out;
-    out.reserve(4 + static_cast<std::size_t>(rows.count()) *
-                        (12 + row_bytes()));
-    put_u32(out, static_cast<std::uint32_t>(rows.count()));
+    // Every row is a fixed 12-byte header plus row_bytes() of payload, so
+    // the buffer is sized once and written through a pointer.
+    const std::uint32_t nrows = static_cast<std::uint32_t>(rows.count());
+    const std::uint64_t nbytes = row_bytes();
+    std::vector<std::byte> out(4 + nrows * (12 + nbytes));
+    std::byte* w = out.data();
+    std::memcpy(w, &nrows, 4);
+    w += 4;
     for (const RowInterval& iv : rows.intervals()) {
         for (int r = iv.lo; r < iv.hi; ++r) {
             const std::byte* data = row_data(r);
-            put_u32(out, static_cast<std::uint32_t>(r));
-            put_u64(out, row_bytes());
-            out.insert(out.end(), data, data + row_bytes());
+            std::memcpy(w, &r, 4);
+            std::memcpy(w + 4, &nbytes, 8);
+            std::memcpy(w + 12, data, nbytes);
+            w += 12 + nbytes;
         }
     }
     stats_.bytes_packed += out.size();
     return out;
 }
 
-void DenseArray::unpack_rows(const std::vector<std::byte>& data) {
+RowSet DenseArray::unpack_rows(const std::vector<std::byte>& data) {
     // First pass: validate every row and find the incoming span, so a
     // malformed buffer changes nothing and the table is sized once.
     std::size_t pos = 0;
@@ -53,6 +56,8 @@ void DenseArray::unpack_rows(const std::vector<std::byte>& data) {
         hi = std::max(hi, row + 1);
     }
     if (nrows > 0) rows_.cover(held_, lo, hi);
+    // Second pass: copy the rows and collect their ids (one interval per run).
+    RowSet stored;
     pos = first_row;
     for (std::uint32_t k = 0; k < nrows; ++k) {
         int row = static_cast<int>(get_u32(data, pos));
@@ -64,10 +69,12 @@ void DenseArray::unpack_rows(const std::vector<std::byte>& data) {
         }
         std::memcpy(slot.get(), data.data() + pos, row_bytes());
         pos += row_bytes();
-        held_.add(row, row + 1);
         mark_row_dirty(row);
+        stored.add_row(row);
     }
+    held_.add(stored);
     stats_.bytes_unpacked += data.size();
+    return stored;
 }
 
 void DenseArray::drop_rows(const RowSet& rows) {
@@ -177,7 +184,7 @@ std::vector<std::byte> ContiguousDenseArray::pack_rows(
     return out;
 }
 
-void ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
+RowSet ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
     std::size_t pos = 0;
     std::uint32_t nrows = get_u32(data, pos);
     // First pass: validate every row and find the new extent, so a
@@ -192,7 +199,7 @@ void ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
         DYNMPI_REQUIRE(nbytes == row_bytes(), "dense row size mismatch");
         DYNMPI_REQUIRE(nbytes <= data.size() - scan, "truncated dense row");
         scan += nbytes;
-        incoming.add(row, row + 1);
+        incoming.add_row(row);
     }
     if (nrows > 0) {
         int lo = extent_ == 0 ? incoming.first() : std::min(base_, incoming.first());
@@ -203,14 +210,15 @@ void ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
     for (std::uint32_t k = 0; k < nrows; ++k) {
         int row = static_cast<int>(get_u32(data, pos));
         std::uint64_t nbytes = get_u64(data, pos);
-        held_.add(row, row + 1);
         mark_row_dirty(row);
         std::memcpy(buffer_.data() +
                         static_cast<std::size_t>(row - base_) * row_bytes(),
                     data.data() + pos, nbytes);
         pos += nbytes;
     }
+    held_.add(incoming);
     stats_.bytes_unpacked += data.size();
+    return incoming;
 }
 
 void ContiguousDenseArray::drop_rows(const RowSet& rows) {

@@ -81,9 +81,13 @@ public:
 
     // ---- DistArray ----
     std::vector<std::byte> pack_rows(const RowSet& rows) const override;
-    void unpack_rows(const std::vector<std::byte>& data) override;
+    RowSet unpack_rows(const std::vector<std::byte>& data) override;
     void drop_rows(const RowSet& rows) override;
     void ensure_rows(const RowSet& rows) override;
+    std::unique_ptr<DistArray> empty_like() const override {
+        return std::make_unique<DenseArray>(name_, global_rows_, row_elems_,
+                                            elem_bytes_);
+    }
     std::size_t nominal_row_bytes() const override { return row_bytes(); }
     std::size_t local_bytes() const override {
         return static_cast<std::size_t>(held_.count()) * row_bytes();
@@ -116,9 +120,13 @@ public:
     }
 
     std::vector<std::byte> pack_rows(const RowSet& rows) const override;
-    void unpack_rows(const std::vector<std::byte>& data) override;
+    RowSet unpack_rows(const std::vector<std::byte>& data) override;
     void drop_rows(const RowSet& rows) override;
     void ensure_rows(const RowSet& rows) override;
+    std::unique_ptr<DistArray> empty_like() const override {
+        return std::make_unique<ContiguousDenseArray>(name_, global_rows_,
+                                                      row_elems_, elem_bytes_);
+    }
     std::size_t nominal_row_bytes() const override { return row_bytes(); }
     std::size_t local_bytes() const override { return buffer_.size(); }
 

@@ -1,7 +1,5 @@
 #include "dynmpi/dist_array.hpp"
 
-#include <cstring>
-
 #include "support/error.hpp"
 
 namespace dynmpi {
@@ -49,36 +47,6 @@ void DistArray::clear_dirty(const RowSet& rows) {
     for (const RowInterval& iv : rows.intervals())
         for (int r = iv.lo; r < iv.hi; ++r)
             dirty_[static_cast<std::size_t>(r)] = 0;
-}
-
-void DistArray::put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-    std::byte b[4];
-    std::memcpy(b, &v, 4);
-    out.insert(out.end(), b, b + 4);
-}
-
-void DistArray::put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    std::byte b[8];
-    std::memcpy(b, &v, 8);
-    out.insert(out.end(), b, b + 8);
-}
-
-std::uint32_t DistArray::get_u32(const std::vector<std::byte>& in,
-                                 std::size_t& pos) {
-    DYNMPI_REQUIRE(pos + 4 <= in.size(), "truncated pack buffer (u32)");
-    std::uint32_t v;
-    std::memcpy(&v, in.data() + pos, 4);
-    pos += 4;
-    return v;
-}
-
-std::uint64_t DistArray::get_u64(const std::vector<std::byte>& in,
-                                 std::size_t& pos) {
-    DYNMPI_REQUIRE(pos + 8 <= in.size(), "truncated pack buffer (u64)");
-    std::uint64_t v;
-    std::memcpy(&v, in.data() + pos, 8);
-    pos += 8;
-    return v;
 }
 
 }  // namespace dynmpi

@@ -12,10 +12,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dynmpi/row_set.hpp"
+#include "support/error.hpp"
 
 namespace dynmpi {
 
@@ -44,14 +47,19 @@ public:
     virtual std::vector<std::byte> pack_rows(const RowSet& rows) const = 0;
 
     /// Deserialize rows produced by pack_rows (possibly from another node);
-    /// the rows become held, replacing any local copies.
-    virtual void unpack_rows(const std::vector<std::byte>& data) = 0;
+    /// the rows become held, replacing any local copies.  The whole buffer
+    /// is validated first, so a malformed one throws and changes nothing.
+    /// Returns the rows the buffer framed.
+    virtual RowSet unpack_rows(const std::vector<std::byte>& data) = 0;
 
     /// Release storage for the given rows.
     virtual void drop_rows(const RowSet& rows) = 0;
 
     /// Allocate (zero/empty) storage for any of `rows` not yet held.
     virtual void ensure_rows(const RowSet& rows) = 0;
+
+    /// A new array of the same kind, name and shape that holds no rows.
+    virtual std::unique_ptr<DistArray> empty_like() const = 0;
 
     /// Keep only `keep`; everything else is dropped.
     void retain_only(const RowSet& keep);
@@ -81,13 +89,31 @@ public:
     const Stats& stats() const { return stats_; }
     void reset_stats() { stats_ = {}; }
 
-    // ---- pack-format helpers (implementations + the replica store) ----
-    static void put_u32(std::vector<std::byte>& out, std::uint32_t v);
-    static void put_u64(std::vector<std::byte>& out, std::uint64_t v);
+    // ---- pack-format helpers (implementations + the runtime's blobs) ----
+    static void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
+        const auto* b = reinterpret_cast<const std::byte*>(&v);
+        out.insert(out.end(), b, b + 4);
+    }
+    static void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
+        const auto* b = reinterpret_cast<const std::byte*>(&v);
+        out.insert(out.end(), b, b + 8);
+    }
     static std::uint32_t get_u32(const std::vector<std::byte>& in,
-                                 std::size_t& pos);
+                                 std::size_t& pos) {
+        DYNMPI_REQUIRE(pos + 4 <= in.size(), "truncated pack buffer (u32)");
+        std::uint32_t v;
+        std::memcpy(&v, in.data() + pos, 4);
+        pos += 4;
+        return v;
+    }
     static std::uint64_t get_u64(const std::vector<std::byte>& in,
-                                 std::size_t& pos);
+                                 std::size_t& pos) {
+        DYNMPI_REQUIRE(pos + 8 <= in.size(), "truncated pack buffer (u64)");
+        std::uint64_t v;
+        std::memcpy(&v, in.data() + pos, 8);
+        pos += 8;
+        return v;
+    }
 
 protected:
     /// Throws the "access to non-held row" Error.  Out of line, so the

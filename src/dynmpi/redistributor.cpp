@@ -174,7 +174,7 @@ RedistStats execute_redistribution(msg::Rank& rank, const RedistContext& ctx,
             at.bytes += payload.size();
             ++at.messages;
             rank.send_wire(dst, redist_tag(redist_seq, k, me, dst),
-                           payload.data(), payload.size());
+                           std::move(payload));
         }
         stats.rows_moved += at.rows_moved;
         stats.bytes += at.bytes;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace dynmpi {
@@ -32,6 +33,14 @@ public:
     /// Union in [lo, hi): a binary search, then one in-place insert or
     /// erase.  An ascending append touches only the back, O(log n).
     void add(int lo, int hi);
+    /// Union in one row: inline when it extends the last interval, as each
+    /// row of an ascending run does.
+    void add_row(int row) {
+        if (!intervals_.empty() && intervals_.back().hi == row)
+            ++intervals_.back().hi;
+        else
+            add(row, row + 1);
+    }
     /// Union in another set: one linear merge.
     void add(const RowSet& other);
 
@@ -51,8 +60,10 @@ public:
     /// Total number of rows in the set.
     int count() const;
 
-    /// Normalized intervals, sorted and disjoint.
-    const std::vector<RowInterval>& intervals() const { return intervals_; }
+    /// Normalized intervals, sorted and disjoint.  On a temporary set they
+    /// are returned by value, so `for (auto& iv : f().intervals())` is safe.
+    const std::vector<RowInterval>& intervals() const& { return intervals_; }
+    std::vector<RowInterval> intervals() && { return std::move(intervals_); }
 
     /// Materialize every row index in ascending order.
     std::vector<int> to_vector() const;

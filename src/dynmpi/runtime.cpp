@@ -186,7 +186,11 @@ void Runtime::commit_setup() {
     DYNMPI_REQUIRE(!committed_, "commit_setup called twice");
     DYNMPI_REQUIRE(!phases_.empty(), "define at least one phase");
 
-    replicas_ = std::make_unique<ReplicaStore>(arrays_.size());
+    if (opts_.replicate) {
+        std::vector<const DistArray*> like;
+        for (const ArrayInfo& a : arrays_) like.push_back(a.array.get());
+        replicas_ = std::make_unique<ReplicaStore>(like);
+    }
     if (rank_.node().generation() > 0) {
         // This process was restarted after its node revived: the rest of
         // the world is mid-run, so the setup collectives below are long
@@ -356,7 +360,7 @@ void Runtime::leader_send_bootstraps() {
             DistArray::put_u64(blob, hash);
             DistArray::put_u64(blob, seq);
         }
-        rank_.send_wire(w, bootstrap_tag(w, gen), blob.data(), blob.size());
+        rank_.send_wire(w, bootstrap_tag(w, gen), std::move(blob));
     }
 }
 
@@ -612,10 +616,10 @@ void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
         DistArray& a = *arrays_[i].array;
         RowSet rows = wholesale ? owned : a.dirty_rows(owned);
         std::vector<std::byte> blob = a.pack_rows(rows);
-        rank_.send_wire(succ, replica_tag(wholesale, salt, i), blob.data(),
-                        blob.size());
-        a.clear_dirty(rows);
         bytes_out += blob.size();
+        rank_.send_wire(succ, replica_tag(wholesale, salt, i),
+                        std::move(blob));
+        a.clear_dirty(rows);
         rows_out += rows.count();
         ++replica_arrays_sent_;
     }
@@ -662,9 +666,8 @@ void Runtime::perform_pending_restores() {
             // the adopter's retried receives match these exact packets.
             while (pr.arrays_done < static_cast<int>(arrays_.size())) {
                 auto i = static_cast<std::size_t>(pr.arrays_done);
-                auto blob = replicas_->extract(i, pr.rows);
                 rank_.send_wire(pr.adopter, restore_tag(pr.dead, pr.gen, i),
-                                blob.data(), blob.size());
+                                replicas_->extract(i, pr.rows));
                 ++pr.arrays_done;
             }
         } else if (is_adopter) {
@@ -682,8 +685,7 @@ void Runtime::perform_pending_restores() {
                              : rank_.recv_wire(pr.buddy,
                                                restore_tag(pr.dead, pr.gen,
                                                            i));
-                RowSet got = ReplicaStore::rows_in_blob(blob);
-                arrays_[i].array->unpack_rows(blob);
+                RowSet got = arrays_[i].array->unpack_rows(blob);
                 pr.missing = pr.missing.unite(pr.rows.subtract(got));
                 ++pr.arrays_done;
             }

@@ -395,7 +395,7 @@ private:
     bool statuses_sent_this_cycle_ = false;
 
     // ---- replication + rejoin state ----
-    std::unique_ptr<ReplicaStore> replicas_;
+    std::unique_ptr<ReplicaStore> replicas_; ///< null unless replicate
     double last_refresh_s_ = -1.0;  ///< leader: time of last refresh go
     bool refresh_decided_this_cycle_ = false; ///< leader: go/no-go is sticky
     double refresh_go_cycle_ = 0.0;

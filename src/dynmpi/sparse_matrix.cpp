@@ -145,7 +145,7 @@ std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
     return out;
 }
 
-void SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
+RowSet SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
     // First pass: validate every row and find the incoming span, so a
     // malformed buffer changes nothing and the table is sized once.
     std::size_t pos = 0;
@@ -165,6 +165,9 @@ void SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
         hi = std::max(hi, r + 1);
     }
     if (nrows > 0) rows_.cover(held_, lo, hi);
+    // Second pass: rebuild the lists and collect their ids (one interval
+    // per run).
+    RowSet stored;
     pos = first_row;
     for (std::uint32_t k = 0; k < nrows; ++k) {
         int r = static_cast<int>(get_u32(data, pos));
@@ -176,15 +179,18 @@ void SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
         }
         slot->clear();
         for (std::size_t i = 0; i < count; ++i) {
-            SparseEntry e;
-            std::memcpy(&e, data.data() + pos, sizeof(SparseEntry));
+            // Wire order is column order.  Copying the whole entry keeps
+            // its bytes verbatim, so a re-pack reproduces the wire exactly.
+            std::memcpy(&slot->emplace_back(), data.data() + pos,
+                        sizeof(SparseEntry));
             pos += sizeof(SparseEntry);
-            slot->push_back(e); // wire order is column order
         }
-        held_.add(r, r + 1);
         mark_row_dirty(r);
+        stored.add_row(r);
     }
+    held_.add(stored);
     stats_.bytes_unpacked += data.size();
+    return stored;
 }
 
 void SparseMatrix::drop_rows(const RowSet& rows) {

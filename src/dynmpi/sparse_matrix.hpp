@@ -106,9 +106,13 @@ public:
 
     // ---- DistArray ----
     std::vector<std::byte> pack_rows(const RowSet& rows) const override;
-    void unpack_rows(const std::vector<std::byte>& data) override;
+    RowSet unpack_rows(const std::vector<std::byte>& data) override;
     void drop_rows(const RowSet& rows) override;
     void ensure_rows(const RowSet& rows) override;
+    std::unique_ptr<DistArray> empty_like() const override {
+        return std::make_unique<SparseMatrix>(name_, global_rows_,
+                                              global_cols_);
+    }
     std::size_t nominal_row_bytes() const override {
         int held = held_.count();
         int avg_nnz = held > 0 ? (nnz() + held - 1) / held : 1;

@@ -65,26 +65,44 @@ void Rank::charge_recv_cost(std::size_t bytes) {
     compute(net_params().cpu_cost(bytes));
 }
 
-void Rank::send_wire(int dst, std::uint64_t wire_tag, const void* data,
-                     std::size_t bytes) {
+void Rank::charge_send_cost(int dst, std::size_t bytes) {
     DYNMPI_REQUIRE(dst >= 0 && dst < size(), "send to invalid rank");
     // CPU component of communication: packetization + copy, shared with any
     // competing processes on this node.  Control-plane traffic is daemon
     // work, not application work.
     if (!control_mode_) compute(net_params().cpu_cost(bytes));
+}
+
+void Rank::send_wire(int dst, std::uint64_t wire_tag, const void* data,
+                     std::size_t bytes) {
+    // Charge first: the compute yields, and the copy must not live across
+    // it.
+    charge_send_cost(dst, bytes);
+    const auto* first = static_cast<const std::byte*>(data);
+    transmit_wire(dst, wire_tag, std::vector<std::byte>(first, first + bytes));
+}
+
+void Rank::send_wire(int dst, std::uint64_t wire_tag,
+                     std::vector<std::byte> payload) {
+    charge_send_cost(dst, payload.size());
+    transmit_wire(dst, wire_tag, std::move(payload));
+}
+
+void Rank::transmit_wire(int dst, std::uint64_t wire_tag,
+                         std::vector<std::byte> payload) {
+    sim::Packet p;
+    p.src = id_;
+    p.dst = dst;
+    p.tag = wire_tag;
+    p.control = control_mode_;
+    p.payload = std::move(payload);
     const int retries = std::max(0, net_params().send_retries);
     for (int attempt = 0; ; ++attempt) {
-        sim::Packet p;
-        p.src = id_;
-        p.dst = dst;
-        p.tag = wire_tag;
-        p.control = control_mode_;
-        const auto* first = static_cast<const std::byte*>(data);
-        p.payload.assign(first, first + bytes);
+        // A failed transmit leaves the packet intact, so a retry resends
+        // the same bytes: a duplicate that does get through is matched (or
+        // orphaned) exactly like the original.
         if (machine_.cluster().network().transmit(std::move(p))) return;
         // Transient send failure: bounded retry with exponential backoff.
-        // Retried packets are byte-identical, so a duplicate that does get
-        // through is matched (or orphaned) exactly like the original.
         if (attempt >= retries) return; // give up; peer sees a lost message
         if (support::trace().enabled()) {
             using support::targ;

@@ -137,8 +137,12 @@ public:
 
     // ---- internal-tagged traffic (collectives / Dyn-MPI runtime) ----
 
+    /// Charges the send's CPU cost, then copies `data` into the packet.
     void send_wire(int dst, std::uint64_t wire_tag, const void* data,
                    std::size_t bytes);
+    /// Same wire effect, but the packet takes `payload` without a copy.
+    void send_wire(int dst, std::uint64_t wire_tag,
+                   std::vector<std::byte> payload);
     std::vector<std::byte> recv_wire(int src, std::uint64_t wire_tag);
 
     // ---- control plane (daemon-band traffic) ----
@@ -221,6 +225,11 @@ private:
     /// Core blocking receive on the wire-tag level.
     sim::Packet recv_packet(int src, std::uint64_t tag, bool any_tag);
     void charge_recv_cost(std::size_t bytes);
+    /// The CPU component of a send (data plane only).
+    void charge_send_cost(int dst, std::size_t bytes);
+    /// Hand `payload` to the network, retrying transient failures.
+    void transmit_wire(int dst, std::uint64_t wire_tag,
+                       std::vector<std::byte> payload);
 
     Machine& machine_;
     int id_;

@@ -61,7 +61,8 @@ public:
     /// Inject a packet at the sender's NIC at the current virtual time.
     /// Serialization and latency are applied; delivery fires later.
     /// Returns false iff the send failed transiently (an armed fault token
-    /// was consumed) — the caller may retry.  Packets touching a crashed
+    /// was consumed) — the caller may retry, and `p` is then left intact
+    /// for that.  Packets touching a crashed
     /// node are dropped silently but "succeed": a dead peer looks exactly
     /// like an unresponsive one to the sender.
     bool transmit(Packet&& p);

@@ -46,6 +46,8 @@ struct FaultOutcome {
     double rejoins_max = 0;
     int final_active = 0;
     std::uint64_t replica_bytes = 0;
+    std::uint64_t runtime_messages = 0; ///< Machine::traffic(), runtime class
+    std::uint64_t runtime_bytes = 0;
 };
 
 FaultOutcome run_with_faults(const FaultParams& fp) {
@@ -137,6 +139,9 @@ FaultOutcome run_with_faults(const FaultParams& fp) {
         }
     });
     out.elapsed = m.elapsed_seconds();
+    const auto runtime = static_cast<std::size_t>(msg::TagSpace::Runtime);
+    out.runtime_messages = m.traffic().messages[runtime];
+    out.runtime_bytes = m.traffic().bytes[runtime];
     out.send_failures = m.cluster().network().send_failures();
     return out;
 }
@@ -257,6 +262,25 @@ TEST(FaultRecovery, ReplicationCrashLosesNoData) {
                               out.final_counts.end(), 0),
               fp.rows);
     EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
+}
+
+// Exact gate on replication traffic: the wire format of replica and restore
+// blobs and the virtual time they cost are pinned, so a change to how the
+// buddy stores or re-packs its copies cannot move a byte or a tick unseen.
+TEST(FaultRecovery, ReplicationTrafficIsExact) {
+    FaultParams fp;
+    fp.nodes = 8;
+    fp.rows = 96;
+    fp.cycles = 60;
+    fp.script = "crash node=5 t=1.5\n";
+    fp.opts.replicate = true;
+    FaultOutcome out = run_with_faults(fp);
+    EXPECT_EQ(out.crash_repairs, 1);
+    EXPECT_EQ(out.replica_bytes, 1292u); // shipped by rank 0
+    EXPECT_EQ(out.restored_sum, 12.0);   // restored_rows over all ranks
+    EXPECT_EQ(out.runtime_messages, 444u);
+    EXPECT_EQ(out.runtime_bytes, 10752u);
+    EXPECT_EQ(out.elapsed, 0x1.14259ece3f713p+2);
 }
 
 // Identical contents to a fault-free run: both runs end with every element

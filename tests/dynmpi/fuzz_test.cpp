@@ -19,13 +19,17 @@
 namespace dynmpi {
 namespace {
 
-std::vector<std::byte> packed_dense() {
+std::vector<std::byte> packed_dense(double offset = 0.0) {
     DenseArray a("A", 8, 4, sizeof(double));
     a.ensure_rows(RowSet(0, 4));
     for (int r = 0; r < 4; ++r)
-        for (int j = 0; j < 4; ++j) a.at<double>(r, j) = r + j;
+        for (int j = 0; j < 4; ++j) a.at<double>(r, j) = offset + r + j;
     return a.pack_rows(RowSet(0, 4));
 }
+
+// Byte offset of row k's header in a packed_dense() blob: a u32 row count,
+// then per row a 12-byte header and four doubles.
+constexpr std::size_t dense_row_at(std::size_t k) { return 4 + k * (12 + 32); }
 
 std::vector<std::byte> packed_sparse() {
     SparseMatrix m("S", 8, 16);
@@ -70,9 +74,38 @@ TEST(Fuzz, HugeRowLengthRejected) {
     std::memcpy(dense.data() + 8, &huge, sizeof huge);
     expect_rejected_unchanged<DenseArray>(dense);
     expect_rejected_unchanged<ContiguousDenseArray>(dense);
-    ReplicaStore store(1);
+    DenseArray like("A", 8, 4, sizeof(double));
+    ReplicaStore store({&like});
     EXPECT_THROW(store.store_blob(0, dense), Error);
-    EXPECT_THROW(ReplicaStore::rows_in_blob(dense), Error);
+}
+
+/// Feeds `bad` to a replica store that holds rows 0-3 of packed_dense() and
+/// expects a clean rejection that leaves every stored copy unchanged.
+void expect_store_rejects_unchanged(const std::vector<std::byte>& bad) {
+    DenseArray like("A", 8, 4, sizeof(double));
+    ReplicaStore store({&like});
+    store.store_blob(0, packed_dense());
+    const auto before = store.extract(0, RowSet(0, 8));
+    EXPECT_THROW(store.store_blob(0, bad), Error);
+    EXPECT_EQ(store.extract(0, RowSet(0, 8)), before);
+}
+
+TEST(Fuzz, ReplicaStoreRejectsTruncatedBlobWhole) {
+    // New contents for rows 0-3, cut inside row 1: row 0 is complete, so a
+    // store that applied rows as it parsed them would overwrite it.
+    auto bad = packed_dense(100.0);
+    bad.resize(dense_row_at(1) + 20);
+    expect_store_rejects_unchanged(bad);
+}
+
+TEST(Fuzz, ReplicaStoreRejectsOutOfRangeRowId) {
+    // 8 is one past the last row; the others cast to negative ints.
+    for (std::uint32_t id : {8u, 0xFFFFFFFFu, 0x80000000u}) {
+        SCOPED_TRACE(id);
+        auto bad = packed_dense(100.0);
+        std::memcpy(bad.data() + dense_row_at(2), &id, sizeof id);
+        expect_store_rejects_unchanged(bad);
+    }
 }
 
 TEST(Fuzz, TruncatedSparseBufferRejected) {

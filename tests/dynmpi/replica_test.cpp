@@ -1,0 +1,190 @@
+// Model-based tests of the buddy replica store (docs/FAULTS.md "Crashes").
+//
+// Seeded random sequences of delta store_blob, wholesale store_blob +
+// retain_only, extract over sets that include absent rows, and clear run
+// against a ReplicaStore shadowing a dense or a sparse array, and against a
+// std::map model of the store's contract: each row id maps to the payload
+// bytes last shipped for it, and extract frames the present rows of the
+// requested set in ascending order.  extract must match the model's framing
+// byte for byte (payloads are random bytes, padding included), and the rows
+// store_blob reports must be exactly the rows the blob framed.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <vector>
+
+#include "dynmpi/dense_array.hpp"
+#include "dynmpi/replica.hpp"
+#include "dynmpi/sparse_matrix.hpp"
+#include "support/rng.hpp"
+
+namespace dynmpi {
+namespace {
+
+constexpr int kRows = 64;
+constexpr int kElems = 3;
+constexpr int kCols = 16;
+
+using Bytes = std::vector<std::byte>;
+
+struct Dense {
+    static DenseArray make() {
+        return DenseArray("d", kRows, kElems, sizeof(double));
+    }
+    static std::size_t payload_bytes(Rng&) { return kElems * sizeof(double); }
+};
+
+struct Sparse {
+    static SparseMatrix make() { return SparseMatrix("s", kRows, kCols); }
+    static std::size_t payload_bytes(Rng& rng) {
+        return rng.next_below(5) * sizeof(SparseEntry);
+    }
+};
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+    Bytes out(n);
+    for (auto& b : out) b = static_cast<std::byte>(rng.next_below(256));
+    return out;
+}
+
+/// Up to 12 distinct rows drawn from [0, kRows), ascending.
+std::vector<int> random_rows(Rng& rng) {
+    std::vector<int> rows;
+    for (std::uint64_t k = rng.next_below(13); k > 0; --k)
+        rows.push_back(static_cast<int>(rng.next_below(kRows)));
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    return rows;
+}
+
+RowSet as_set(const std::vector<int>& rows) {
+    RowSet s;
+    for (int r : rows) s.add(r, r + 1);
+    return s;
+}
+
+using Model = std::map<int, Bytes>;
+
+/// Pack-format framing of `rows` with the given payloads.
+Bytes frame(const std::vector<int>& rows, const std::vector<Bytes>& payloads) {
+    Bytes out;
+    DistArray::put_u32(out, static_cast<std::uint32_t>(rows.size()));
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        DistArray::put_u32(out, static_cast<std::uint32_t>(rows[k]));
+        DistArray::put_u64(out, payloads[k].size());
+        out.insert(out.end(), payloads[k].begin(), payloads[k].end());
+    }
+    return out;
+}
+
+/// The model's extract: the present rows of `rows`, ascending.
+Bytes model_extract(const Model& model, const RowSet& rows) {
+    std::vector<int> present;
+    std::vector<Bytes> payloads;
+    for (const auto& [r, payload] : model)
+        if (rows.contains(r)) {
+            present.push_back(r);
+            payloads.push_back(payload);
+        }
+    return frame(present, payloads);
+}
+
+template <typename T>
+class ReplicaModel : public ::testing::Test {};
+using Kinds = ::testing::Types<Dense, Sparse>;
+TYPED_TEST_SUITE(ReplicaModel, Kinds);
+
+TYPED_TEST(ReplicaModel, RandomSequencesMatchMapModel) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed * 7919);
+        const auto like = TypeParam::make();
+        ReplicaStore store({&like});
+        Model model;
+        for (int step = 0; step < 200; ++step) {
+            const std::uint64_t op = rng.next_below(10);
+            if (op < 6) {
+                // Delta (op < 4) or wholesale refresh.  A few delta blobs
+                // frame their rows in descending order.
+                std::vector<int> rows = random_rows(rng);
+                if (op == 0) std::reverse(rows.begin(), rows.end());
+                std::vector<Bytes> payloads;
+                for (std::size_t k = 0; k < rows.size(); ++k)
+                    payloads.push_back(
+                        random_bytes(rng, TypeParam::payload_bytes(rng)));
+                const RowSet stored =
+                    store.store_blob(0, frame(rows, payloads));
+                ASSERT_EQ(stored, as_set(rows)) << "step " << step;
+                for (std::size_t k = 0; k < rows.size(); ++k)
+                    model[rows[k]] = payloads[k];
+                if (op >= 4) {
+                    store.retain_only(0, stored);
+                    std::erase_if(model, [&](const auto& kv) {
+                        return !stored.contains(kv.first);
+                    });
+                }
+            } else if (op < 9) {
+                // Extract a random range: rows the store never saw, or has
+                // dropped, are skipped.
+                const int lo = static_cast<int>(rng.next_below(kRows));
+                const int hi =
+                    lo + static_cast<int>(rng.next_below(kRows - lo + 1));
+                RowSet rows(lo, hi);
+                if (rng.next_below(2) == 0) rows = as_set(random_rows(rng));
+                ASSERT_EQ(store.extract(0, rows), model_extract(model, rows))
+                    << "step " << step;
+            } else {
+                store.clear();
+                model.clear();
+            }
+        }
+        EXPECT_EQ(store.extract(0, RowSet(0, kRows)),
+                  model_extract(model, RowSet(0, kRows)));
+    }
+}
+
+// Extracted copies restore into a live array exactly: the adopter unpacks
+// what the buddy re-packed and gets the rows the owner shipped.
+TYPED_TEST(ReplicaModel, ExtractRestoresThroughUnpack) {
+    Rng rng(4242);
+    const auto like = TypeParam::make();
+    ReplicaStore store({&like});
+    const std::vector<int> rows = {3, 4, 5, 9, 20, 21};
+    std::vector<Bytes> payloads;
+    for (std::size_t k = 0; k < rows.size(); ++k)
+        payloads.push_back(random_bytes(rng, TypeParam::payload_bytes(rng)));
+    const Bytes blob = frame(rows, payloads);
+    store.store_blob(0, blob);
+
+    auto adopter = TypeParam::make();
+    const Bytes restored = store.extract(0, RowSet(0, kRows));
+    EXPECT_EQ(restored, blob);
+    EXPECT_EQ(adopter.unpack_rows(restored), as_set(rows));
+    EXPECT_EQ(adopter.held(), as_set(rows));
+    EXPECT_EQ(adopter.pack_rows(adopter.held()), blob);
+}
+
+TEST(ReplicaStore, ShadowsEveryArrayInOrder) {
+    DenseArray d("d", kRows, kElems, sizeof(double));
+    SparseMatrix s("s", kRows, kCols);
+    ReplicaStore store({&d, &s});
+    Rng rng(99);
+    const Bytes dense_blob = frame({1, 2}, {random_bytes(rng, 24),
+                                            random_bytes(rng, 24)});
+    const Bytes sparse_blob = frame({7}, {random_bytes(rng, 32)});
+    EXPECT_EQ(store.store_blob(0, dense_blob), RowSet(1, 3));
+    EXPECT_EQ(store.store_blob(1, sparse_blob), RowSet(7, 8));
+    // A dense payload of the wrong size does not fit array 0's shape.
+    EXPECT_THROW(store.store_blob(0, sparse_blob), Error);
+    EXPECT_THROW(store.store_blob(2, dense_blob), Error);
+    EXPECT_EQ(store.extract(0, RowSet(0, kRows)), dense_blob);
+    EXPECT_EQ(store.extract(1, RowSet(0, kRows)), sparse_blob);
+    store.clear();
+    EXPECT_EQ(store.extract(0, RowSet(0, kRows)), frame({}, {}));
+    EXPECT_EQ(store.extract(1, RowSet(0, kRows)), frame({}, {}));
+}
+
+}  // namespace
+}  // namespace dynmpi

@@ -291,5 +291,35 @@ TEST(RowSet, AscendingAppendsCoalesce) {
     EXPECT_EQ(s, RowSet(0, 1000));
 }
 
+// Range-for over the intervals of a temporary set: the rvalue overload
+// returns them by value, so the loop owns its vector.  Were it a reference
+// into the temporary, this would read freed memory (caught under ASan).
+TEST(RowSet, RangeForOverTemporaryIntervals) {
+    auto make = [] {
+        RowSet s;
+        for (int base = 0; base < 400; base += 8) s.add(base, base + 4);
+        return s;
+    };
+    int rows = 0, runs = 0;
+    for (const RowInterval& iv : make().intervals()) {
+        EXPECT_EQ(iv.lo % 8, 0);
+        EXPECT_EQ(iv.size(), 4);
+        rows += iv.size();
+        ++runs;
+    }
+    EXPECT_EQ(runs, 50);
+    EXPECT_EQ(rows, 200);
+}
+
+// add_row extends the last interval inline and falls back to add() for any
+// other row, so every order yields the normalized set.
+TEST(RowSet, AddRowMatchesAdd) {
+    RowSet ascending, any_order;
+    for (int r : {0, 1, 2, 5, 6, 9}) ascending.add_row(r);
+    EXPECT_EQ(ascending, RowSet(0, 3).unite(RowSet(5, 7)).unite(RowSet(9, 10)));
+    for (int r : {9, 2, 0, 6, 1, 5, 2}) any_order.add_row(r);
+    EXPECT_EQ(any_order, ascending);
+}
+
 }  // namespace
 }  // namespace dynmpi
