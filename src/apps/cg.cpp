@@ -55,36 +55,46 @@ double local_dot(const RowSet& rows, DenseArray& a, DenseArray& b) {
     return s;
 }
 
-/// Gather the full search direction p (AllGather pattern): one value per
-/// row of the phase [0, n).  Every slot is written, so the buffer is not
-/// zero-filled first.  Callers free it right after the matrix product:
-/// held across the yields that follow, it would raise peak memory.
-std::unique_ptr<double[]> gather_p(msg::Rank& rank, const Runtime& rt,
-                                   const RowSet& mine, DenseArray& P, int n) {
+/// The full search direction p, one value per row of the phase [0, n).
+struct FullP {
+    msg::Gathered<double> gathered;      ///< every member's rows, as sent
+    std::unique_ptr<double[]> in_order;  ///< cyclic layouts: p scattered
+    const double* get() const {
+        return in_order ? in_order.get() : gathered.data();
+    }
+};
+
+/// Gather p (AllGather pattern).  Under a block layout the gathered buffer
+/// already is p in row order; a cyclic layout scatters it once, into a
+/// buffer that is not zero-filled first because every slot is written.
+/// Callers free both right after the matrix product: held across the
+/// yields that follow, they would raise peak memory.
+FullP gather_p(msg::Rank& rank, const Runtime& rt, const RowSet& mine,
+               DenseArray& P, int n) {
     std::vector<double> vals;
     vals.reserve(static_cast<std::size_t>(mine.count()));
     for (const RowInterval& iv : mine.intervals())
         for (int i = iv.lo; i < iv.hi; ++i)
             vals.push_back(*P.row_ptr<double>(i));
-    auto gathered = msg::allgather(rank, rt.active_group(), vals);
-    auto full_p =
-        std::make_unique_for_overwrite<double[]>(static_cast<std::size_t>(n));
-    std::size_t scattered = 0;
-    for (int rel = 0; rel < rt.num_active(); ++rel) {
-        const RowSet rows = rt.distribution().iters_of(rel);
-        const auto& got = gathered[static_cast<std::size_t>(rel)];
-        DYNMPI_CHECK(got.size() == static_cast<std::size_t>(rows.count()),
-                     "gathered p misaligned");
-        const double* v = got.data();
-        for (const RowInterval& iv : rows.intervals()) {
-            std::copy(v, v + iv.size(), full_p.get() + iv.lo);
-            v += iv.size();
-        }
-        scattered += got.size();
-    }
-    DYNMPI_CHECK(scattered == static_cast<std::size_t>(n),
+    FullP p{msg::allgather(rank, rt.active_group(), vals), nullptr};
+    const Distribution& dist = rt.distribution();
+    DYNMPI_CHECK(p.gathered.size() == static_cast<std::size_t>(n),
                  "gathered p misses rows");
-    return full_p;
+    for (int rel = 0; rel < p.gathered.members(); ++rel)
+        DYNMPI_CHECK(p.gathered.length(rel) ==
+                         static_cast<std::size_t>(dist.count_of(rel)),
+                     "gathered p misaligned");
+    if (dist.kind() == Distribution::Kind::Block) return p;
+
+    p.in_order =
+        std::make_unique_for_overwrite<double[]>(static_cast<std::size_t>(n));
+    const double* v = p.gathered.data();
+    for (int rel = 0; rel < p.gathered.members(); ++rel)
+        dist.for_each_interval(rel, [&](RowInterval iv) {
+            std::copy(v, v + iv.size(), p.in_order.get() + iv.lo);
+            v += iv.size();
+        });
+    return p;
 }
 
 /// q = A * p over `rows`.  Returns each row's virtual cost, which tracks
@@ -179,7 +189,7 @@ CgResult run_cg(msg::Rank& rank, const CgConfig& config) {
         fire_hook(config.on_cycle, rank, cycle);
         rt.begin_cycle();
         if (rt.participating()) {
-            const RowSet mine = rt.my_iters(ph);
+            const RowSet& mine = rt.my_iters(ph);
             const std::vector<double> costs = apply_a(
                 config, mine, A, gather_p(rank, rt, mine, P, n).get(), Q);
             rt.run_phase(ph, costs);
@@ -278,7 +288,7 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
 
             try {
                 rt.begin_cycle();
-                const RowSet mine = rt.my_iters(ph);
+                const RowSet& mine = rt.my_iters(ph);
                 const std::vector<double> costs = apply_a(
                     config, mine, A, gather_p(rank, rt, mine, P, n).get(), Q);
                 rt.run_phase(ph, costs);

@@ -75,15 +75,8 @@ int Distribution::owner_of(int iter) const {
 }
 
 RowSet Distribution::iters_of(int rel) const {
-    DYNMPI_REQUIRE(rel >= 0 && rel < parties_, "relative rank out of range");
-    if (kind_ == Kind::Block) {
-        return RowSet(starts_[static_cast<std::size_t>(rel)],
-                      starts_[static_cast<std::size_t>(rel) + 1]);
-    }
     RowSet out;
-    int stride = block_size_ * parties_;
-    for (int base = lo_ + rel * block_size_; base < hi_; base += stride)
-        out.add(base, std::min(base + block_size_, hi_));
+    for_each_interval(rel, [&](RowInterval iv) { out.add(iv.lo, iv.hi); });
     return out;
 }
 
@@ -92,7 +85,9 @@ int Distribution::count_of(int rel) const {
         DYNMPI_REQUIRE(rel >= 0 && rel < parties_, "relative rank out of range");
         return counts_[static_cast<std::size_t>(rel)];
     }
-    return iters_of(rel).count();
+    int count = 0;
+    for_each_interval(rel, [&](RowInterval iv) { count += iv.size(); });
+    return count;
 }
 
 RowInterval Distribution::block_range(int rel) const {

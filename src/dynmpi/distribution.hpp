@@ -7,9 +7,11 @@
 // [lo, hi) onto `parties` relative ranks — the active nodes, in group order.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "dynmpi/row_set.hpp"
+#include "support/error.hpp"
 
 namespace dynmpi {
 
@@ -43,6 +45,12 @@ public:
     /// Iterations assigned to relative rank j.
     RowSet iters_of(int rel) const;
 
+    /// Visit the iterations of relative rank j as its maximal runs, in
+    /// ascending order, calling f(RowInterval) once per run without
+    /// building a set.  A party with no iterations is never visited.
+    template <typename F>
+    void for_each_interval(int rel, F&& f) const;
+
     /// Number of iterations assigned to relative rank j.
     int count_of(int rel) const;
 
@@ -63,5 +71,21 @@ private:
     std::vector<int> counts_;    ///< block only
     std::vector<int> starts_;    ///< block only: prefix sums (size parties+1)
 };
+
+template <typename F>
+void Distribution::for_each_interval(int rel, F&& f) const {
+    DYNMPI_REQUIRE(rel >= 0 && rel < parties_, "relative rank out of range");
+    if (kind_ == Kind::Block) {
+        const RowInterval iv{starts_[static_cast<std::size_t>(rel)],
+                             starts_[static_cast<std::size_t>(rel) + 1]};
+        if (!iv.empty()) f(iv);
+        return;
+    }
+    // A lone party's blocks abut: they form one run.
+    const int step = parties_ == 1 ? hi_ - lo_ : block_size_;
+    const int stride = step * parties_;
+    for (int base = lo_ + rel * step; base < hi_; base += stride)
+        f(RowInterval{base, std::min(base + step, hi_)});
+}
 
 }  // namespace dynmpi

@@ -45,6 +45,8 @@ void DMPI_end_cycle();
 void DMPI_run_phase(int phase, const std::vector<double>& row_costs);
 
 bool DMPI_participating();
+/// Inclusive bounds for `for (i = start; i <= end; ++i)`; a layout that
+/// deals this node more than one run of iterations (cyclic) throws.
 int DMPI_get_start_iter(int phase = 0);
 int DMPI_get_end_iter(int phase = 0);
 int DMPI_get_rel_rank();

@@ -233,21 +233,45 @@ int Runtime::rel_rank() const {
     return rel;
 }
 
-RowSet Runtime::my_iters(int phase) const {
-    DYNMPI_REQUIRE(phase >= 0 && phase < static_cast<int>(phases_.size()),
-                   "unknown phase");
-    if (!participating()) return {};
-    const Phase& p = phases_[static_cast<std::size_t>(phase)];
-    return dist_.iters_of(rel_rank()).clip(p.lo, p.hi);
+const Runtime::IterSets& Runtime::iter_sets() const {
+    const int rel = active_.index_of(rank_.id());
+    if (rel == iters_.rel && iters_.phases.size() == phases_.size() &&
+        iters_.dist == dist_)
+        return iters_;
+    // Built aside and moved in, so the new sets never reuse the old ones'
+    // storage: a reference kept across a layout change dangles (and ASan
+    // reports it) rather than quietly reading the new layout's sets.
+    IterSets fresh{dist_, rel, rel >= 0 ? dist_.iters_of(rel) : RowSet{}, {}};
+    for (const Phase& p : phases_)
+        fresh.phases.push_back(fresh.owned.clip(p.lo, p.hi));
+    iters_ = std::move(fresh);
+    return iters_;
 }
 
+const RowSet& Runtime::my_iters(int phase) const {
+    DYNMPI_REQUIRE(phase >= 0 && phase < static_cast<int>(phases_.size()),
+                   "unknown phase");
+    return iter_sets().phases[static_cast<std::size_t>(phase)];
+}
+
+namespace {
+/// start_iter/end_iter bound one run of iterations; a cyclic set has many.
+const RowSet& one_run(const RowSet& it) {
+    DYNMPI_REQUIRE(it.intervals().size() <= 1,
+                   "start_iter/end_iter on a phase whose iterations are not "
+                   "one contiguous range (cyclic layout): walk "
+                   "my_iters(phase) instead");
+    return it;
+}
+}  // namespace
+
 int Runtime::start_iter(int phase) const {
-    RowSet it = my_iters(phase);
+    const RowSet& it = one_run(my_iters(phase));
     return it.empty() ? 0 : it.first();
 }
 
 int Runtime::end_iter(int phase) const {
-    RowSet it = my_iters(phase);
+    const RowSet& it = one_run(my_iters(phase));
     return it.empty() ? -1 : it.last();
 }
 
@@ -563,8 +587,7 @@ bool Runtime::repair_active_set() {
         // The ring changed under us: our successor may be new, so the next
         // refresh must re-ship everything we own, and any half-finished
         // refresh this cycle is abandoned (tags would no longer line up).
-        RowSet owned = dist_.iters_of(active_.index_of(rank_.id()));
-        for (auto& ai : arrays_) ai.array->mark_rows_dirty(owned);
+        for (auto& ai : arrays_) ai.array->mark_rows_dirty(owned_iters());
         replica_skip_cycle_ = true;
     } else {
         recovered_rows_ = recovered_rows_.unite(adopted);
@@ -607,7 +630,7 @@ void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
         replica_arrays_sent_ = 0;
         replica_arrays_recvd_ = 0;
     }
-    const RowSet owned = dist_.iters_of(rel);
+    const RowSet& owned = owned_iters();
     double t0 = rank_.hrtime();
     std::uint64_t bytes_out = 0;
     int rows_out = 0;
@@ -958,8 +981,8 @@ void Runtime::run_phase(int phase, const std::vector<double>& row_costs) {
     DYNMPI_REQUIRE(phase >= 0 && phase < static_cast<int>(phases_.size()),
                    "unknown phase");
     Phase& p = phases_[static_cast<std::size_t>(phase)];
-    RowSet iters = my_iters(phase);
-    DYNMPI_REQUIRE(static_cast<int>(row_costs.size()) == iters.count(),
+    DYNMPI_REQUIRE(static_cast<int>(row_costs.size()) ==
+                       my_iters(phase).count(),
                    "row_costs must align with my_iters");
 
     double paging = paging_factor();
@@ -1025,8 +1048,7 @@ Runtime::GraceDecision Runtime::compute_grace_decision(
     const std::vector<double>& world_loads, const msg::Group& pg) {
     // Assemble my per-row unloaded cost estimates across phases, aligned to
     // my owned rows in ascending order.
-    RowSet owned = participating() ? dist_.iters_of(rel_rank()) : RowSet{};
-    std::vector<int> owned_rows_vec = owned.to_vector();
+    std::vector<int> owned_rows_vec = owned_iters().to_vector();
     // row id → slot; written once, read via at() — never iterated.
     std::unordered_map<int, std::size_t> pos; // dynmpi-lint: ok(unordered-lookup)
     for (std::size_t i = 0; i < owned_rows_vec.size(); ++i)
@@ -1034,7 +1056,7 @@ Runtime::GraceDecision Runtime::compute_grace_decision(
     std::vector<double> mine(owned_rows_vec.size(), 0.0);
     for (std::size_t ph = 0; ph < phases_.size(); ++ph) {
         Phase& p = phases_[ph];
-        RowSet iters = my_iters(static_cast<int>(ph));
+        const RowSet& iters = my_iters(static_cast<int>(ph));
         if (iters.empty() || p.timer.cycles_recorded() == 0) continue;
         std::vector<double> est = p.timer.estimates();
         std::vector<int> rows = iters.to_vector();
@@ -1046,16 +1068,17 @@ Runtime::GraceDecision Runtime::compute_grace_decision(
     // Active-group exchange: every active rank assembles the identical
     // global cost vector (removed nodes own no rows and are synced through
     // the status channel).
-    auto per_rank_costs = msg::allgather(rank_, pg, mine);
+    const auto per_rank_costs = msg::allgather(rank_, pg, mine);
     row_costs_.assign(static_cast<std::size_t>(global_rows_), 0.0);
     for (int a = 0; a < active_.size(); ++a) {
-        RowSet rows = owned_rows(active_, dist_, active_.member(a));
-        auto vec = rows.to_vector();
-        const auto& costs = per_rank_costs[static_cast<std::size_t>(a)];
-        DYNMPI_CHECK(costs.size() == vec.size(),
+        DYNMPI_CHECK(per_rank_costs.length(a) ==
+                         static_cast<std::size_t>(dist_.count_of(a)),
                      "cost vector does not match ownership");
-        for (std::size_t i = 0; i < vec.size(); ++i)
-            row_costs_[static_cast<std::size_t>(vec[i])] = costs[i];
+        const double* costs = per_rank_costs.data() + per_rank_costs.start(a);
+        dist_.for_each_interval(a, [&](RowInterval iv) {
+            std::copy(costs, costs + iv.size(), row_costs_.begin() + iv.lo);
+            costs += iv.size();
+        });
     }
 
     // Candidate set: currently active nodes plus any unloaded node that can

@@ -203,10 +203,19 @@ public:
     int abs_of_rel(int rel) const { return active_.member(rel); }
 
     /// Inclusive iteration bounds of this node for a phase (paper-style);
-    /// start > end when the node holds nothing.
+    /// start > end when the node holds nothing.  Precondition: the phase's
+    /// iterations form at most one interval, as under a block layout.  A
+    /// cyclic layout deals out many, and a `for (i = start; i <= end; ++i)`
+    /// loop would walk rows this node does not own, so both calls throw
+    /// there: walk my_iters(phase) instead.
     int start_iter(int phase = 0) const;
     int end_iter(int phase = 0) const;
-    RowSet my_iters(int phase = 0) const;
+    /// This node's iterations for a phase (empty on a removed node).  The
+    /// set is built once per layout: the reference stays valid, and names
+    /// the same object, until the layout changes.  end_cycle() and
+    /// redistribute_manual() can change it, so copy the set to keep it
+    /// across either.
+    const RowSet& my_iters(int phase = 0) const;
 
     /// Charge this cycle's compute for a phase and (during grace periods)
     /// record per-iteration measurements.  `row_costs` must align with
@@ -267,6 +276,22 @@ private:
     void record_redist_observability(const RedistStats& ts, double t0,
                                      double t1, int active_before);
     const std::vector<Drsd>& accesses_of(const std::string& name) const;
+
+    /// This rank's iteration sets under one layout: the whole owned set and
+    /// its clip to each phase, all empty on a removed node.
+    struct IterSets {
+        Distribution dist;  ///< the layout they were built for
+        int rel = -1;       ///< this rank's relative rank in it, -1 if removed
+        RowSet owned;
+        std::vector<RowSet> phases;
+    };
+    /// The sets for the current (dist_, relative rank), rebuilt only when
+    /// that pair (compared by value) or the phase count differs from the
+    /// one they were built for.  So no assignment to dist_ or active_ has
+    /// to invalidate anything.
+    const IterSets& iter_sets() const;
+    /// This rank's whole owned set under the current layout.
+    const RowSet& owned_iters() const { return iter_sets().owned; }
 
     double my_load() const;       ///< dmpi_ps average competing
     double node_speed() const;
@@ -367,6 +392,7 @@ private:
     msg::Group world_;
     msg::Group active_;
     Distribution dist_;
+    mutable IterSets iters_;  ///< cache behind iter_sets()
     std::vector<ArrayInfo> arrays_;
     std::vector<Phase> phases_;
     std::vector<double> speeds_;   ///< per world rank

@@ -9,11 +9,14 @@
 //
 // Algorithms are the classic binomial-tree (bcast, reduce) and linear-gather
 // variants; with an eager, buffered message layer they are deadlock-free for
-// any group size, including singletons.
+// any group size, including singletons.  bcast is the only broadcast tree:
+// allgather is a linear gather at member 0 plus two bcasts, and it hands
+// back one flat buffer rather than a vector per member.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mpisim/rank.hpp"
@@ -91,12 +94,17 @@ inline std::uint64_t coll_tag(const Group& g, std::uint64_t seq) {
     return make_tag(TagSpace::Collective, hash_combine(g.hash(), seq));
 }
 
+/// A received payload as elements of T; a byte payload moves through.
 template <typename T>
 std::vector<T> bytes_to_vector(std::vector<std::byte>&& raw) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<T> v(raw.size() / sizeof(T));
-    if (!raw.empty()) std::memcpy(v.data(), raw.data(), raw.size());
-    return v;
+    if constexpr (std::is_same_v<T, std::byte>) {
+        return std::move(raw);
+    } else {
+        std::vector<T> v(raw.size() / sizeof(T));
+        if (!raw.empty()) std::memcpy(v.data(), raw.data(), raw.size());
+        return v;
+    }
 }
 
 }  // namespace detail
@@ -232,48 +240,92 @@ std::vector<std::vector<T>> gather(Rank& rank, const Group& g, int root,
     return out;
 }
 
-/// Allgather: every member ends with every member's vector.
-/// Implemented as gather at member 0 plus a broadcast of the flattened data
-/// and lengths.
+/// Every member's elements, flat in member order, as allgather delivers
+/// them.  The elements stay in the byte buffer that arrived and are read as
+/// `const T*` (the pattern DenseArray::row_ptr uses for rows).
 template <typename T>
-std::vector<std::vector<T>> allgather(Rank& rank, const Group& g,
-                                      const std::vector<T>& mine) {
-    auto rooted = gather(rank, g, 0, mine);
+class Gathered {
+public:
+    /// `lengths` holds each member's element count; they must add up to
+    /// the elements in `bytes`.
+    Gathered(std::vector<std::byte> bytes, std::vector<std::uint64_t> lengths)
+        : bytes_(std::move(bytes)), starts_(std::move(lengths)) {
+        static_assert(std::is_trivially_copyable_v<T>);
+        // Turn the lengths into start offsets in place.
+        std::uint64_t at = 0;
+        for (std::uint64_t& s : starts_) at += std::exchange(s, at);
+        DYNMPI_CHECK(at * sizeof(T) == bytes_.size(),
+                     "allgather lengths do not match its data");
+    }
+
+    int members() const { return static_cast<int>(starts_.size()); }
+    /// All elements, member 0's first.
+    const T* data() const { return reinterpret_cast<const T*>(bytes_.data()); }
+    std::size_t size() const { return bytes_.size() / sizeof(T); }
+
+    /// Member `rel`'s elements start at data() + start(rel).
+    std::size_t start(int rel) const {
+        return starts_[static_cast<std::size_t>(rel)];
+    }
+    std::size_t length(int rel) const {
+        return (rel + 1 < members() ? start(rel + 1) : size()) - start(rel);
+    }
+
+private:
+    std::vector<std::byte> bytes_;
+    std::vector<std::uint64_t> starts_;  ///< per member
+};
+
+/// Allgather: every member ends with every member's elements, flat in member
+/// order.  Member 0 gathers the payloads linearly and appends them to one
+/// buffer, then broadcasts the per-member lengths and that buffer.  Every
+/// other member keeps the broadcast payload it received as the result.
+template <typename T>
+Gathered<T> allgather(Rank& rank, const Group& g, const std::vector<T>& mine) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const int n = g.size();
+    const int rel = g.index_of(rank.id());
+    DYNMPI_REQUIRE(rel >= 0, "allgather by non-member");
+    std::uint64_t tag = detail::coll_tag(g, rank.next_group_seq(g.hash()));
 
     std::vector<std::uint64_t> lengths;
-    std::vector<T> flat;
-    if (g.index_of(rank.id()) == 0) {
-        for (auto& v : rooted) {
-            lengths.push_back(v.size());
-            flat.insert(flat.end(), v.begin(), v.end());
+    std::vector<std::byte> flat;
+    if (rel == 0) {
+        std::vector<std::vector<std::byte>> got(static_cast<std::size_t>(n));
+        std::size_t total = mine.size() * sizeof(T);
+        for (int r = 1; r < n; ++r) {
+            auto& part = got[static_cast<std::size_t>(r)];
+            part = rank.recv_wire(g.member(r), tag);
+            DYNMPI_CHECK(part.size() % sizeof(T) == 0,
+                         "allgather payload is not whole elements");
+            total += part.size();
         }
+        lengths.reserve(static_cast<std::size_t>(n));
+        flat.reserve(total);
+        const auto* own = reinterpret_cast<const std::byte*>(mine.data());
+        flat.insert(flat.end(), own, own + mine.size() * sizeof(T));
+        lengths.push_back(mine.size());
+        for (int r = 1; r < n; ++r) {
+            const auto& part = got[static_cast<std::size_t>(r)];
+            flat.insert(flat.end(), part.begin(), part.end());
+            lengths.push_back(part.size() / sizeof(T));
+        }
+    } else {
+        rank.send_wire(g.member(0), tag, mine.data(), mine.size() * sizeof(T));
     }
     bcast(rank, g, 0, lengths);
     bcast(rank, g, 0, flat);
-
-    std::vector<std::vector<T>> out;
-    out.reserve(lengths.size());
-    std::size_t pos = 0;
-    for (std::uint64_t len : lengths) {
-        out.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(pos),
-                         flat.begin() + static_cast<std::ptrdiff_t>(pos + len));
-        pos += len;
-    }
-    return out;
+    return Gathered<T>(std::move(flat), std::move(lengths));
 }
 
 /// Scalar allgather convenience: returns one value per member, in relative
 /// rank order.
 template <typename T>
 std::vector<T> allgather_scalar(Rank& rank, const Group& g, T value) {
-    auto vecs = allgather(rank, g, std::vector<T>{value});
-    std::vector<T> out;
-    out.reserve(vecs.size());
-    for (auto& v : vecs) {
-        DYNMPI_CHECK(v.size() == 1, "scalar allgather length mismatch");
-        out.push_back(v[0]);
-    }
-    return out;
+    const Gathered<T> all = allgather(rank, g, std::vector<T>{value});
+    for (int r = 0; r < all.members(); ++r)
+        DYNMPI_CHECK(all.length(r) == 1, "scalar allgather length mismatch");
+    return std::vector<T>(all.data(), all.data() + all.size());
 }
 
 /// Scatter: the root distributes chunks[j] to relative rank j; every member

@@ -215,12 +215,10 @@ int MPI_Allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
         static_cast<std::size_t>(sendcount) * mpi_type_size(sendtype);
     std::vector<std::byte> mine(bytes);
     std::memcpy(mine.data(), sendbuf, bytes);
-    auto all = msg::allgather(bound(), msg::Group::world(bound()), mine);
-    auto* out = static_cast<std::byte*>(recvbuf);
-    for (std::size_t r = 0; r < all.size(); ++r) {
-        DYNMPI_REQUIRE(all[r].size() == bytes, "allgather size mismatch");
-        std::memcpy(out + r * bytes, all[r].data(), bytes);
-    }
+    const auto all = msg::allgather(bound(), msg::Group::world(bound()), mine);
+    for (int r = 0; r < all.members(); ++r)
+        DYNMPI_REQUIRE(all.length(r) == bytes, "allgather size mismatch");
+    if (all.size() > 0) std::memcpy(recvbuf, all.data(), all.size());
     return MPI_SUCCESS;
 }
 

@@ -208,7 +208,7 @@ TranslatedRunResult run_translated(msg::Rank& rank, const MpiProgram& program,
             for (std::size_t pi = 0; pi < phases.size(); ++pi) {
                 const PhasePlan& pp = plan.phases[pi];
                 int ph = phases[pi];
-                RowSet iters = rt.my_iters(ph);
+                const RowSet& iters = rt.my_iters(ph);
                 if (!iters.empty()) {
                     // Perform the phase's inferred communication the way the
                     // rewritten program would.

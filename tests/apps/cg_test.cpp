@@ -39,15 +39,23 @@ CgResult run_on(int nodes, CgConfig cc,
     return out;
 }
 
+// Block layouts use the gathered p as it arrives; cyclic ones scatter it.
 TEST(CgApp, MatchesSerialReference) {
     CgConfig cc = small_cg();
     auto ref = reference_cg_residuals(cc);
-    auto res = run_on(3, cc);
-    ASSERT_EQ(res.residual_history.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        EXPECT_NEAR(res.residual_history[i], ref[i],
-                    std::abs(ref[i]) * 1e-8 + 1e-12)
-            << "iteration " << i;
+    for (int block : {0, 1, 4}) {  // 0: block layout, else cyclic block
+        SCOPED_TRACE(block);
+        if (block > 0) {
+            cc.runtime.initial_dist = Distribution::Kind::Cyclic;
+            cc.runtime.cyclic_block_size = block;
+        }
+        auto res = run_on(3, cc);
+        ASSERT_EQ(res.residual_history.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            EXPECT_NEAR(res.residual_history[i], ref[i],
+                        std::abs(ref[i]) * 1e-8 + 1e-12)
+                << "iteration " << i;
+    }
 }
 
 TEST(CgApp, ResidualDecreases) {

@@ -3,9 +3,12 @@
 // blocks).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
+#include "support/error.hpp"
 
 namespace dynmpi {
 namespace {
@@ -51,6 +54,46 @@ TEST(CyclicRuntime, BlockCyclicRespectsBlockSize) {
         auto mine = rt.my_iters(ph);
         EXPECT_EQ(mine.intervals().size(), 2u); // two blocks of 4
         EXPECT_EQ(mine.count(), 8);
+    });
+}
+
+// start_iter/end_iter bound one run.  Rank 0's cyclic set {0, 3, 6, 9}
+// has four, and its hull [0, 9] would make a paper-style
+// `for (i = start; i <= end; ++i)` loop walk rows 1, 2, 4, ... that other
+// ranks own, so both calls refuse.  Layouts with one run per rank keep
+// working: a block layout, and a block-cyclic one whose block size deals
+// each rank a single block.
+TEST(CyclicRuntime, StartEndIterRequireOneRun) {
+    msg::Machine m(cfg(3));
+    m.run([](msg::Rank& r) {
+        for (int block : {1, 4}) {
+            Runtime rt(r, 12, cyclic_opts(block));
+            rt.register_dense("A", 1, sizeof(double));
+            int ph = rt.init_phase(0, 12, PhaseComm{CommPattern::None, 0});
+            rt.add_array_access("A", AccessMode::Write, ph);
+            rt.commit_setup();
+            if (block == 1) {
+                EXPECT_EQ(rt.my_iters(ph).intervals().size(), 4u);
+                EXPECT_THROW(rt.start_iter(ph), Error);
+                EXPECT_THROW(rt.end_iter(ph), Error);
+            } else {
+                EXPECT_EQ(rt.start_iter(ph), 4 * r.id());
+                EXPECT_EQ(rt.end_iter(ph), 4 * r.id() + 3);
+            }
+        }
+        RuntimeOptions o = cyclic_opts();
+        o.initial_dist = Distribution::Kind::Block;
+        Runtime rt(r, 12, o);
+        rt.register_dense("A", 1, sizeof(double));
+        int ph = rt.init_phase(0, 12, PhaseComm{CommPattern::None, 0});
+        int inner = rt.init_phase(2, 10, PhaseComm{CommPattern::None, 0});
+        rt.add_array_access("A", AccessMode::Write, ph);
+        rt.add_array_access("A", AccessMode::Write, inner);
+        rt.commit_setup();
+        EXPECT_EQ(rt.start_iter(ph), 4 * r.id());
+        EXPECT_EQ(rt.end_iter(ph), 4 * r.id() + 3);
+        EXPECT_EQ(rt.start_iter(inner), std::max(2, 4 * r.id()));
+        EXPECT_EQ(rt.end_iter(inner), std::min(9, 4 * r.id() + 3));
     });
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace dynmpi {
@@ -107,6 +109,59 @@ TEST(Distribution, EveryIterationHasExactlyOneOwner) {
             owners[(size_t)i] = rel;
         }
     for (int i = 0; i < 100; ++i) EXPECT_NE(owners[(size_t)i], -1);
+}
+
+/// Every run for_each_interval visits, in visiting order.
+std::vector<RowInterval> visited(const Distribution& d, int rel) {
+    std::vector<RowInterval> out;
+    d.for_each_interval(rel, [&](RowInterval iv) { out.push_back(iv); });
+    return out;
+}
+
+/// for_each_interval visits exactly iters_of's intervals, and count_of
+/// matches its count, for every party; a set-built owner_of scan agrees
+/// with both.
+void expect_visits_match_sets(const Distribution& d) {
+    int covered = 0;
+    for (int rel = 0; rel < d.parties(); ++rel) {
+        const RowSet set = d.iters_of(rel);
+        EXPECT_EQ(visited(d, rel), set.intervals()) << "party " << rel;
+        EXPECT_EQ(d.count_of(rel), set.count()) << "party " << rel;
+        for (int i : set.to_vector()) EXPECT_EQ(d.owner_of(i), rel);
+        covered += set.count();
+    }
+    EXPECT_EQ(covered, d.total_iters());
+}
+
+TEST(Distribution, ForEachIntervalMatchesBlockSets) {
+    expect_visits_match_sets(Distribution::block(0, 100, {13, 0, 37, 50}));
+    expect_visits_match_sets(Distribution::block(50, 60, {0, 4, 0, 6, 0}));
+    expect_visits_match_sets(Distribution::block(7, 7, {0, 0}));
+    expect_visits_match_sets(Distribution::even_block(3, 20, 5));
+    // A zero-count party is never visited.
+    EXPECT_TRUE(visited(Distribution::block(0, 10, {5, 0, 5}), 1).empty());
+}
+
+TEST(Distribution, ForEachIntervalMatchesCyclicSets) {
+    for (int block : {1, 3, 4})
+        for (int parties : {1, 2, 3, 5})
+            for (auto [lo, hi] : {std::pair{0, 37}, std::pair{5, 42},
+                                  std::pair{11, 11}, std::pair{2, 5},
+                                  std::pair{0, 14000}}) {
+                SCOPED_TRACE(testing::Message()
+                             << "block " << block << " parties " << parties
+                             << " [" << lo << ", " << hi << ")");
+                expect_visits_match_sets(
+                    Distribution::cyclic(lo, hi, parties, block));
+            }
+    // A lone party's blocks abut and are visited as one run.
+    EXPECT_EQ(visited(Distribution::cyclic(5, 42, 1, 4), 0),
+              (std::vector<RowInterval>{{5, 42}}));
+    EXPECT_EQ(visited(Distribution::cyclic(0, 10, 3, 3), 1),
+              (std::vector<RowInterval>{{3, 6}}));
+    EXPECT_EQ(visited(Distribution::cyclic(1, 15, 2, 4), 1),
+              (std::vector<RowInterval>{{5, 9}, {13, 15}}));
+    EXPECT_THROW(visited(Distribution::cyclic(0, 10, 2), 2), Error);
 }
 
 TEST(Distribution, BlockRangeOnCyclicRejected) {

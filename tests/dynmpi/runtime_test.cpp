@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
+#include "sim/fault_plan.hpp"
 
 namespace dynmpi {
 namespace {
@@ -353,6 +355,151 @@ TEST(Runtime, HistoryRecordsRedistributionCycles) {
     EXPECT_EQ(redist_cycles, res.stats.redistributions);
     EXPECT_EQ(static_cast<int>(res.stats.history.size()), 50);
     EXPECT_GT(res.stats.redist_wall_s, 0.0);
+}
+
+// ---- my_iters: built once per layout ----
+
+/// Watches one rank's my_iters across a run.  After every cycle each
+/// phase's set must equal the layout's own set clipped to the phase, and
+/// while the layout holds it must be the very same object: the sets are
+/// built once per layout, not on each call.
+struct ItersProbe {
+    int layouts = 0;       ///< layout changes seen, the first one included
+    int held = 0;          ///< cycles whose layout matched the previous one
+    bool removed = false;  ///< saw this rank outside the active set
+    Distribution dist;
+    int rel = -2;
+    std::vector<const RowSet*> addrs;
+
+    void check(Runtime& rt, const std::vector<RowInterval>& spans) {
+        const int rel_now = rt.participating() ? rt.rel_rank() : -1;
+        const bool same = !addrs.empty() && rel_now == rel &&
+                          rt.distribution() == dist;
+        layouts += same ? 0 : 1;
+        held += same ? 1 : 0;
+        addrs.resize(spans.size());
+        for (std::size_t ph = 0; ph < spans.size(); ++ph) {
+            const int p = static_cast<int>(ph);
+            const RowSet& got = rt.my_iters(p);
+            if (rel_now >= 0) {
+                EXPECT_EQ(got, rt.distribution().iters_of(rel_now).clip(
+                                   spans[ph].lo, spans[ph].hi));
+            } else {
+                removed = true;
+                EXPECT_TRUE(got.empty());
+                EXPECT_EQ(rt.start_iter(p), 0);
+                EXPECT_EQ(rt.end_iter(p), -1);
+            }
+            if (same) {
+                EXPECT_EQ(&got, addrs[ph]) << "phase " << ph;
+            }
+            addrs[ph] = &got;
+        }
+        dist = rt.distribution();
+        rel = rel_now;
+    }
+};
+
+/// A two-phase driver in the shape of the red/black SOR sweep (one phase
+/// over every row, one over an inner span), with an ItersProbe per rank
+/// checked after setup and after every cycle.  `after_cycle` runs on every
+/// rank after each end_cycle.
+std::vector<ItersProbe> run_probed(
+    msg::Machine& m, int rows, int cycles, double row_cost,
+    RuntimeOptions opts,
+    const std::function<void(Runtime&, int)>& after_cycle = {}) {
+    std::vector<ItersProbe> probes(
+        static_cast<std::size_t>(m.cluster().size()));
+    const std::vector<RowInterval> spans{{0, rows}, {2, rows - 3}};
+    m.run([&](msg::Rank& r) {
+        ItersProbe& probe = probes[static_cast<std::size_t>(r.id())];
+        Runtime rt(r, rows, opts);
+        rt.register_dense("A", 4, sizeof(double));
+        for (const RowInterval& sp : spans) {
+            int ph = rt.init_phase(sp.lo, sp.hi,
+                                   PhaseComm{CommPattern::None, 0});
+            rt.add_array_access("A", AccessMode::Write, ph);
+        }
+        rt.commit_setup();
+        probe.check(rt, spans);
+        for (int c = 0; c < cycles; ++c) {
+            rt.begin_cycle();
+            if (rt.participating())
+                for (std::size_t ph = 0; ph < spans.size(); ++ph) {
+                    const int p = static_cast<int>(ph);
+                    rt.run_phase(p, std::vector<double>(
+                                        static_cast<std::size_t>(
+                                            rt.my_iters(p).count()),
+                                        row_cost));
+                }
+            rt.end_cycle();
+            if (after_cycle) after_cycle(rt, c);
+            probe.check(rt, spans);
+        }
+    });
+    return probes;
+}
+
+TEST(RuntimeIters, FollowCyclicToBlockAdaptation) {
+    msg::Machine m(cfg(4));
+    m.cluster().add_load_interval(1, 0.5, -1.0, 2);
+    RuntimeOptions o = fast_opts();
+    o.enable_removal = false;
+    o.initial_dist = Distribution::Kind::Cyclic;
+    o.cyclic_block_size = 3;
+    auto probes = run_probed(m, 64, 60, 5e-3, o);
+    for (const ItersProbe& p : probes) {
+        EXPECT_EQ(p.dist.kind(), Distribution::Kind::Block);
+        EXPECT_GE(p.layouts, 2);  // the cyclic layout, then a block one
+        EXPECT_GE(p.held, 40);
+    }
+}
+
+TEST(RuntimeIters, FollowManualRedistribution) {
+    msg::Machine m(cfg(3));
+    RuntimeOptions o = fast_opts();
+    o.adapt = false;
+    auto probes = run_probed(m, 30, 12, 1e-3, o, [](Runtime& rt, int c) {
+        if (c == 3) rt.redistribute_manual({5, 20, 5});
+        if (c == 7) rt.redistribute_manual({12, 6, 12});
+    });
+    for (const ItersProbe& p : probes) {
+        EXPECT_EQ(p.layouts, 3);
+        EXPECT_EQ(p.held, 10);
+        EXPECT_EQ(p.dist.counts(), (std::vector<int>{12, 6, 12}));
+    }
+}
+
+TEST(RuntimeIters, FollowForcedDrop) {
+    msg::Machine m(cfg(4));
+    m.cluster().add_load_interval(1, 0.3, -1.0, 4);
+    RuntimeOptions o = fast_opts();
+    o.enable_removal = true;
+    o.force_drop_loaded = true;
+    auto probes = run_probed(m, 48, 300, 2e-4, o);
+    EXPECT_TRUE(probes[1].removed);
+    EXPECT_EQ(probes[1].rel, -1);
+    EXPECT_GE(probes[1].layouts, 2);
+    for (int r : {0, 2, 3}) EXPECT_FALSE(probes[(std::size_t)r].removed);
+    EXPECT_EQ(probes[0].dist.parties(), 3);
+}
+
+TEST(RuntimeIters, FollowReplicatedCrashRepair) {
+    msg::Machine m(cfg(4));
+    m.cluster().install_faults(
+        sim::FaultPlan::parse("crash node=2 t=1.5\n"));
+    RuntimeOptions o = fast_opts();
+    o.replicate = true;
+    int repairs = 0;
+    auto probes = run_probed(m, 40, 40, 1e-2, o, [&](Runtime& rt, int) {
+        if (rt.rank().id() == 0) repairs = rt.stats().crash_repairs;
+    });
+    EXPECT_EQ(repairs, 1);
+    for (int r : {0, 1, 3}) {
+        const ItersProbe& p = probes[(std::size_t)r];
+        EXPECT_EQ(p.layouts, 2) << "rank " << r;
+        EXPECT_EQ(p.dist.parties(), 3);
+    }
 }
 
 }  // namespace

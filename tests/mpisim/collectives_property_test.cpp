@@ -85,11 +85,14 @@ TEST_P(CollectiveProperty, AllOpsMatchBruteForce) {
 
         // allgather reassembles every member's vector
         auto all = allgather(r, g, mine);
-        ASSERT_EQ(static_cast<int>(all.size()), n);
-        for (int rel = 0; rel < n; ++rel)
+        ASSERT_EQ(all.members(), n);
+        ASSERT_EQ(all.size(), static_cast<std::size_t>(n * len));
+        for (int rel = 0; rel < n; ++rel) {
+            ASSERT_EQ(all.length(rel), static_cast<std::size_t>(len));
             for (int i = 0; i < len; ++i)
-                EXPECT_DOUBLE_EQ(all[(std::size_t)rel][(std::size_t)i],
+                EXPECT_DOUBLE_EQ(all.data()[all.start(rel) + (std::size_t)i],
                                  value_of(seed, g.member(rel), i));
+        }
 
         // scan: inclusive prefix sums
         auto pre = scan(r, g, mine, OpSum{});

@@ -3,6 +3,10 @@
 // injector leaves the cluster in the scripted state.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "sim/fault_plan.hpp"
 #include "support/error.hpp"
 
@@ -160,6 +164,44 @@ TEST(FaultInjector, DroppedReportsStopTheSampleClock) {
     // Node 0's daemon stopped publishing at t=1; node 1 kept reporting.
     EXPECT_LE(to_seconds(c.daemon(0).last_sample_time()), 1.0);
     EXPECT_GT(to_seconds(c.daemon(1).last_sample_time()), 4.0);
+}
+
+// delay-reports holds node 1's samples back for 2.5 s over [4, 10).  Once
+// the first held sample comes due (t = 6.5), the newest visible sample
+// trails the clock by at least the delay, and it carries the time it was
+// taken, not the time it became visible.  When the window clears the held
+// samples land in time order, and every tick's sample is there.
+TEST(FaultInjector, DelayedReportsTrailTheClockThenCatchUp) {
+    Cluster c(small_config(2));
+    c.install_faults(
+        FaultPlan::parse("delay-reports node=1 t=4 delay=2.5 dur=6\n"));
+    const double period = to_seconds(c.daemon(1).period());
+    std::vector<std::pair<double, double>> probes;  // (now, last sample)
+    for (double t = 6.6; t < 10.0; t += 0.5)
+        c.engine().at(from_seconds(t), [&c, &probes] {
+            probes.emplace_back(to_seconds(c.engine().now()),
+                                to_seconds(c.daemon(1).last_sample_time()));
+        });
+    c.engine().at(from_seconds(12.1), [] {});
+    c.engine().run();
+
+    ASSERT_EQ(probes.size(), 7u);
+    for (auto [now, last] : probes) {
+        EXPECT_GE(now - last, 2.5) << "at t=" << now;
+        EXPECT_LT(now - last, 2.5 + period) << "at t=" << now;
+        // A true timestamp: a tick time, a whole number of periods.
+        EXPECT_DOUBLE_EQ(last / period, std::round(last / period));
+    }
+    // Node 0 was never delayed.
+    EXPECT_GT(to_seconds(c.daemon(0).last_sample_time()), 11.5);
+
+    // Caught up: one sample per tick through t = 12, in time order.
+    const auto& h = c.daemon(1).history();
+    ASSERT_EQ(h.size(), c.daemon(0).history().size());
+    EXPECT_DOUBLE_EQ(to_seconds(h.back().time), 12.0);
+    for (std::size_t i = 0; i < h.size(); ++i)
+        EXPECT_EQ(h[i].time, static_cast<SimTime>(i + 1) * c.daemon(1).period())
+            << "sample " << i;
 }
 
 TEST(FaultInjector, ReviveRestartsNodeWithNewGeneration) {
