@@ -212,12 +212,12 @@ inline void barrier(Rank& rank, const Group& g) {
     allreduce_scalar<int>(rank, g, 0, OpSum{});
 }
 
-/// Gather each member's (possibly differently sized) vector at the root.
-/// Returns per-member vectors in relative-rank order at the root; empty
-/// elsewhere.
+/// Gather each member's (possibly differently sized) run of `count`
+/// elements at the root.  Returns per-member vectors in relative-rank order
+/// at the root; empty elsewhere.
 template <typename T>
 std::vector<std::vector<T>> gather(Rank& rank, const Group& g, int root,
-                                   const std::vector<T>& mine) {
+                                   const T* mine, std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
     const int n = g.size();
     const int rel = g.index_of(rank.id());
@@ -227,17 +227,22 @@ std::vector<std::vector<T>> gather(Rank& rank, const Group& g, int root,
     std::vector<std::vector<T>> out;
     if (rel == root) {
         out.resize(static_cast<std::size_t>(n));
-        out[static_cast<std::size_t>(rel)] = mine;
+        out[static_cast<std::size_t>(rel)].assign(mine, mine + count);
         for (int r = 0; r < n; ++r) {
             if (r == root) continue;
             out[static_cast<std::size_t>(r)] =
                 detail::bytes_to_vector<T>(rank.recv_wire(g.member(r), tag));
         }
     } else {
-        rank.send_wire(g.member(root), tag, mine.data(),
-                       mine.size() * sizeof(T));
+        rank.send_wire(g.member(root), tag, mine, count * sizeof(T));
     }
     return out;
+}
+
+template <typename T>
+std::vector<std::vector<T>> gather(Rank& rank, const Group& g, int root,
+                                   const std::vector<T>& mine) {
+    return gather(rank, g, root, mine.data(), mine.size());
 }
 
 /// Every member's elements, flat in member order, as allgather delivers
@@ -251,6 +256,8 @@ public:
     Gathered(std::vector<std::byte> bytes, std::vector<std::uint64_t> lengths)
         : bytes_(std::move(bytes)), starts_(std::move(lengths)) {
         static_assert(std::is_trivially_copyable_v<T>);
+        // data() reads the bytes as T, so operator new's alignment must do.
+        static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
         // Turn the lengths into start offsets in place.
         std::uint64_t at = 0;
         for (std::uint64_t& s : starts_) at += std::exchange(s, at);
@@ -277,41 +284,35 @@ private:
 };
 
 /// Allgather: every member ends with every member's elements, flat in member
-/// order.  Member 0 gathers the payloads linearly and appends them to one
-/// buffer, then broadcasts the per-member lengths and that buffer.  Every
+/// order.  Member 0 gathers the payloads (through gather) and appends them to
+/// one buffer, then broadcasts the per-member lengths and that buffer.  Every
 /// other member keeps the broadcast payload it received as the result.
 template <typename T>
 Gathered<T> allgather(Rank& rank, const Group& g, const std::vector<T>& mine) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const int n = g.size();
     const int rel = g.index_of(rank.id());
     DYNMPI_REQUIRE(rel >= 0, "allgather by non-member");
-    std::uint64_t tag = detail::coll_tag(g, rank.next_group_seq(g.hash()));
 
+    // Every member's payload as bytes at member 0 (moved out of the
+    // packets), appended into one buffer reserved once.
+    std::vector<std::vector<std::byte>> got =
+        gather(rank, g, 0, reinterpret_cast<const std::byte*>(mine.data()),
+               mine.size() * sizeof(T));
     std::vector<std::uint64_t> lengths;
     std::vector<std::byte> flat;
     if (rel == 0) {
-        std::vector<std::vector<std::byte>> got(static_cast<std::size_t>(n));
-        std::size_t total = mine.size() * sizeof(T);
-        for (int r = 1; r < n; ++r) {
-            auto& part = got[static_cast<std::size_t>(r)];
-            part = rank.recv_wire(g.member(r), tag);
+        std::size_t total = 0;
+        for (const auto& part : got) {
             DYNMPI_CHECK(part.size() % sizeof(T) == 0,
                          "allgather payload is not whole elements");
             total += part.size();
         }
-        lengths.reserve(static_cast<std::size_t>(n));
+        lengths.reserve(got.size());
         flat.reserve(total);
-        const auto* own = reinterpret_cast<const std::byte*>(mine.data());
-        flat.insert(flat.end(), own, own + mine.size() * sizeof(T));
-        lengths.push_back(mine.size());
-        for (int r = 1; r < n; ++r) {
-            const auto& part = got[static_cast<std::size_t>(r)];
+        for (const auto& part : got) {
             flat.insert(flat.end(), part.begin(), part.end());
             lengths.push_back(part.size() / sizeof(T));
         }
-    } else {
-        rank.send_wire(g.member(0), tag, mine.data(), mine.size() * sizeof(T));
     }
     bcast(rank, g, 0, lengths);
     bcast(rank, g, 0, flat);
