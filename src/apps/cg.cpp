@@ -115,6 +115,39 @@ std::vector<double> apply_a(const CgConfig& cfg, const RowSet& rows,
     return costs;
 }
 
+/// The CG arrays on one runtime: the matrix A and the vectors x, r, p, q,
+/// all written by the single phase `ph` over [0, n).
+struct CgArrays {
+    SparseMatrix& A;
+    DenseArray &X, &R, &P, &Q;
+    int ph;
+};
+
+/// Register the arrays and the phase, commit, and fill this node's rows.
+CgArrays setup_cg(Runtime& rt, const CgConfig& config) {
+    const int n = config.n;
+    CgArrays c{rt.register_sparse("A", n),
+               rt.register_dense("x", 1, sizeof(double)),
+               rt.register_dense("r", 1, sizeof(double)),
+               rt.register_dense("p", 1, sizeof(double)),
+               rt.register_dense("q", 1, sizeof(double)),
+               rt.init_phase(0, n,
+                             PhaseComm{CommPattern::AllGather,
+                                       static_cast<std::size_t>(n) *
+                                           sizeof(double)})};
+    for (const char* name : {"A", "x", "r", "p", "q"})
+        rt.add_array_access(name, AccessMode::Write, c.ph, 1, 0);
+    rt.commit_setup();
+    for (int i : rt.my_iters(c.ph).to_vector()) {
+        for (auto [col, v] : row_entries(config, i)) c.A.set(i, col, v);
+        c.X.at<double>(i, 0) = 0.0;
+        c.R.at<double>(i, 0) = rhs_value(i);
+        c.P.at<double>(i, 0) = rhs_value(i);
+        c.Q.at<double>(i, 0) = 0.0;
+    }
+    return c;
+}
+
 }  // namespace
 
 std::vector<double> reference_cg_residuals(const CgConfig& cfg) {
@@ -153,32 +186,7 @@ std::vector<double> reference_cg_residuals(const CgConfig& cfg) {
 CgResult run_cg(msg::Rank& rank, const CgConfig& config) {
     const int n = config.n;
     Runtime rt(rank, n, config.runtime);
-
-    SparseMatrix& A = rt.register_sparse("A", n);
-    DenseArray& X = rt.register_dense("x", 1, sizeof(double));
-    DenseArray& R = rt.register_dense("r", 1, sizeof(double));
-    DenseArray& P = rt.register_dense("p", 1, sizeof(double));
-    DenseArray& Q = rt.register_dense("q", 1, sizeof(double));
-
-    int ph = rt.init_phase(
-        0, n,
-        PhaseComm{CommPattern::AllGather,
-                  static_cast<std::size_t>(n) * sizeof(double)});
-    for (const char* name : {"A", "x", "r", "p", "q"})
-        rt.add_array_access(name, AccessMode::Write, ph, 1, 0);
-    rt.commit_setup();
-
-    // Build this node's matrix rows and vector entries.
-    auto init_rows = [&](const RowSet& rows) {
-        for (int i : rows.to_vector()) {
-            for (auto [c, v] : row_entries(config, i)) A.set(i, c, v);
-            X.at<double>(i, 0) = 0.0;
-            R.at<double>(i, 0) = rhs_value(i);
-            P.at<double>(i, 0) = rhs_value(i);
-            Q.at<double>(i, 0) = 0.0;
-        }
-    };
-    init_rows(rt.my_iters(ph));
+    auto [A, X, R, P, Q, ph] = setup_cg(rt, config);
 
     double rr = rt.allreduce_active(
         rt.participating() ? local_dot(rt.my_iters(ph), R, R) : 0.0,
@@ -232,28 +240,7 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
     DYNMPI_REQUIRE(config.runtime.replicate,
                    "run_cg_recoverable requires RuntimeOptions.replicate");
     Runtime rt(rank, n, config.runtime);
-
-    SparseMatrix& A = rt.register_sparse("A", n);
-    DenseArray& X = rt.register_dense("x", 1, sizeof(double));
-    DenseArray& R = rt.register_dense("r", 1, sizeof(double));
-    DenseArray& P = rt.register_dense("p", 1, sizeof(double));
-    DenseArray& Q = rt.register_dense("q", 1, sizeof(double));
-
-    int ph = rt.init_phase(
-        0, n,
-        PhaseComm{CommPattern::AllGather,
-                  static_cast<std::size_t>(n) * sizeof(double)});
-    for (const char* name : {"A", "x", "r", "p", "q"})
-        rt.add_array_access(name, AccessMode::Write, ph, 1, 0);
-    rt.commit_setup();
-
-    for (int i : rt.my_iters(ph).to_vector()) {
-        for (auto [c, v] : row_entries(config, i)) A.set(i, c, v);
-        X.at<double>(i, 0) = 0.0;
-        R.at<double>(i, 0) = rhs_value(i);
-        P.at<double>(i, 0) = rhs_value(i);
-        Q.at<double>(i, 0) = 0.0;
-    }
+    auto [A, X, R, P, Q, ph] = setup_cg(rt, config);
 
     auto sum_active = [&](double v) {
         return msg::allreduce_scalar(rank, rt.active_group(), v, msg::OpSum{});

@@ -38,43 +38,25 @@ std::vector<std::byte> DenseArray::pack_rows(const RowSet& rows) const {
 }
 
 RowSet DenseArray::unpack_rows(const std::vector<std::byte>& data) {
-    // First pass: validate every row and find the incoming span, so a
-    // malformed buffer changes nothing and the table is sized once.
-    std::size_t pos = 0;
-    const std::uint32_t nrows = get_u32(data, pos);
-    const std::size_t first_row = pos;
-    int lo = global_rows_, hi = 0;
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int row = static_cast<int>(get_u32(data, pos));
-        DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
-                       "unpacked row id out of range for " + name_);
-        std::uint64_t nbytes = get_u64(data, pos);
-        DYNMPI_REQUIRE(nbytes == row_bytes(), "dense row size mismatch");
-        DYNMPI_REQUIRE(nbytes <= data.size() - pos, "truncated dense row");
-        pos += nbytes;
-        lo = std::min(lo, row);
-        hi = std::max(hi, row + 1);
-    }
-    if (nrows > 0) rows_.cover(held_, lo, hi);
-    // Second pass: copy the rows and collect their ids (one interval per run).
-    RowSet stored;
-    pos = first_row;
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int row = static_cast<int>(get_u32(data, pos));
-        pos += 8;
+    // Validate the whole buffer first, so a malformed one changes nothing
+    // and the table is sized once.
+    const RowSet rows = framed_rows(data, row_bytes(), /*one_unit=*/true);
+    if (!rows.empty()) rows_.cover(held_, rows.first(), rows.last() + 1);
+    WireReader in(data);
+    for (std::uint32_t k = in.u32(); k > 0; --k) {
+        const int row = static_cast<int>(in.u32());
+        in.u64();
         auto& slot = rows_.slot(row);
         if (!slot) {
             slot = std::make_unique_for_overwrite<std::byte[]>(row_bytes());
             ++stats_.rows_allocated;
         }
-        std::memcpy(slot.get(), data.data() + pos, row_bytes());
-        pos += row_bytes();
+        std::memcpy(slot.get(), in.bytes(row_bytes()), row_bytes());
         mark_row_dirty(row);
-        stored.add_row(row);
     }
-    held_.add(stored);
+    held_.add(rows);
     stats_.bytes_unpacked += data.size();
-    return stored;
+    return rows;
 }
 
 void DenseArray::drop_rows(const RowSet& rows) {
@@ -159,10 +141,9 @@ std::vector<std::byte> ContiguousDenseArray::pack_rows(
     // are coalesced, so a fully-held request interval lies inside a single
     // held interval.  Rows then stream straight out of the contiguous
     // buffer with no per-row map or containment probes.
-    std::vector<std::byte> out;
-    out.reserve(4 + static_cast<std::size_t>(rows.count()) *
-                        (12 + row_bytes()));
-    put_u32(out, static_cast<std::uint32_t>(rows.count()));
+    WireWriter out(4 + static_cast<std::size_t>(rows.count()) *
+                           (12 + row_bytes()));
+    out.u32(static_cast<std::uint32_t>(rows.count()));
     for (const RowInterval& iv : rows.intervals()) {
         bool covered = false;
         for (const RowInterval& h : held_.intervals())
@@ -175,46 +156,34 @@ std::vector<std::byte> ContiguousDenseArray::pack_rows(
             buffer_.data() +
             static_cast<std::size_t>(iv.lo - base_) * row_bytes();
         for (int r = iv.lo; r < iv.hi; ++r, data += row_bytes()) {
-            put_u32(out, static_cast<std::uint32_t>(r));
-            put_u64(out, row_bytes());
-            out.insert(out.end(), data, data + row_bytes());
+            out.u32(static_cast<std::uint32_t>(r));
+            out.u64(row_bytes());
+            out.bytes(data, row_bytes());
         }
     }
-    stats_.bytes_packed += out.size();
-    return out;
+    std::vector<std::byte> packed = out.take();
+    stats_.bytes_packed += packed.size();
+    return packed;
 }
 
 RowSet ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
-    std::size_t pos = 0;
-    std::uint32_t nrows = get_u32(data, pos);
-    // First pass: validate every row and find the new extent, so a
+    // Validate the whole buffer and find the new extent first, so a
     // malformed buffer throws before the array changes.
-    RowSet incoming;
-    std::size_t scan = pos;
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int row = static_cast<int>(get_u32(data, scan));
-        DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
-                       "unpacked row id out of range for " + name_);
-        std::uint64_t nbytes = get_u64(data, scan);
-        DYNMPI_REQUIRE(nbytes == row_bytes(), "dense row size mismatch");
-        DYNMPI_REQUIRE(nbytes <= data.size() - scan, "truncated dense row");
-        scan += nbytes;
-        incoming.add_row(row);
-    }
-    if (nrows > 0) {
+    const RowSet incoming = framed_rows(data, row_bytes(), /*one_unit=*/true);
+    if (!incoming.empty()) {
         int lo = extent_ == 0 ? incoming.first() : std::min(base_, incoming.first());
         int hi = extent_ == 0 ? incoming.last() + 1
                               : std::max(base_ + extent_, incoming.last() + 1);
         reextent(lo, hi);
     }
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int row = static_cast<int>(get_u32(data, pos));
-        std::uint64_t nbytes = get_u64(data, pos);
+    WireReader in(data);
+    for (std::uint32_t k = in.u32(); k > 0; --k) {
+        const int row = static_cast<int>(in.u32());
+        in.u64();
         mark_row_dirty(row);
         std::memcpy(buffer_.data() +
                         static_cast<std::size_t>(row - base_) * row_bytes(),
-                    data.data() + pos, nbytes);
-        pos += nbytes;
+                    in.bytes(row_bytes()), row_bytes());
     }
     held_.add(incoming);
     stats_.bytes_unpacked += data.size();

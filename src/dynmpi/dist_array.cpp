@@ -15,6 +15,24 @@ void DistArray::retain_only(const RowSet& keep) {
     drop_rows(held_.subtract(keep));
 }
 
+RowSet DistArray::framed_rows(const std::vector<std::byte>& data,
+                              std::uint64_t unit, bool one_unit) const {
+    WireReader in(data);
+    RowSet rows;
+    for (std::uint32_t k = in.u32(); k > 0; --k) {
+        const int row = static_cast<int>(in.u32());
+        DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
+                       "unpacked row id out of range for " + name_);
+        const std::uint64_t nbytes = in.u64();
+        DYNMPI_REQUIRE(one_unit ? nbytes == unit : nbytes % unit == 0,
+                       "row payload size does not fit " + name_);
+        in.bytes(nbytes);
+        rows.add_row(row);
+    }
+    in.finish();
+    return rows;
+}
+
 void DistArray::fail_non_held(int row) const {
     detail::fail("precondition", "row is held", __FILE__, __LINE__,
                  "access to non-held row " + std::to_string(row) + " of " +

@@ -6,19 +6,22 @@
 // allocated fresh.  Dense and sparse arrays share the interface — the
 // near-uniform allocation scheme is one of the paper's contributions.
 //
-// Pack wire format (shared by all implementations):
+// Pack wire format (shared by all implementations, written and read with
+// the WireWriter/WireReader of support/wire.hpp):
 //   u32 nrows, then per row: u32 row_id, u64 payload_bytes, payload.
+// Unpacking rejects a buffer with bytes left after the last row.  Replica
+// and restore blobs (replica.hpp) are this same format.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dynmpi/row_set.hpp"
 #include "support/error.hpp"
+#include "support/wire.hpp"
 
 namespace dynmpi {
 
@@ -87,35 +90,16 @@ public:
     virtual std::size_t local_bytes() const = 0;
 
     const Stats& stats() const { return stats_; }
-    void reset_stats() { stats_ = {}; }
-
-    // ---- pack-format helpers (implementations + the runtime's blobs) ----
-    static void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-        const auto* b = reinterpret_cast<const std::byte*>(&v);
-        out.insert(out.end(), b, b + 4);
-    }
-    static void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-        const auto* b = reinterpret_cast<const std::byte*>(&v);
-        out.insert(out.end(), b, b + 8);
-    }
-    static std::uint32_t get_u32(const std::vector<std::byte>& in,
-                                 std::size_t& pos) {
-        DYNMPI_REQUIRE(pos + 4 <= in.size(), "truncated pack buffer (u32)");
-        std::uint32_t v;
-        std::memcpy(&v, in.data() + pos, 4);
-        pos += 4;
-        return v;
-    }
-    static std::uint64_t get_u64(const std::vector<std::byte>& in,
-                                 std::size_t& pos) {
-        DYNMPI_REQUIRE(pos + 8 <= in.size(), "truncated pack buffer (u64)");
-        std::uint64_t v;
-        std::memcpy(&v, in.data() + pos, 8);
-        pos += 8;
-        return v;
-    }
 
 protected:
+    /// The validating first pass of every unpack_rows: row ids inside the
+    /// array, each payload a whole number of `unit`-byte entries (exactly
+    /// one entry when `one_unit`) and inside the buffer, and no bytes after
+    /// the last row.  A malformed buffer throws here, before the array
+    /// changes.  Returns the rows the buffer frames.
+    RowSet framed_rows(const std::vector<std::byte>& data, std::uint64_t unit,
+                       bool one_unit) const;
+
     /// Throws the "access to non-held row" Error.  Out of line, so the
     /// inline row lookups of the subclasses stay one compare and one load.
     [[noreturn]] void fail_non_held(int row) const;

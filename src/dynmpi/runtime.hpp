@@ -271,11 +271,6 @@ private:
 
     ArrayInfo& info(const std::string& name);
     void record_event(AdaptationEvent::Kind kind, std::string detail);
-    /// Emit the redist.apply trace span (per-array breakdown) and redist
-    /// metrics for a redistribution that ran over [t0, t1].
-    void record_redist_observability(const RedistStats& ts, double t0,
-                                     double t1, int active_before);
-    const std::vector<Drsd>& accesses_of(const std::string& name) const;
 
     /// This rank's iteration sets under one layout: the whole owned set and
     /// its clip to each phase, all empty on a removed node.
@@ -292,6 +287,10 @@ private:
     const IterSets& iter_sets() const;
     /// This rank's whole owned set under the current layout.
     const RowSet& owned_iters() const { return iter_sets().owned; }
+
+    /// allreduce_active for either operation.
+    template <typename Op>
+    double reduce_sendout(double value, Op op);
 
     double my_load() const;       ///< dmpi_ps average competing
     double node_speed() const;
@@ -310,29 +309,18 @@ private:
     /// Leader-only, once per cycle: update per-node bad/clean report
     /// streaks and decide whether quarantine state wants an adaptation.
     void leader_scan_reports();
+    /// Leader: whether node `wi`'s current report streak flips its
+    /// quarantine flag (bad reports quarantine, clean ones readmit).
+    bool quarantine_flips(std::size_t wi) const;
 
     /// Drop crashed members from the active set, left-merging their row
     /// blocks into surviving predecessors (zero data movement).  Without
     /// replication, adopted rows are recorded in recovered_rows_; with it,
-    /// restore jobs are queued for perform_pending_restores.  Returns true
-    /// if anything changed.
+    /// the replica store queues their restores.  Returns true if anything
+    /// changed.
     bool repair_active_set();
 
-    // ---- replication + rejoin internals ----
-
-    /// Ship this node's rows of every array to its ring successor and
-    /// absorb the predecessor's.  `wholesale` sends full ownership (used
-    /// around redistributions, `salt` = the redistribution sequence);
-    /// otherwise only dirty rows go out (`salt` = the cycle number).
-    /// Re-entrant across recovery retries: per-salt resume counters skip
-    /// completed sends/receives so replayed attempts stay matched.
-    void replica_refresh(bool wholesale, std::uint64_t salt);
-
-    /// Drain queued restore jobs: buddies ship their copies of dead nodes'
-    /// rows to the adopters, which unpack them in place.  Rows the buddy
-    /// never saw (or whose buddy also died) are zero-filled and reported
-    /// through take_recovered_rows.  Safe to retry after a failure.
-    void perform_pending_restores();
+    // ---- rejoin internals ----
 
     /// Leader only: hand a freshly restarted (revived) node the state it
     /// needs to rejoin as a removed follower of the status channel.
@@ -365,11 +353,20 @@ private:
     GraceDecision compute_grace_decision(const std::vector<double>& loads,
                                          const msg::Group& pg);
 
+    /// The balancer's view of `members` (world ranks) under `loads`.
+    BalanceInput balance_input(const std::vector<int>& members,
+                               const std::vector<double>& loads) const;
+    /// Block shares of `in` under the configured balancing scheme.
+    std::vector<double> shares_for(const BalanceInput& in) const;
+
     /// Per-cycle status messages from relative rank 0 to every removed node
     /// (steady heartbeat, or a re-add instruction carrying full state).
     void send_statuses(const msg::Group& active_before,
                        const GraceDecision* decision);
     void active_cycle_monitor(CycleRecord& rec, double wall);
+    /// Follow the leader's status: track the active set, or on a re-add
+    /// adopt the layout being left and join the redistribution through
+    /// apply_distribution.
     void removed_cycle_follow();
 
     /// Per-candidate row caps from node memories (0 entries = unlimited).
@@ -377,8 +374,18 @@ private:
     /// Paging factor for this node right now (1.0 when data fits).
     double paging_factor() const;
 
+    /// Zero the grace count and restart every phase's timer for the
+    /// current ownership.
+    void restart_grace_window();
     void enter_grace();
+    void enter_post_grace();
     void finish_post_grace(const std::vector<double>& world_loads);
+    /// The §4.4 removal decision at the end of post-grace, with loaded
+    /// nodes present: drop them (physically or logically) if predicted to
+    /// pay, or always under force_drop_loaded.  Returns whether it dropped.
+    bool try_drop(const std::vector<double>& world_loads, double measured);
+    /// Redistribute to (new_active, new_dist) and emit the redist.apply
+    /// span (per-array breakdown) and the redist metrics.
     void apply_distribution(const msg::Group& new_active,
                             const Distribution& new_dist);
     double comm_cpu_for(int active_nodes) const;
@@ -399,16 +406,21 @@ private:
     std::vector<double> memories_; ///< per world rank, bytes (0 = unlimited)
 
     CommCosts comm_costs_;
-    Mode mode_ = Mode::Monitor;
+    /// The monitor's progress through the state machine: everything a
+    /// retried monitoring attempt restores before it replays the cycle.
+    struct MonitorState {
+        Mode mode = Mode::Monitor;
+        int grace_count = 0;
+        int post_count = 0;
+        std::vector<double> post_cycle_max;
+        std::uint64_t redist_seq = 0;
+    };
+    MonitorState mon_;
     std::vector<double> baseline_loads_; ///< loads at last decision point
-    int grace_count_ = 0;
-    int post_count_ = 0;
-    std::vector<double> post_cycle_max_;
     std::vector<double> row_costs_; ///< latest global per-row cost estimates
 
     double cycle_start_ = 0.0;
     bool in_cycle_ = false;
-    std::uint64_t redist_seq_ = 0;
     std::uint64_t sendout_seq_ = 0;
 
     // ---- hardening state ----
@@ -422,29 +434,9 @@ private:
 
     // ---- replication + rejoin state ----
     std::unique_ptr<ReplicaStore> replicas_; ///< null unless replicate
-    double last_refresh_s_ = -1.0;  ///< leader: time of last refresh go
-    bool refresh_decided_this_cycle_ = false; ///< leader: go/no-go is sticky
-    double refresh_go_cycle_ = 0.0;
-    int refreshes_done_ = 0;        ///< completed refreshes on this rank
-    std::uint64_t replica_xfer_key_ = ~0ULL; ///< resume key (cycle or seq)
-    int replica_arrays_sent_ = 0;   ///< per-key retry resume points
-    int replica_arrays_recvd_ = 0;
-    bool replica_skip_cycle_ = false; ///< membership changed mid-cycle
-    /// One queued restoration of a dead node's block from its buddy.
-    struct PendingRestore {
-        int dead = -1;
-        int buddy = -1;   ///< old-ring successor of `dead`
-        int adopter = -1; ///< the left-merge owner of `dead`'s rows
-        int gen = 0;      ///< dead node's generation (tag salt)
-        RowSet rows;
-        int arrays_done = 0; ///< resume point across retries
-        RowSet missing;      ///< rows absent from any array's restore
-    };
-    std::vector<PendingRestore> pending_restores_;
     std::vector<int> bootstrapped_gen_; ///< leader: generation bootstrapped
     std::vector<int> bootstrap_cycle_;  ///< leader: cycle it was sent
     std::vector<int> seen_gen_; ///< per world rank: generation last active
-    bool reborn_ = false; ///< this runtime started via revive + bootstrap
 
     /// Record Kind::Rejoin for every member of `now` whose node generation
     /// advanced since it was last active (i.e. it came back via revive).

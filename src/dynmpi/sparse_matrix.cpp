@@ -126,52 +126,31 @@ std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
     for (const RowInterval& iv : rows.intervals())
         for (int r = iv.lo; r < iv.hi; ++r)
             total += 12 + row(r).size() * sizeof(SparseEntry);
-    std::vector<std::byte> out;
-    out.reserve(total);
-    put_u32(out, static_cast<std::uint32_t>(rows.count()));
+    WireWriter out(total);
+    out.u32(static_cast<std::uint32_t>(rows.count()));
     for (const RowInterval& iv : rows.intervals()) {
         for (int r = iv.lo; r < iv.hi; ++r) {
             const RowList& list = *rows_.find(r);
-            put_u32(out, static_cast<std::uint32_t>(r));
-            put_u64(out, list.size() * sizeof(SparseEntry));
-            for (const auto& e : list) {
-                std::byte b[sizeof(SparseEntry)];
-                std::memcpy(b, &e, sizeof(SparseEntry));
-                out.insert(out.end(), b, b + sizeof(SparseEntry));
-            }
+            out.u32(static_cast<std::uint32_t>(r));
+            out.u64(list.size() * sizeof(SparseEntry));
+            for (const auto& e : list) out.bytes(&e, sizeof(SparseEntry));
         }
     }
-    stats_.bytes_packed += out.size();
-    return out;
+    std::vector<std::byte> packed = out.take();
+    stats_.bytes_packed += packed.size();
+    return packed;
 }
 
 RowSet SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
-    // First pass: validate every row and find the incoming span, so a
-    // malformed buffer changes nothing and the table is sized once.
-    std::size_t pos = 0;
-    const std::uint32_t nrows = get_u32(data, pos);
-    const std::size_t first_row = pos;
-    int lo = global_rows_, hi = 0;
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int r = static_cast<int>(get_u32(data, pos));
-        DYNMPI_REQUIRE(r >= 0 && r < global_rows_,
-                       "unpacked row id out of range for " + name_);
-        std::uint64_t nbytes = get_u64(data, pos);
-        DYNMPI_REQUIRE(nbytes % sizeof(SparseEntry) == 0,
-                       "sparse row payload not a whole number of entries");
-        DYNMPI_REQUIRE(nbytes <= data.size() - pos, "truncated sparse row");
-        pos += nbytes;
-        lo = std::min(lo, r);
-        hi = std::max(hi, r + 1);
-    }
-    if (nrows > 0) rows_.cover(held_, lo, hi);
-    // Second pass: rebuild the lists and collect their ids (one interval
-    // per run).
-    RowSet stored;
-    pos = first_row;
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int r = static_cast<int>(get_u32(data, pos));
-        std::size_t count = get_u64(data, pos) / sizeof(SparseEntry);
+    // Validate the whole buffer first, so a malformed one changes nothing
+    // and the table is sized once.
+    const RowSet rows = framed_rows(data, sizeof(SparseEntry),
+                                    /*one_unit=*/false);
+    if (!rows.empty()) rows_.cover(held_, rows.first(), rows.last() + 1);
+    WireReader in(data);
+    for (std::uint32_t k = in.u32(); k > 0; --k) {
+        const int r = static_cast<int>(in.u32());
+        const std::size_t count = in.u64() / sizeof(SparseEntry);
         auto& slot = rows_.slot(r);
         if (!slot) {
             slot = std::make_unique<RowList>();
@@ -181,16 +160,14 @@ RowSet SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
         for (std::size_t i = 0; i < count; ++i) {
             // Wire order is column order.  Copying the whole entry keeps
             // its bytes verbatim, so a re-pack reproduces the wire exactly.
-            std::memcpy(&slot->emplace_back(), data.data() + pos,
-                        sizeof(SparseEntry));
-            pos += sizeof(SparseEntry);
+            std::memcpy(&slot->emplace_back(),
+                        in.bytes(sizeof(SparseEntry)), sizeof(SparseEntry));
         }
         mark_row_dirty(r);
-        stored.add_row(r);
     }
-    held_.add(stored);
+    held_.add(rows);
     stats_.bytes_unpacked += data.size();
-    return stored;
+    return rows;
 }
 
 void SparseMatrix::drop_rows(const RowSet& rows) {

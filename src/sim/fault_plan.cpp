@@ -1,5 +1,6 @@
 #include "sim/fault_plan.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -46,7 +47,7 @@ double parse_number(const std::string& token, int lineno) {
     } catch (const std::exception&) {
         used = 0;
     }
-    if (used != token.size())
+    if (used != token.size() || !std::isfinite(v))
         throw Error("fault script line " + std::to_string(lineno) +
                     ": bad number '" + token + "'");
     return v;
@@ -82,12 +83,13 @@ FaultPlan FaultPlan::parse(const std::string& text) {
             if (key == "t") {
                 f.t = v;
                 have_t = true;
-            } else if (key == "node") {
-                f.node = static_cast<int>(v);
+            } else if (key == "node" || key == "count") {
+                if (!(std::abs(v) < 2147483648.0)) // outside int: no cast
+                    throw Error("fault script line " + std::to_string(lineno) +
+                                ": " + key + " out of range");
+                (key == "node" ? f.node : f.count) = static_cast<int>(v);
             } else if (key == "dur") {
                 f.duration_s = v;
-            } else if (key == "count") {
-                f.count = static_cast<int>(v);
             } else if (key == "factor" || key == "delay" || key == "extra") {
                 f.value = v;
             } else {

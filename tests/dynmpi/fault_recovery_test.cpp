@@ -13,6 +13,7 @@
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 #include "sim/fault_plan.hpp"
+#include "sim/load_trace.hpp"
 #include "support/trace.hpp"
 
 namespace dynmpi {
@@ -24,6 +25,7 @@ struct FaultParams {
     int cycles = 60;
     double row_cost = 4e-3;
     std::string script;
+    std::string load; ///< competing-process trace (sim/load_trace.hpp)
     RuntimeOptions opts;
     int collector = 0; ///< rank that reports the outcome (never crash it)
 };
@@ -36,6 +38,7 @@ struct FaultOutcome {
     int readmits = 0;
     int stale_fallbacks = 0;
     int readds = 0;
+    int physical_drops = 0;
     std::vector<int> final_counts;
     double elapsed = 0;
     std::uint64_t send_failures = 0;
@@ -48,6 +51,8 @@ struct FaultOutcome {
     std::uint64_t replica_bytes = 0;
     std::uint64_t runtime_messages = 0; ///< Machine::traffic(), runtime class
     std::uint64_t runtime_bytes = 0;
+    std::uint64_t control_messages = 0; ///< control plane (status, bootstrap)
+    std::uint64_t control_bytes = 0;
 };
 
 FaultOutcome run_with_faults(const FaultParams& fp) {
@@ -59,6 +64,7 @@ FaultOutcome run_with_faults(const FaultParams& fp) {
     msg::Machine m(cc);
     if (!fp.script.empty())
         m.cluster().install_faults(sim::FaultPlan::parse(fp.script));
+    if (!fp.load.empty()) sim::apply_load_trace(m.cluster(), fp.load);
 
     FaultOutcome out;
     m.run([&](msg::Rank& r) {
@@ -127,6 +133,7 @@ FaultOutcome run_with_faults(const FaultParams& fp) {
             out.readmits = rt.stats().quarantine_readmits;
             out.stale_fallbacks = rt.stats().stale_fallbacks;
             out.readds = rt.stats().readds;
+            out.physical_drops = rt.stats().physical_drops;
             out.final_counts = rt.distribution().counts();
             out.recovered_sum = recovered_all;
             out.restored_sum = restored;
@@ -142,6 +149,8 @@ FaultOutcome run_with_faults(const FaultParams& fp) {
     const auto runtime = static_cast<std::size_t>(msg::TagSpace::Runtime);
     out.runtime_messages = m.traffic().messages[runtime];
     out.runtime_bytes = m.traffic().bytes[runtime];
+    out.control_messages = m.traffic().control_messages;
+    out.control_bytes = m.traffic().control_bytes;
     out.send_failures = m.cluster().network().send_failures();
     return out;
 }
@@ -281,6 +290,46 @@ TEST(FaultRecovery, ReplicationTrafficIsExact) {
     EXPECT_EQ(out.runtime_messages, 444u);
     EXPECT_EQ(out.runtime_bytes, 10752u);
     EXPECT_EQ(out.elapsed, 0x1.14259ece3f713p+2);
+}
+
+// Exact gate on control traffic: the per-cycle status channel (steady
+// heartbeats to a removed node, then the re-add instruction) and the
+// leader's bootstrap of a revived node are pinned by message count, bytes
+// and virtual time, so a change to how either is encoded cannot move a byte
+// or a tick unseen.
+TEST(FaultRecovery, ControlTrafficIsExact) {
+    FaultParams drop;
+    drop.cycles = 90;
+    drop.load = "node 1: 0.3 4.0 x5\n";
+    drop.opts.force_drop_loaded = true;
+    FaultOutcome d = run_with_faults(drop);
+    EXPECT_TRUE(d.data_ok);
+    EXPECT_EQ(d.physical_drops, 1);
+    EXPECT_EQ(d.readds, 1);
+    EXPECT_EQ(d.final_active, drop.nodes);
+    EXPECT_EQ(d.runtime_messages, 9u);
+    EXPECT_EQ(d.runtime_bytes, 1840u);
+    EXPECT_EQ(d.control_messages, 536u);
+    EXPECT_EQ(d.control_bytes, 16936u);
+    EXPECT_EQ(d.elapsed, 0x1.9e733a5044215p+2);
+
+    FaultParams revive;
+    revive.nodes = 8;
+    revive.rows = 96;
+    revive.cycles = 90;
+    revive.script =
+        "crash node=5 t=1.5\n"
+        "revive node=5 t=2.5\n";
+    revive.opts.replicate = true;
+    FaultOutcome r = run_with_faults(revive);
+    EXPECT_TRUE(r.data_ok);
+    EXPECT_EQ(r.rejoins_max, 1.0);
+    EXPECT_EQ(r.final_active, revive.nodes);
+    EXPECT_EQ(r.runtime_messages, 717u);
+    EXPECT_EQ(r.runtime_bytes, 17168u);
+    EXPECT_EQ(r.control_messages, 1263u);
+    EXPECT_EQ(r.control_bytes, 39504u);
+    EXPECT_EQ(r.elapsed, 0x1.4d32ba14c1e19p+2);
 }
 
 // Identical contents to a fault-free run: both runs end with every element

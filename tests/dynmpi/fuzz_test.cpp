@@ -1,20 +1,26 @@
 // Failure injection and malformed-input fuzzing.
 //
-// Redistribution trusts wire payloads produced by pack_rows; these tests
-// feed truncated, corrupted, and randomized buffers into unpack_rows and
-// assert that every malformed input is rejected with a clean Error — never
-// a crash, never silent acceptance of a short buffer.
+// Every decoder of outside input gets truncated, corrupted and randomized
+// input: unpack_rows (redistribution and replica blobs), the bootstrap and
+// status control messages, and the fault-script parser.  Each malformed
+// input must be rejected with a clean Error — never a crash, never an
+// allocation sized by an unchecked count, never silent acceptance of a
+// short or overlong buffer.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 
+#include "dynmpi/control_wire.hpp"
 #include "dynmpi/dense_array.hpp"
 #include "dynmpi/replica.hpp"
 #include "dynmpi/runtime.hpp"
 #include "dynmpi/sparse_matrix.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
+#include "sim/fault_plan.hpp"
 #include "support/rng.hpp"
+#include "support/wire.hpp"
 
 namespace dynmpi {
 namespace {
@@ -203,6 +209,281 @@ TEST(Fuzz, MutatedValidBufferEitherRejectedOrConsistent) {
         }
     }
     SUCCEED();
+}
+
+// ---------------------------------------------------------------------------
+// Control messages: the leader's bootstrap and the per-cycle status
+// ---------------------------------------------------------------------------
+
+constexpr int kWorld = 4;
+constexpr int kRows = 6;
+
+Bootstrap sample_bootstrap() {
+    Bootstrap b;
+    b.next_cycle = 41;
+    b.redist_seq = 7;
+    b.sendout_seq = 1234;
+    b.active = {0, 2, 3};
+    b.baseline_loads = {0.0, 1.5, 0.25, 3.0};
+    b.speeds = {1.0, 2.0, 0.5, 1.25};
+    b.memories = {0.0, 1e9, 2e9, 0.0};
+    b.quarantined = {0, 1, 0, 0};
+    b.comm_costs = CommCosts{1e-4, 1.25e7, 5e-5, 2e-9};
+    b.group_seqs = {{0xABCDULL, 3}, {~0ULL, 99}};
+    return b;
+}
+
+Status sample_steady() {
+    Status s;
+    s.active = {1, 3};
+    return s;
+}
+
+Status sample_readd() {
+    Status s;
+    s.readd = true;
+    s.old_active = {0, 2, 3};
+    s.old_counts = {2, 2, 2};
+    s.active = {0, 1, 2, 3};
+    s.counts = {1, 2, 2, 1};
+    s.redist_seq = 5;
+    s.row_costs = {0.5, 1.0, 1.5, 2.0, 2.5, 3.0};
+    s.loads = {0.0, 0.0, 1.0, 0.0};
+    s.quarantined = {0, 0, 0, 1};
+    return s;
+}
+
+void expect_same(const Bootstrap& a, const Bootstrap& b) {
+    EXPECT_EQ(a.next_cycle, b.next_cycle);
+    EXPECT_EQ(a.redist_seq, b.redist_seq);
+    EXPECT_EQ(a.sendout_seq, b.sendout_seq);
+    EXPECT_EQ(a.active, b.active);
+    EXPECT_EQ(a.baseline_loads, b.baseline_loads);
+    EXPECT_EQ(a.speeds, b.speeds);
+    EXPECT_EQ(a.memories, b.memories);
+    EXPECT_EQ(a.quarantined, b.quarantined);
+    EXPECT_EQ(a.comm_costs.latency_s, b.comm_costs.latency_s);
+    EXPECT_EQ(a.comm_costs.bandwidth_Bps, b.comm_costs.bandwidth_Bps);
+    EXPECT_EQ(a.comm_costs.cpu_per_msg_s, b.comm_costs.cpu_per_msg_s);
+    EXPECT_EQ(a.comm_costs.cpu_per_byte_s, b.comm_costs.cpu_per_byte_s);
+    EXPECT_EQ(a.group_seqs, b.group_seqs);
+}
+
+void expect_same(const Status& a, const Status& b) {
+    EXPECT_EQ(a.readd, b.readd);
+    EXPECT_EQ(a.active, b.active);
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_EQ(a.old_active, b.old_active);
+    EXPECT_EQ(a.old_counts, b.old_counts);
+    EXPECT_EQ(a.redist_seq, b.redist_seq);
+    EXPECT_EQ(a.row_costs, b.row_costs);
+    EXPECT_EQ(a.loads, b.loads);
+    EXPECT_EQ(a.quarantined, b.quarantined);
+}
+
+Bootstrap decode_b(const std::vector<std::byte>& bytes) {
+    return decode_bootstrap(bytes, kWorld);
+}
+Status decode_s(const std::vector<std::byte>& bytes) {
+    return decode_status(bytes, kWorld, kRows);
+}
+
+/// Overwrites the 8-byte field at `field` (in 8-byte units) of `bytes`.
+std::vector<std::byte> with_field(std::vector<std::byte> bytes,
+                                  std::size_t field, std::uint64_t v) {
+    std::memcpy(bytes.data() + 8 * field, &v, sizeof v);
+    return bytes;
+}
+
+TEST(ControlWire, BootstrapRoundTripsAtItsFixedSize) {
+    const Bootstrap b = sample_bootstrap();
+    const auto bytes = encode(b);
+    // 8 bytes a field: three sequence numbers, the active count and ids, four
+    // per world rank, four comm costs, the seq count and two per pair.
+    EXPECT_EQ(bytes.size(), 8u * (3 + 1 + 3 + 4 * kWorld + 4 + 1 + 2 * 2));
+    expect_same(decode_b(bytes), b);
+    // A world with nothing replicated yet still frames exactly.
+    Bootstrap empty = b;
+    empty.group_seqs.clear();
+    expect_same(decode_b(encode(empty)), empty);
+}
+
+TEST(ControlWire, StatusRoundTripsAtItsFixedSize) {
+    const Status steady = sample_steady();
+    const auto sb = encode(steady);
+    EXPECT_EQ(sb.size(), 8u * (1 + 1 + 2)); // kind, count, ids
+    expect_same(decode_s(sb), steady);
+    const Status readd = sample_readd();
+    const auto rb = encode(readd);
+    // kind, old count + ids + counts, new count + ids + counts, seq, one
+    // cost per row, then a load and a flag per world rank.
+    EXPECT_EQ(rb.size(),
+              8u * (1 + 1 + 2 * 3 + 1 + 2 * 4 + 1 + kRows + 2 * kWorld));
+    expect_same(decode_s(rb), readd);
+}
+
+TEST(ControlWire, IntegersTravelAsU64) {
+    // The kind, counts and ids are 8-byte integers on the wire, not doubles.
+    const auto rb = encode(sample_readd());
+    WireReader r(rb);
+    EXPECT_EQ(r.u64(), 1u); // re-add
+    EXPECT_EQ(r.u64(), 3u); // old member count
+    EXPECT_EQ(r.u64(), 0u);
+    EXPECT_EQ(r.u64(), 2u);
+    EXPECT_EQ(r.u64(), 3u);
+}
+
+/// Every strict prefix of `good` is rejected with a clean Error.
+void expect_truncations_rejected(
+    const std::vector<std::byte>& good,
+    const std::function<void(const std::vector<std::byte>&)>& decode) {
+    for (std::size_t cut = 0; cut < good.size(); ++cut) {
+        SCOPED_TRACE(cut);
+        const std::vector<std::byte> bad(
+            good.begin(), good.begin() + static_cast<std::ptrdiff_t>(cut));
+        EXPECT_THROW(decode(bad), Error);
+    }
+}
+
+TEST(Fuzz, ControlMessagesTruncatedAtEveryByteRejected) {
+    expect_truncations_rejected(encode(sample_bootstrap()),
+                                [](const auto& b) { decode_b(b); });
+    expect_truncations_rejected(encode(sample_steady()),
+                                [](const auto& b) { decode_s(b); });
+    expect_truncations_rejected(encode(sample_readd()),
+                                [](const auto& b) { decode_s(b); });
+}
+
+TEST(Fuzz, ControlMessagesTrailingBytesRejected) {
+    for (std::size_t extra : {1u, 8u}) {
+        SCOPED_TRACE(extra);
+        auto b = encode(sample_bootstrap());
+        b.resize(b.size() + extra);
+        EXPECT_THROW(decode_b(b), Error);
+        for (const Status& st : {sample_steady(), sample_readd()}) {
+            auto s = encode(st);
+            s.resize(s.size() + extra);
+            EXPECT_THROW(decode_s(s), Error);
+        }
+    }
+}
+
+TEST(Fuzz, ControlMessagesHugeCountsRejectedBeforeAllocating) {
+    // A count must not size anything before it is checked against the
+    // bytes left, whether it is near 2^64 or merely larger than the message.
+    for (std::uint64_t huge :
+         {~std::uint64_t{0}, std::uint64_t{1} << 61, std::uint64_t{1000}}) {
+        SCOPED_TRACE(huge);
+        const auto b = encode(sample_bootstrap());
+        EXPECT_THROW(decode_b(with_field(b, 3, huge)), Error); // active
+        // The group-seq count follows the ids, the world and the costs.
+        EXPECT_THROW(decode_b(with_field(b, 3 + 1 + 3 + 4 * kWorld + 4, huge)),
+                     Error);
+        EXPECT_THROW(decode_s(with_field(encode(sample_steady()), 1, huge)),
+                     Error);
+        const auto r = encode(sample_readd());
+        EXPECT_THROW(decode_s(with_field(r, 1, huge)), Error); // old layout
+        EXPECT_THROW(decode_s(with_field(r, 8, huge)), Error); // new layout
+    }
+}
+
+TEST(Fuzz, ControlMessagesOutOfRangeValuesRejected) {
+    for (std::uint64_t bad : {std::uint64_t{kWorld}, std::uint64_t{1} << 40,
+                              ~std::uint64_t{0}}) {
+        SCOPED_TRACE(bad);
+        // Member ids outside [0, world).
+        EXPECT_THROW(decode_b(with_field(encode(sample_bootstrap()), 5, bad)),
+                     Error);
+        EXPECT_THROW(decode_s(with_field(encode(sample_steady()), 3, bad)),
+                     Error);
+        const auto r = encode(sample_readd());
+        EXPECT_THROW(decode_s(with_field(r, 2, bad)), Error);  // old id
+        EXPECT_THROW(decode_s(with_field(r, 11, bad)), Error); // new id
+    }
+    const auto r = encode(sample_readd());
+    // A block count beyond the row space, a status kind past re-add and a
+    // quarantine flag that is neither 0 nor 1.
+    EXPECT_THROW(decode_s(with_field(r, 5, kRows + 1)), Error);
+    EXPECT_THROW(decode_s(with_field(r, 0, 2)), Error);
+    EXPECT_THROW(decode_s(with_field(r, r.size() / 8 - 1, 2)), Error);
+    EXPECT_THROW(decode_b(with_field(encode(sample_bootstrap()), 10, 2)),
+                 Error);
+}
+
+TEST(Fuzz, ControlMessagesRandomMutationsDecodeCleanly) {
+    Rng rng(8086);
+    const std::vector<std::byte> goods[] = {encode(sample_bootstrap()),
+                                            encode(sample_steady()),
+                                            encode(sample_readd())};
+    int rejected = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        const auto& good = goods[trial % 3];
+        auto bad = good;
+        for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k)
+            bad[rng.next_below(bad.size())] =
+                static_cast<std::byte>(rng.next_below(256));
+        try {
+            if (trial % 3 == 0) {
+                const Bootstrap b = decode_b(bad);
+                for (int m : b.active) EXPECT_TRUE(m >= 0 && m < kWorld);
+                EXPECT_EQ(b.speeds.size(), static_cast<std::size_t>(kWorld));
+            } else {
+                const Status s = decode_s(bad);
+                for (int m : s.active) EXPECT_TRUE(m >= 0 && m < kWorld);
+                for (int m : s.old_active) EXPECT_TRUE(m >= 0 && m < kWorld);
+                for (int c : s.counts) EXPECT_TRUE(c >= 0 && c <= kRows);
+            }
+        } catch (const Error&) {
+            ++rejected;
+        }
+    }
+    // Most mutations hit a count, an id, a flag or the kind and are caught;
+    // the rest change a real or a sequence number and decode.
+    EXPECT_GT(rejected, 0);
+}
+
+TEST(Fuzz, FaultScriptMutationsParseOrThrowError) {
+    const std::string good =
+        "crash node=2 t=1.5\n"
+        "slow node=0 t=0.5 dur=2 factor=0.25   # brown-out\n"
+        "lose-sends node=3 t=6 count=4\n"
+        "revive node=2 t=3\n";
+    ASSERT_EQ(sim::FaultPlan::parse(good).faults.size(), 4u);
+    const std::string alphabet = "=.#-+e \n0123456789nodetcunfilasxr";
+    Rng rng(1969);
+    int rejected = 0, accepted = 0;
+    for (int trial = 0; trial < 1000; ++trial) {
+        std::string text = good;
+        if (trial % 4 == 0) text.resize(rng.next_below(text.size()));
+        for (std::uint64_t k = 1 + rng.next_below(4); k > 0; --k) {
+            const auto at = rng.next_below(text.size() + 1);
+            const char c = rng.next_below(2) == 0
+                               ? alphabet[rng.next_below(alphabet.size())]
+                               : static_cast<char>(rng.next_below(256));
+            if (at == text.size())
+                text.push_back(c);
+            else
+                text[at] = c;
+        }
+        try {
+            const sim::FaultPlan plan = sim::FaultPlan::parse(text);
+            // Whatever parses renders back to a script that parses the same.
+            EXPECT_EQ(sim::FaultPlan::parse(plan.to_string()).faults.size(),
+                      plan.faults.size());
+            ++accepted;
+        } catch (const Error&) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(accepted, 0);
+    // Numbers that do not fit their field are errors, not undefined casts.
+    for (const char* bad : {"crash node=1e10 t=1\n", "crash node=2 t=nan\n",
+                            "lose-sends node=1 t=0 count=-3e9\n",
+                            "crash node=inf t=1\n"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(sim::FaultPlan::parse(bad), Error);
+    }
 }
 
 // ---------------------------------------------------------------------------

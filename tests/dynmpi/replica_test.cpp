@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "dynmpi/replica.hpp"
 #include "dynmpi/sparse_matrix.hpp"
 #include "support/rng.hpp"
+#include "support/wire.hpp"
 
 namespace dynmpi {
 namespace {
@@ -69,14 +69,14 @@ using Model = std::map<int, Bytes>;
 
 /// Pack-format framing of `rows` with the given payloads.
 Bytes frame(const std::vector<int>& rows, const std::vector<Bytes>& payloads) {
-    Bytes out;
-    DistArray::put_u32(out, static_cast<std::uint32_t>(rows.size()));
+    WireWriter out;
+    out.u32(static_cast<std::uint32_t>(rows.size()));
     for (std::size_t k = 0; k < rows.size(); ++k) {
-        DistArray::put_u32(out, static_cast<std::uint32_t>(rows[k]));
-        DistArray::put_u64(out, payloads[k].size());
-        out.insert(out.end(), payloads[k].begin(), payloads[k].end());
+        out.u32(static_cast<std::uint32_t>(rows[k]));
+        out.u64(payloads[k].size());
+        out.bytes(payloads[k].data(), payloads[k].size());
     }
-    return out;
+    return out.take();
 }
 
 /// The model's extract: the present rows of `rows`, ascending.

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <climits>
 #include <cstddef>
-#include <cstring>
 #include <map>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "dynmpi/row_table.hpp"
 #include "dynmpi/sparse_matrix.hpp"
 #include "support/rng.hpp"
+#include "support/wire.hpp"
 
 namespace dynmpi {
 namespace {
@@ -54,13 +54,9 @@ struct Dense {
     static std::vector<std::byte> canonical(std::vector<std::byte> wire) {
         return wire;
     }
-    static void put_payload(std::vector<std::byte>& out, const Row& row) {
-        DistArray::put_u64(out, row.size() * sizeof(double));
-        std::byte b[sizeof(double)];
-        for (double v : row) {
-            std::memcpy(b, &v, sizeof v);
-            out.insert(out.end(), b, b + sizeof v);
-        }
+    static void put_payload(WireWriter& out, const Row& row) {
+        out.u64(row.size() * sizeof(double));
+        for (double v : row) out.f64(v);
     }
 };
 
@@ -100,26 +96,25 @@ struct Sparse {
             offsetof(SparseEntry, col) + sizeof(int));
         constexpr auto pad_end =
             static_cast<std::ptrdiff_t>(offsetof(SparseEntry, value));
-        std::size_t pos = 0;
-        for (std::uint32_t n = DistArray::get_u32(wire, pos); n > 0; --n) {
-            pos += 4;
-            std::uint64_t nbytes = DistArray::get_u64(wire, pos);
+        WireReader in(wire);
+        for (std::uint32_t n = in.u32(); n > 0; --n) {
+            in.u32();
+            const std::uint64_t nbytes = in.u64();
+            const std::size_t pos = wire.size() - in.remaining();
             for (std::size_t e = pos; e < pos + nbytes;
                  e += sizeof(SparseEntry)) {
                 auto at = wire.begin() + static_cast<std::ptrdiff_t>(e);
                 std::fill(at + pad, at + pad_end, std::byte{0});
             }
-            pos += nbytes;
+            in.bytes(nbytes);
         }
         return wire;
     }
-    static void put_payload(std::vector<std::byte>& out, const Row& row) {
-        DistArray::put_u64(out, row.size() * sizeof(SparseEntry));
-        std::byte b[sizeof(SparseEntry)];
+    static void put_payload(WireWriter& out, const Row& row) {
+        out.u64(row.size() * sizeof(SparseEntry));
         for (const auto& [col, value] : row) {
             SparseEntry e{col, value};
-            std::memcpy(b, &e, sizeof e);
-            out.insert(out.end(), b, b + sizeof e);
+            out.bytes(&e, sizeof e);
         }
     }
 };
@@ -148,13 +143,13 @@ struct Model {
     void retain_only(const RowSet& keep) { drop(held().subtract(keep)); }
 
     std::vector<std::byte> pack() const {
-        std::vector<std::byte> out;
-        DistArray::put_u32(out, static_cast<std::uint32_t>(rows.size()));
+        WireWriter out;
+        out.u32(static_cast<std::uint32_t>(rows.size()));
         for (const auto& [r, row] : rows) {
-            DistArray::put_u32(out, static_cast<std::uint32_t>(r));
+            out.u32(static_cast<std::uint32_t>(r));
             T::put_payload(out, row);
         }
-        return out;
+        return out.take();
     }
 };
 
