@@ -1,7 +1,9 @@
 // Micro-benchmarks for the substrate hot paths: event queue, CPU model,
-// rank fiber switches, row-set algebra, and sparse pack/unpack.
+// rank fiber switches, row-set algebra, sparse pack/unpack and the dense
+// unpack of a replica refresh.
 #include <benchmark/benchmark.h>
 
+#include "dynmpi/dense_array.hpp"
 #include "dynmpi/row_set.hpp"
 #include "dynmpi/sparse_matrix.hpp"
 #include "mpisim/machine.hpp"
@@ -141,6 +143,24 @@ void BM_Sparse_CursorTraversal(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * m.nnz());
 }
 BENCHMARK(BM_Sparse_CursorTraversal);
+
+// The per-cycle replica refresh of a CG vector: 1,750 rows of one double
+// (n = 14000 over 8 nodes) unpacked into an array that already holds them.
+void BM_Dense_UnpackNarrowRows(benchmark::State& state) {
+    constexpr int kRows = 1750;
+    DenseArray src("p", kRows, 1, sizeof(double));
+    src.ensure_rows(RowSet(0, kRows));
+    for (int r = 0; r < kRows; ++r) *src.row_ptr<double>(r) = 0.5 * r;
+    const auto packed = src.pack_rows(src.held());
+    DenseArray dst("p", kRows, 1, sizeof(double));
+    dst.ensure_rows(RowSet(0, kRows));
+    for (auto _ : state) {
+        dst.unpack_rows(packed);
+        benchmark::DoNotOptimize(dst.row_ptr<double>(kRows - 1));
+    }
+    state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_Dense_UnpackNarrowRows);
 
 }  // namespace
 }  // namespace dynmpi

@@ -40,20 +40,19 @@ std::vector<std::byte> DenseArray::pack_rows(const RowSet& rows) const {
 RowSet DenseArray::unpack_rows(const std::vector<std::byte>& data) {
     // Validate the whole buffer first, so a malformed one changes nothing
     // and the table is sized once.
-    const RowSet rows = framed_rows(data, row_bytes(), /*one_unit=*/true);
+    const std::size_t nbytes = row_bytes();
+    const RowSet rows = framed_rows(data, nbytes, /*one_unit=*/true);
     if (!rows.empty()) rows_.cover(held_, rows.first(), rows.last() + 1);
-    WireReader in(data);
-    for (std::uint32_t k = in.u32(); k > 0; --k) {
-        const int row = static_cast<int>(in.u32());
-        in.u64();
-        auto& slot = rows_.slot(row);
-        if (!slot) {
-            slot = std::make_unique_for_overwrite<std::byte[]>(row_bytes());
-            ++stats_.rows_allocated;
-        }
-        std::memcpy(slot.get(), in.bytes(row_bytes()), row_bytes());
-        mark_row_dirty(row);
-    }
+    for_each_unit_record(
+        data, nbytes, [&](int row, std::uint64_t, const std::byte* payload) {
+            auto& slot = rows_.slot(row);
+            if (!slot) {
+                slot = std::make_unique_for_overwrite<std::byte[]>(nbytes);
+                ++stats_.rows_allocated;
+            }
+            std::memcpy(slot.get(), payload, nbytes);
+            mark_row_dirty(row);
+        });
     held_.add(rows);
     stats_.bytes_unpacked += data.size();
     return rows;
@@ -176,15 +175,14 @@ RowSet ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
                               : std::max(base_ + extent_, incoming.last() + 1);
         reextent(lo, hi);
     }
-    WireReader in(data);
-    for (std::uint32_t k = in.u32(); k > 0; --k) {
-        const int row = static_cast<int>(in.u32());
-        in.u64();
-        mark_row_dirty(row);
-        std::memcpy(buffer_.data() +
-                        static_cast<std::size_t>(row - base_) * row_bytes(),
-                    in.bytes(row_bytes()), row_bytes());
-    }
+    for_each_unit_record(
+        data, row_bytes(),
+        [&](int row, std::uint64_t, const std::byte* payload) {
+            mark_row_dirty(row);
+            std::memcpy(buffer_.data() +
+                            static_cast<std::size_t>(row - base_) * row_bytes(),
+                        payload, row_bytes());
+        });
     held_.add(incoming);
     stats_.bytes_unpacked += data.size();
     return incoming;

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,10 +96,34 @@ protected:
     /// The validating first pass of every unpack_rows: row ids inside the
     /// array, each payload a whole number of `unit`-byte entries (exactly
     /// one entry when `one_unit`) and inside the buffer, and no bytes after
-    /// the last row.  A malformed buffer throws here, before the array
-    /// changes.  Returns the rows the buffer frames.
+    /// the last row.  With `one_unit` every record is 12 + unit bytes, so
+    /// the length is checked once and each header read at its fixed offset;
+    /// otherwise each payload also passes check_payload.  A malformed
+    /// buffer throws here, before the array changes.  Returns the rows the
+    /// buffer frames.
     RowSet framed_rows(const std::vector<std::byte>& data, std::uint64_t unit,
                        bool one_unit) const;
+
+    /// Vets the contents of one row's payload in framed_rows' variable-size
+    /// pass; throws on bad contents.  Accepts any by default.
+    virtual void check_payload(const std::byte* /*payload*/,
+                               std::uint64_t /*nbytes*/) const {}
+
+    /// Calls f(row, payload_bytes, payload) for each record of a buffer
+    /// whose records are all 12 + unit bytes, such as one framed_rows
+    /// accepted with `one_unit`.
+    template <typename F>
+    static void for_each_unit_record(const std::vector<std::byte>& data,
+                                     std::uint64_t unit, F&& f) {
+        for (std::size_t at = 4; at < data.size();
+             at += static_cast<std::size_t>(12 + unit)) {
+            std::uint32_t row;
+            std::uint64_t nbytes;
+            std::memcpy(&row, data.data() + at, 4);
+            std::memcpy(&nbytes, data.data() + at + 4, 8);
+            f(static_cast<int>(row), nbytes, data.data() + at + 12);
+        }
+    }
 
     /// Throws the "access to non-held row" Error.  Out of line, so the
     /// inline row lookups of the subclasses stay one compare and one load.

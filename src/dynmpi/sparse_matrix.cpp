@@ -1,6 +1,7 @@
 #include "dynmpi/sparse_matrix.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 namespace dynmpi {
@@ -12,33 +13,40 @@ SparseMatrix::SparseMatrix(std::string name, int global_rows, int global_cols)
     DYNMPI_REQUIRE(global_cols_ > 0, "matrix needs at least one column");
 }
 
+namespace {
+
+/// First entry of `row` whose column is not below `col`.
+template <typename Row>
+auto find_col(Row& row, int col) {
+    return std::lower_bound(
+        row.begin(), row.end(), col,
+        [](const SparseEntry& e, int c) { return e.col < c; });
+}
+
+}  // namespace
+
 void SparseMatrix::set(int row, int col, double value) {
     DYNMPI_REQUIRE(col >= 0 && col < global_cols_, "column out of range");
-    RowList& list = row_mut(row);
-    auto it = std::find_if(list.begin(), list.end(),
-                           [col](const SparseEntry& e) { return e.col >= col; });
-    if (it != list.end() && it->col == col)
+    RowList& entries = row_mut(row);
+    auto it = find_col(entries, col);
+    if (it != entries.end() && it->col == col)
         it->value = value;
     else
-        list.insert(it, SparseEntry{col, value});
+        entries.insert(it, SparseEntry{col, value});
     mark_row_dirty(row);
 }
 
 double SparseMatrix::get(int row, int col) const {
-    const RowList& list = this->row(row);
-    for (const auto& e : list) {
-        if (e.col == col) return e.value;
-        if (e.col > col) break;
-    }
-    return 0.0;
+    const RowList& entries = this->row(row);
+    auto it = find_col(entries, col);
+    return it != entries.end() && it->col == col ? it->value : 0.0;
 }
 
 bool SparseMatrix::erase(int row, int col) {
-    RowList& list = row_mut(row);
-    auto it = std::find_if(list.begin(), list.end(),
-                           [col](const SparseEntry& e) { return e.col == col; });
-    if (it == list.end()) return false;
-    list.erase(it);
+    RowList& entries = row_mut(row);
+    auto it = find_col(entries, col);
+    if (it == entries.end() || it->col != col) return false;
+    entries.erase(it);
     mark_row_dirty(row);
     return true;
 }
@@ -66,18 +74,24 @@ void SparseMatrix::Cursor::move_first() {
     iv_ = 0;
     if (!held_.empty()) {
         row_ = held_[0].lo;
-        elem_ = m_.row_mut(row_).begin();
+        enter_row();
     }
     skip_empty_rows();
 }
 
+void SparseMatrix::Cursor::enter_row() {
+    RowList& entries = m_.row_mut(row_);
+    elem_ = entries.begin();
+    end_ = entries.end();
+}
+
 void SparseMatrix::Cursor::step_row() {
     if (++row_ == held_[iv_].hi && ++iv_ < held_.size()) row_ = held_[iv_].lo;
-    if (!at_end()) elem_ = m_.row_mut(row_).begin();
+    if (!at_end()) enter_row();
 }
 
 void SparseMatrix::Cursor::skip_empty_rows() {
-    while (!at_end() && elem_ == m_.row_mut(row_).end()) step_row();
+    while (!at_end() && elem_ == end_) step_row();
 }
 
 bool SparseMatrix::Cursor::at_end() const { return iv_ >= held_.size(); }
@@ -119,9 +133,10 @@ void SparseMatrix::Cursor::advance_row() {
 // ---------------------------------------------------------------------------
 
 std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
-    // Pack each linked-list row into the flat wire vector (paper §4.4: a row
-    // "must be packed into a vector" before transfer).  The buffer is sized
-    // by an exact precount so the write pass never reallocates.
+    // A row's entries are contiguous, so each one goes into the flat wire
+    // vector (paper §4.4: a row "must be packed into a vector" before
+    // transfer) in one copy.  The buffer is sized by an exact precount so
+    // the write pass never reallocates.
     std::size_t total = 4;
     for (const RowInterval& iv : rows.intervals())
         for (int r = iv.lo; r < iv.hi; ++r)
@@ -130,10 +145,11 @@ std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
     out.u32(static_cast<std::uint32_t>(rows.count()));
     for (const RowInterval& iv : rows.intervals()) {
         for (int r = iv.lo; r < iv.hi; ++r) {
-            const RowList& list = *rows_.find(r);
+            const RowList& entries = *rows_.find(r);
+            const std::size_t nbytes = entries.size() * sizeof(SparseEntry);
             out.u32(static_cast<std::uint32_t>(r));
-            out.u64(list.size() * sizeof(SparseEntry));
-            for (const auto& e : list) out.bytes(&e, sizeof(SparseEntry));
+            out.u64(nbytes);
+            out.bytes(entries.data(), nbytes);
         }
     }
     std::vector<std::byte> packed = out.take();
@@ -141,28 +157,38 @@ std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
     return packed;
 }
 
+void SparseMatrix::check_payload(const std::byte* payload,
+                                 std::uint64_t nbytes) const {
+    int prev = -1;
+    for (std::uint64_t at = offsetof(SparseEntry, col); at < nbytes;
+         at += sizeof(SparseEntry)) {
+        int col;
+        std::memcpy(&col, payload + at, sizeof col);
+        DYNMPI_REQUIRE(col > prev && col < global_cols_,
+                       "unpacked column out of range or order for " + name_);
+        prev = col;
+    }
+}
+
 RowSet SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
-    // Validate the whole buffer first, so a malformed one changes nothing
-    // and the table is sized once.
+    // Validate the whole buffer first (row ids, sizes and every column), so
+    // a malformed one changes nothing and the table is sized once.
     const RowSet rows = framed_rows(data, sizeof(SparseEntry),
                                     /*one_unit=*/false);
     if (!rows.empty()) rows_.cover(held_, rows.first(), rows.last() + 1);
     WireReader in(data);
     for (std::uint32_t k = in.u32(); k > 0; --k) {
         const int r = static_cast<int>(in.u32());
-        const std::size_t count = in.u64() / sizeof(SparseEntry);
+        const std::uint64_t nbytes = in.u64();
         auto& slot = rows_.slot(r);
         if (!slot) {
             slot = std::make_unique<RowList>();
             ++stats_.rows_allocated;
         }
-        slot->clear();
-        for (std::size_t i = 0; i < count; ++i) {
-            // Wire order is column order.  Copying the whole entry keeps
-            // its bytes verbatim, so a re-pack reproduces the wire exactly.
-            std::memcpy(&slot->emplace_back(),
-                        in.bytes(sizeof(SparseEntry)), sizeof(SparseEntry));
-        }
+        // Wire order is column order.  Copying whole entries keeps their
+        // bytes verbatim, so a re-pack reproduces the wire exactly.
+        slot->resize(nbytes / sizeof(SparseEntry));
+        if (nbytes > 0) std::memcpy(slot->data(), in.bytes(nbytes), nbytes);
         mark_row_dirty(r);
     }
     held_.add(rows);

@@ -1,20 +1,22 @@
 // Sparse matrices in the paper's vector-of-lists format (paper §2.2, §4.1.2).
 //
-// Each held row is a linked list of (column id, value) pairs kept sorted by
-// column.  The format mirrors the dense scheme as closely as possible: the
-// distributed dimension is the same RowTable of row pointers, indexed by row
-// id over a window that spans the held rows, and an "extended row" is the
-// list.  Redistribution packs a row's list into a flat vector for the wire
-// and rebuilds the list on receipt (paper §4.4) — data *and* metadata move
-// together.
+// Each held row stores its (column id, value) pairs as one contiguous array
+// kept strictly ascending by column.  The format mirrors the dense scheme as
+// closely as possible: the distributed dimension is the same RowTable of row
+// pointers, indexed by row id over a window that spans the held rows, and an
+// "extended row" is the entry array.  Redistribution copies a row's entries
+// into the wire vector in one piece and back out on receipt (paper §4.4) —
+// data *and* metadata move together, and rows that stay are not touched.
 //
 // The Cursor class provides the paper's user-convenience iterator: move to
 // the first element, get the next element, set the next element, and advance
-// the row.
+// the row.  set() and erase() on a row may move its entries, so they
+// invalidate a Cursor positioned in that row; call move_first() before using
+// it again.
 #pragma once
 
 #include <algorithm>
-#include <list>
+#include <vector>
 
 #include "dynmpi/dist_array.hpp"
 #include "dynmpi/row_table.hpp"
@@ -31,7 +33,7 @@ struct SparseEntry {
 
 class SparseMatrix final : public DistArray {
 public:
-    using RowList = std::list<SparseEntry>;
+    using RowList = std::vector<SparseEntry>;
 
     SparseMatrix(std::string name, int global_rows, int global_cols);
 
@@ -48,12 +50,12 @@ public:
     /// Remove an element if present; returns true if removed.
     bool erase(int row, int col);
 
-    /// The stored list for a held row (sorted by column).
+    /// The stored entries of a held row (strictly ascending by column).
     const RowList& row(int r) const {
-        const RowList* list = rows_.find(r);
-        if (!list) [[unlikely]]
+        const RowList* entries = rows_.find(r);
+        if (!entries) [[unlikely]]
             fail_non_held(r);
-        return *list;
+        return *entries;
     }
 
     /// Number of stored elements in a held row.
@@ -65,6 +67,7 @@ public:
     // ---- paper-style iterator ----
 
     /// Walks held rows in ascending row order, elements in column order.
+    /// set() or erase() on the row it is positioned in invalidates it.
     class Cursor {
     public:
         explicit Cursor(SparseMatrix& m);
@@ -92,6 +95,8 @@ public:
 
     private:
         void skip_empty_rows();
+        /// Point at the first element of row_.
+        void enter_row();
         /// Move to the first element of the next held row.
         void step_row();
 
@@ -100,6 +105,7 @@ public:
         std::size_t iv_ = 0;            ///< interval of row_
         int row_ = 0;
         RowList::iterator elem_;
+        RowList::iterator end_; ///< end of row_'s entries
     };
 
     Cursor cursor() { return Cursor(*this); }
@@ -123,16 +129,21 @@ public:
         return static_cast<std::size_t>(nnz()) * sizeof(SparseEntry);
     }
 
+protected:
+    /// Every column inside [0, global_cols) and strictly ascending.
+    void check_payload(const std::byte* payload,
+                       std::uint64_t nbytes) const override;
+
 private:
     RowList& row_mut(int r) {
-        RowList* list = rows_.find(r);
-        if (!list) [[unlikely]]
+        RowList* entries = rows_.find(r);
+        if (!entries) [[unlikely]]
             fail_non_held(r);
-        return *list;
+        return *entries;
     }
 
     int global_cols_;
-    RowTable<RowList> rows_; ///< row id → the row's list
+    RowTable<RowList> rows_; ///< row id → the row's entries
 };
 
 }  // namespace dynmpi

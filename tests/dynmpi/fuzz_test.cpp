@@ -140,6 +140,100 @@ TEST(Fuzz, SparsePayloadNotEntireEntriesRejected) {
     EXPECT_THROW(dst.unpack_rows(good), Error);
 }
 
+TEST(Fuzz, DenseRecordCountOffByOneRejected) {
+    // The strided pass fixes the length from the count: one short and one
+    // over both leave a buffer whose length no longer matches.
+    for (std::uint32_t count : {3u, 5u}) {
+        SCOPED_TRACE(count);
+        auto bad = packed_dense(100.0);
+        std::memcpy(bad.data(), &count, sizeof count);
+        expect_rejected_unchanged<DenseArray>(bad);
+        expect_rejected_unchanged<ContiguousDenseArray>(bad);
+    }
+}
+
+TEST(Fuzz, DenseRecordSizeFieldWrongRejected) {
+    // The total length still fits four records; only row 2's size lies.
+    for (std::uint64_t size : {0ul, 24ul, 40ul, 64ul}) {
+        SCOPED_TRACE(size);
+        auto bad = packed_dense(100.0);
+        std::memcpy(bad.data() + dense_row_at(2) + 4, &size, sizeof size);
+        expect_rejected_unchanged<DenseArray>(bad);
+        expect_rejected_unchanged<ContiguousDenseArray>(bad);
+    }
+}
+
+TEST(Fuzz, DenseLastRowIdAtGlobalRowsRejected) {
+    auto bad = packed_dense(100.0);
+    const std::uint32_t id = 8; // global_rows of the target arrays
+    std::memcpy(bad.data() + dense_row_at(3), &id, sizeof id);
+    expect_rejected_unchanged<DenseArray>(bad);
+    expect_rejected_unchanged<ContiguousDenseArray>(bad);
+}
+
+/// A sparse blob for rows 4 and 5 of a 16-column matrix: row 4 gets one
+/// valid new entry, row 5 gets `cols` (value 9.0 each) in the given order.
+std::vector<std::byte> sparse_blob(const std::vector<int>& cols) {
+    WireWriter out;
+    out.u32(2);
+    const SparseEntry first{3, 42.0};
+    out.u32(4);
+    out.u64(sizeof first);
+    out.bytes(&first, sizeof first);
+    out.u32(5);
+    out.u64(cols.size() * sizeof(SparseEntry));
+    for (int col : cols) {
+        const SparseEntry e{col, 9.0};
+        out.bytes(&e, sizeof e);
+    }
+    return out.take();
+}
+
+/// Unpacks `bad` into a 16-column matrix that already holds rows 4 and 5,
+/// and expects a clean rejection that leaves the matrix unchanged.
+void expect_sparse_rejected_unchanged(const std::vector<std::byte>& bad) {
+    SparseMatrix dst("S", 8, 16);
+    dst.ensure_rows(RowSet(4, 6));
+    dst.set(4, 1, 1.0);
+    dst.set(5, 2, 2.0);
+    dst.set(5, 7, 3.0);
+    const auto before = dst.pack_rows(RowSet(4, 6));
+    EXPECT_THROW(dst.unpack_rows(bad), Error);
+    EXPECT_EQ(dst.held(), RowSet(4, 6));
+    EXPECT_EQ(dst.pack_rows(RowSet(4, 6)), before);
+    EXPECT_EQ(dst.get(4, 1), 1.0);
+    EXPECT_EQ(dst.get(4, 3), 0.0);
+}
+
+TEST(Fuzz, SparseBlobControlIsAccepted) {
+    // The blob builder itself frames a valid buffer.
+    SparseMatrix dst("S", 8, 16);
+    dst.unpack_rows(sparse_blob({0, 6, 15}));
+    EXPECT_EQ(dst.get(4, 3), 42.0);
+    EXPECT_EQ(dst.row_nnz(5), 3);
+    EXPECT_EQ(dst.get(5, 15), 9.0);
+}
+
+TEST(Fuzz, SparseColumnOutOfRangeRejected) {
+    expect_sparse_rejected_unchanged(sparse_blob({2, 16}));
+    expect_sparse_rejected_unchanged(sparse_blob({1000, -7}));
+}
+
+TEST(Fuzz, SparseNegativeColumnRejected) {
+    expect_sparse_rejected_unchanged(sparse_blob({-7}));
+    expect_sparse_rejected_unchanged(sparse_blob({-1, 3}));
+}
+
+TEST(Fuzz, SparseDuplicateColumnRejected) {
+    expect_sparse_rejected_unchanged(sparse_blob({4, 4}));
+    expect_sparse_rejected_unchanged(sparse_blob({0, 5, 5, 9}));
+}
+
+TEST(Fuzz, SparseDescendingColumnsRejected) {
+    expect_sparse_rejected_unchanged(sparse_blob({9, 3}));
+    expect_sparse_rejected_unchanged(sparse_blob({0, 8, 7, 12}));
+}
+
 TEST(Fuzz, RandomBuffersNeverCrash) {
     Rng rng(31337);
     int rejected = 0, accepted = 0;

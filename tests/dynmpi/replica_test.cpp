@@ -6,11 +6,14 @@
 // std::map model of the store's contract: each row id maps to the payload
 // bytes last shipped for it, and extract frames the present rows of the
 // requested set in ascending order.  extract must match the model's framing
-// byte for byte (payloads are random bytes, padding included), and the rows
+// byte for byte (payloads are random bytes, padding included; sparse column
+// ids are valid and ascending, since unpack rejects any other), and the rows
 // store_blob reports must be exactly the rows the blob framed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -29,25 +32,41 @@ constexpr int kCols = 16;
 
 using Bytes = std::vector<std::byte>;
 
-struct Dense {
-    static DenseArray make() {
-        return DenseArray("d", kRows, kElems, sizeof(double));
-    }
-    static std::size_t payload_bytes(Rng&) { return kElems * sizeof(double); }
-};
-
-struct Sparse {
-    static SparseMatrix make() { return SparseMatrix("s", kRows, kCols); }
-    static std::size_t payload_bytes(Rng& rng) {
-        return rng.next_below(5) * sizeof(SparseEntry);
-    }
-};
-
 Bytes random_bytes(Rng& rng, std::size_t n) {
     Bytes out(n);
     for (auto& b : out) b = static_cast<std::byte>(rng.next_below(256));
     return out;
 }
+
+/// `n` sparse entries of random bytes, padding included, with their column
+/// ids then set strictly ascending inside [0, kCols), as unpack requires.
+Bytes random_sparse_payload(Rng& rng, std::size_t n) {
+    Bytes out = random_bytes(rng, n * sizeof(SparseEntry));
+    int col = -1;
+    for (std::size_t k = 0; k < n; ++k) {
+        col += 1 + static_cast<int>(rng.next_below(3));
+        std::memcpy(out.data() + k * sizeof(SparseEntry) +
+                        offsetof(SparseEntry, col),
+                    &col, sizeof col);
+    }
+    return out;
+}
+
+struct Dense {
+    static DenseArray make() {
+        return DenseArray("d", kRows, kElems, sizeof(double));
+    }
+    static Bytes payload(Rng& rng) {
+        return random_bytes(rng, kElems * sizeof(double));
+    }
+};
+
+struct Sparse {
+    static SparseMatrix make() { return SparseMatrix("s", kRows, kCols); }
+    static Bytes payload(Rng& rng) {
+        return random_sparse_payload(rng, rng.next_below(5));
+    }
+};
 
 /// Up to 12 distinct rows drawn from [0, kRows), ascending.
 std::vector<int> random_rows(Rng& rng) {
@@ -112,8 +131,7 @@ TYPED_TEST(ReplicaModel, RandomSequencesMatchMapModel) {
                 if (op == 0) std::reverse(rows.begin(), rows.end());
                 std::vector<Bytes> payloads;
                 for (std::size_t k = 0; k < rows.size(); ++k)
-                    payloads.push_back(
-                        random_bytes(rng, TypeParam::payload_bytes(rng)));
+                    payloads.push_back(TypeParam::payload(rng));
                 const RowSet stored =
                     store.store_blob(0, frame(rows, payloads));
                 ASSERT_EQ(stored, as_set(rows)) << "step " << step;
@@ -154,7 +172,7 @@ TYPED_TEST(ReplicaModel, ExtractRestoresThroughUnpack) {
     const std::vector<int> rows = {3, 4, 5, 9, 20, 21};
     std::vector<Bytes> payloads;
     for (std::size_t k = 0; k < rows.size(); ++k)
-        payloads.push_back(random_bytes(rng, TypeParam::payload_bytes(rng)));
+        payloads.push_back(TypeParam::payload(rng));
     const Bytes blob = frame(rows, payloads);
     store.store_blob(0, blob);
 
@@ -173,7 +191,7 @@ TEST(ReplicaStore, ShadowsEveryArrayInOrder) {
     Rng rng(99);
     const Bytes dense_blob = frame({1, 2}, {random_bytes(rng, 24),
                                             random_bytes(rng, 24)});
-    const Bytes sparse_blob = frame({7}, {random_bytes(rng, 32)});
+    const Bytes sparse_blob = frame({7}, {random_sparse_payload(rng, 2)});
     EXPECT_EQ(store.store_blob(0, dense_blob), RowSet(1, 3));
     EXPECT_EQ(store.store_blob(1, sparse_blob), RowSet(7, 8));
     // A dense payload of the wrong size does not fit array 0's shape.

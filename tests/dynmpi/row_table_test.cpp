@@ -13,6 +13,7 @@
 #include <climits>
 #include <cstddef>
 #include <map>
+#include <numeric>
 #include <vector>
 
 #include "dynmpi/dense_array.hpp"
@@ -336,6 +337,103 @@ TYPED_TEST(RowTableModel, OutOfRangeEnsureRejectedWithoutChange) {
     EXPECT_THROW(a.ensure_rows(bad), Error);
     EXPECT_THROW(a.ensure_rows(RowSet(-3, 2)), Error);
     expect_matches(a, m);
+}
+
+/// Row `r` of `a` must equal the oracle row: the same entries, strictly
+/// ascending by column, and get() agreeing on every column.
+void expect_sparse_row(const SparseMatrix& a, int r, const Sparse::Row& row) {
+    ASSERT_EQ(Sparse::read(a, r), row) << "row " << r;
+    const SparseMatrix::RowList& entries = a.row(r);
+    for (std::size_t k = 1; k < entries.size(); ++k)
+        ASSERT_LT(entries[k - 1].col, entries[k].col) << "row " << r;
+    for (int col = 0; col < kCols; ++col) {
+        const auto it = row.find(col);
+        EXPECT_EQ(a.get(r, col), it == row.end() ? 0.0 : it->second)
+            << "row " << r << " col " << col;
+    }
+}
+
+TEST(SparseRowModel, ShuffledSetsOverwritesAndErasesMatchMap) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        auto a = Sparse::make("A");
+        std::map<int, Sparse::Row> model;
+        a.ensure_rows(RowSet(8, 40));
+        for (int r = 8; r < 40; ++r) model[r];
+        for (int step = 0; step < 400; ++step) {
+            SCOPED_TRACE(step);
+            const int r = 8 + static_cast<int>(rng.next_below(32));
+            Sparse::Row& row = model[r];
+            switch (rng.next_below(3)) {
+            case 0: {
+                // A batch of fresh and present columns in shuffled order.
+                std::vector<int> cols(kCols);
+                std::iota(cols.begin(), cols.end(), 0);
+                for (std::size_t k = cols.size() - 1; k > 0; --k)
+                    std::swap(cols[k], cols[rng.next_below(k + 1)]);
+                cols.resize(1 + rng.next_below(kCols));
+                for (int col : cols) {
+                    const double v = rng.uniform(-1.0, 1.0);
+                    a.set(r, col, v);
+                    row[col] = v;
+                }
+                break;
+            }
+            case 1: {
+                // Overwrite a present column; the entry count stays.
+                if (row.empty()) break;
+                auto it = row.begin();
+                std::advance(it, rng.next_below(row.size()));
+                it->second = rng.uniform(-1.0, 1.0);
+                a.set(r, it->first, it->second);
+                break;
+            }
+            default: {
+                // Erase a column that may or may not be stored.
+                const int col = static_cast<int>(rng.next_below(kCols));
+                EXPECT_EQ(a.erase(r, col), row.erase(col) == 1);
+                break;
+            }
+            }
+            expect_sparse_row(a, r, row);
+            if (::testing::Test::HasFatalFailure()) return;
+        }
+        int nnz = 0;
+        for (const auto& [r, row] : model) {
+            expect_sparse_row(a, r, row);
+            nnz += static_cast<int>(row.size());
+        }
+        EXPECT_EQ(a.nnz(), nnz);
+
+        // pack -> unpack -> pack reproduces the wire byte for byte.
+        const RowSet held = a.held();
+        const auto wire = a.pack_rows(held);
+        auto b = Sparse::make("B");
+        EXPECT_EQ(b.unpack_rows(wire), held);
+        EXPECT_EQ(b.pack_rows(held), wire);
+        for (const auto& [r, row] : model) expect_sparse_row(b, r, row);
+
+        // A Cursor over the unpacked copy visits the oracle's entries in
+        // order, and set_next writes through and marks its rows dirty.
+        b.clear_dirty(held);
+        RowSet written;
+        for (const auto& [r, row] : model)
+            if (!row.empty()) written.add_row(r);
+        auto c = b.cursor();
+        for (auto& [r, row] : model)
+            for (auto& [col, v] : row) {
+                ASSERT_FALSE(c.at_end());
+                EXPECT_EQ(c.current_row(), r);
+                EXPECT_EQ(c.current().col, col);
+                EXPECT_EQ(c.current().value, v);
+                v = -2.0 * v;
+                c.set_next(v);
+            }
+        EXPECT_TRUE(c.at_end());
+        for (const auto& [r, row] : model) expect_sparse_row(b, r, row);
+        EXPECT_EQ(b.dirty_rows(held), written);
+    }
 }
 
 TEST(RowTable, FindRejectsEveryRowOutsideTheWindow) {
