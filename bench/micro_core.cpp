@@ -1,7 +1,9 @@
 // Micro-benchmarks for the substrate hot paths: event queue, CPU model,
-// rank fiber switches, row-set algebra, sparse pack/unpack and the dense
-// unpack of a replica refresh.
+// rank fiber switches, row-set algebra, sparse pack/unpack, and the dense
+// unpack and whole round trip of a replica refresh.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "dynmpi/dense_array.hpp"
 #include "dynmpi/row_set.hpp"
@@ -161,6 +163,27 @@ void BM_Dense_UnpackNarrowRows(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_Dense_UnpackNarrowRows);
+
+// One whole refresh round trip of that vector, as ReplicaStore::refresh
+// runs it: dirty scan, pack, unpack into the buddy's shadow, clear.  The
+// app's writes, which dirty every row again, are one mark_rows_dirty.
+void BM_Replica_RefreshDense(benchmark::State& state) {
+    constexpr int kRows = 1750;
+    const RowSet owned(0, kRows);
+    DenseArray src("p", kRows, 1, sizeof(double));
+    src.ensure_rows(owned);
+    for (int r = 0; r < kRows; ++r) *src.row_ptr<double>(r) = 0.5 * r;
+    std::unique_ptr<DistArray> shadow = src.empty_like();
+    for (auto _ : state) {
+        src.mark_rows_dirty(owned);
+        const RowSet rows = src.dirty_rows(owned);
+        shadow->unpack_rows(src.pack_rows(rows));
+        src.clear_dirty(rows);
+        benchmark::DoNotOptimize(shadow->held());
+    }
+    state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_Replica_RefreshDense);
 
 }  // namespace
 }  // namespace dynmpi

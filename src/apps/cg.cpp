@@ -158,11 +158,16 @@ std::vector<double> reference_cg_residuals(const CgConfig& cfg) {
     double rr = 0.0;
     for (int i = 0; i < n; ++i) rr += r[(size_t)i] * r[(size_t)i];
 
+    // Each row's entries, built once and walked in the same order on every
+    // iteration.
+    std::vector<std::vector<std::pair<int, double>>> rows(n);
+    for (int i = 0; i < n; ++i) rows[(size_t)i] = row_entries(cfg, i);
+
     std::vector<double> history;
     for (int it = 0; it < cfg.cycles; ++it) {
         for (int i = 0; i < n; ++i) {
             double s = 0.0;
-            for (auto [c, v] : row_entries(cfg, i)) s += v * p[(size_t)c];
+            for (auto [c, v] : rows[(size_t)i]) s += v * p[(size_t)c];
             q[(size_t)i] = s;
         }
         double pq = 0.0;

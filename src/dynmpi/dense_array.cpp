@@ -2,8 +2,21 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace dynmpi {
+
+namespace {
+/// Calls f with the row size: as a compile-time constant for one-double
+/// rows (a CG vector's), so each row's copy compiles to one move rather
+/// than a memcpy call, and as a plain value for every other size.
+template <typename F>
+void with_row_bytes(std::size_t n, F&& f) {
+    if (n == sizeof(double))
+        return f(std::integral_constant<std::size_t, sizeof(double)>{});
+    return f(n);
+}
+}  // namespace
 
 DenseArray::DenseArray(std::string name, int global_rows, int row_elems,
                        std::size_t elem_bytes)
@@ -24,35 +37,40 @@ std::vector<std::byte> DenseArray::pack_rows(const RowSet& rows) const {
     std::byte* w = out.data();
     std::memcpy(w, &nrows, 4);
     w += 4;
-    for (const RowInterval& iv : rows.intervals()) {
-        for (int r = iv.lo; r < iv.hi; ++r) {
-            const std::byte* data = row_data(r);
-            std::memcpy(w, &r, 4);
-            std::memcpy(w + 4, &nbytes, 8);
-            std::memcpy(w + 12, data, nbytes);
-            w += 12 + nbytes;
+    with_row_bytes(nbytes, [&](auto size) {
+        for (const RowInterval& iv : rows.intervals()) {
+            for (int r = iv.lo; r < iv.hi; ++r) {
+                const std::byte* data = row_data(r);
+                std::memcpy(w, &r, 4);
+                std::memcpy(w + 4, &nbytes, 8);
+                std::memcpy(w + 12, data, size);
+                w += 12 + size;
+            }
         }
-    }
+    });
     stats_.bytes_packed += out.size();
     return out;
 }
 
 RowSet DenseArray::unpack_rows(const std::vector<std::byte>& data) {
     // Validate the whole buffer first, so a malformed one changes nothing
-    // and the table is sized once.
+    // and the table is sized once.  The rows are marked dirty after the
+    // copy pass, one fill per interval.
     const std::size_t nbytes = row_bytes();
     const RowSet rows = framed_rows(data, nbytes, /*one_unit=*/true);
     if (!rows.empty()) rows_.cover(held_, rows.first(), rows.last() + 1);
-    for_each_unit_record(
-        data, nbytes, [&](int row, std::uint64_t, const std::byte* payload) {
-            auto& slot = rows_.slot(row);
-            if (!slot) {
-                slot = std::make_unique_for_overwrite<std::byte[]>(nbytes);
-                ++stats_.rows_allocated;
-            }
-            std::memcpy(slot.get(), payload, nbytes);
-            mark_row_dirty(row);
-        });
+    with_row_bytes(nbytes, [&](auto size) {
+        for_each_unit_record(
+            data, size, [&](int row, std::uint64_t, const std::byte* payload) {
+                auto& slot = rows_.slot(row);
+                if (!slot) {
+                    slot = std::make_unique_for_overwrite<std::byte[]>(size);
+                    ++stats_.rows_allocated;
+                }
+                std::memcpy(slot.get(), payload, size);
+            });
+    });
+    mark_rows_dirty(rows);
     held_.add(rows);
     stats_.bytes_unpacked += data.size();
     return rows;
@@ -178,11 +196,11 @@ RowSet ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
     for_each_unit_record(
         data, row_bytes(),
         [&](int row, std::uint64_t, const std::byte* payload) {
-            mark_row_dirty(row);
             std::memcpy(buffer_.data() +
                             static_cast<std::size_t>(row - base_) * row_bytes(),
                         payload, row_bytes());
         });
+    mark_rows_dirty(incoming);
     held_.add(incoming);
     stats_.bytes_unpacked += data.size();
     return incoming;

@@ -73,9 +73,14 @@ public:
     // Every mutation path (writable row access, unpack, fresh allocation)
     // marks the touched rows dirty; the replication layer reads the dirty
     // set to ship incremental deltas and clears it once a refresh lands.
+    // The interval calls are one fill per interval, and dirty_rows tests
+    // eight rows' flags per load.  Rows outside [0, global_rows) are
+    // ignored.
 
     void mark_row_dirty(int row) {
-        if (row >= 0 && row < global_rows_) dirty_[static_cast<std::size_t>(row)] = 1;
+        // A negative row wraps to a huge index and fails the bounds check.
+        const auto r = static_cast<std::size_t>(row);
+        if (r < static_cast<std::size_t>(global_rows_)) dirty_[r] = 1;
     }
     void mark_rows_dirty(const RowSet& rows);
 
@@ -111,12 +116,13 @@ protected:
 
     /// Calls f(row, payload_bytes, payload) for each record of a buffer
     /// whose records are all 12 + unit bytes, such as one framed_rows
-    /// accepted with `one_unit`.
-    template <typename F>
+    /// accepted with `one_unit`.  `unit` may be a std::integral_constant,
+    /// which makes the stride a constant.
+    template <typename Unit, typename F>
     static void for_each_unit_record(const std::vector<std::byte>& data,
-                                     std::uint64_t unit, F&& f) {
+                                     Unit unit, F&& f) {
         for (std::size_t at = 4; at < data.size();
-             at += static_cast<std::size_t>(12 + unit)) {
+             at += 12 + static_cast<std::size_t>(unit)) {
             std::uint32_t row;
             std::uint64_t nbytes;
             std::memcpy(&row, data.data() + at, 4);
@@ -132,7 +138,9 @@ protected:
     std::string name_;
     int global_rows_;
     RowSet held_;
-    std::vector<char> dirty_; ///< per-row modified-since-refresh flags
+    /// Per-row modified-since-refresh flags, 0 or 1, then eight bytes of
+    /// clear padding so a word load at any row stays inside.
+    std::vector<char> dirty_;
     mutable Stats stats_;
 };
 

@@ -677,21 +677,25 @@ void Runtime::run_phase(int phase, const std::vector<double>& row_costs) {
                        my_iters(phase).count(),
                    "row_costs must align with my_iters");
 
-    double paging = paging_factor();
-    msg::RowTimings t;
+    // Thrashing: every row costs paging_slowdown x its CPU time.  The
+    // grace-period measurements see the inflation, so even without
+    // memory-aware caps the balancer is pushed away from this node.
+    const double paging = paging_factor();
+    std::vector<double> inflated;
     if (paging > 1.0) {
-        // Thrashing: every row costs paging_slowdown x its CPU time.  The
-        // grace-period measurements see the inflation, so even without
-        // memory-aware caps the balancer is pushed away from this node.
-        std::vector<double> inflated(row_costs);
+        inflated = row_costs;
         for (double& c : inflated) c *= paging;
-        t = rank_.compute_rows(inflated);
-    } else {
-        t = rank_.compute_rows(row_costs);
     }
+    const std::vector<double>& costs = paging > 1.0 ? inflated : row_costs;
     if (mon_.mode == Mode::Grace && !p.measured_this_cycle) {
+        // A grace cycle's first run of the phase is the only one whose
+        // per-row timings are read.
+        const msg::RowTimings t = rank_.compute_rows(costs);
         p.timer.record_cycle(t.wall, t.cpu, my_load(), node_speed());
         p.measured_this_cycle = true;
+    } else {
+        // The batch compute_rows would run, without the per-row timings.
+        rank_.compute(std::accumulate(costs.begin(), costs.end(), 0.0));
     }
 
     // Loaded nodes arrive at the phase's synchronization point late by the

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
@@ -116,6 +117,63 @@ TEST(Timing, ComputeRowsConsistentWithTotalElapsed) {
         EXPECT_NEAR(measured_total, r.hrtime() - t0, 1e-6);
     });
 }
+
+// The runtime charges a phase through Rank::compute(sum) on every cycle
+// that reads no per-row timings, and through compute_rows on the rest: the
+// two must leave the node in the same state.
+struct ChargeCase {
+    int competitors;
+    double paging; ///< every row's cost inflated by this, as the runtime does
+};
+
+/// Names the test cases by value rather than by their (padded) bytes.
+void PrintTo(const ChargeCase& c, std::ostream* os) {
+    *os << "competitors" << c.competitors << "_paging" << c.paging;
+}
+
+class ChargePaths : public ::testing::TestWithParam<ChargeCase> {};
+
+/// Virtual time, batches run and app CPU seconds after charging a fixed
+/// batch sequence through `by_rows` (compute_rows) or compute(sum).
+std::vector<double> charge_all(const ChargeCase& c, bool by_rows) {
+    Machine m(cfg(1, /*jitter=*/0.3));
+    if (c.competitors > 0) {
+        // A steady load plus one that arrives and leaves mid-batch.
+        m.cluster().add_load_interval(0, 0.0, -1.0, c.competitors);
+        m.cluster().add_load_interval(0, 0.013, 0.041, 1);
+    }
+    std::vector<double> out;
+    m.run([&](Rank& r) {
+        const std::vector<std::vector<double>> batches{
+            {0.001, 0.0025, 0.0007, 0.004},
+            {},
+            {0.0, 0.0},
+            std::vector<double>(257, 0.0001),
+            {0.02, 0.003, 0.0111}};
+        for (std::vector<double> costs : batches) {
+            for (double& x : costs) x *= c.paging;
+            if (by_rows)
+                r.compute_rows(costs);
+            else
+                r.compute(std::accumulate(costs.begin(), costs.end(), 0.0));
+            out.push_back(r.hrtime());
+            out.push_back(
+                static_cast<double>(r.node().cpu().batches_run()));
+            out.push_back(r.exact_cpu_time());
+        }
+    });
+    return out;
+}
+
+TEST_P(ChargePaths, ComputeOfTheSumMatchesComputeRows) {
+    EXPECT_EQ(charge_all(GetParam(), false), charge_all(GetParam(), true));
+}
+
+INSTANTIATE_TEST_SUITE_P(Timing, ChargePaths,
+                         ::testing::Values(ChargeCase{0, 1.0},
+                                           ChargeCase{2, 1.0},
+                                           ChargeCase{0, 4.0},
+                                           ChargeCase{2, 4.0}));
 
 }  // namespace
 }  // namespace dynmpi::msg
