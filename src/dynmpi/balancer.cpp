@@ -310,10 +310,9 @@ double predict_cycle_time(const BalanceInput& input,
     return worst + comm_wire_s;
 }
 
-RemovalDecision evaluate_removal(const BalanceInput& input,
-                                 double measured_max_cycle_s,
-                                 double comm_cpu_unloaded_s,
-                                 double comm_wire_unloaded_s) {
+RemovalDecision evaluate_removal(
+    const BalanceInput& input, double measured_max_cycle_s,
+    const std::function<std::pair<double, double>(int)>& comm_for) {
     RemovalDecision d;
     d.measured_loaded_s = measured_max_cycle_s;
     for (std::size_t j = 0; j < input.nodes.size(); ++j)
@@ -326,15 +325,16 @@ RemovalDecision evaluate_removal(const BalanceInput& input,
 
     // Predicted time of the unloaded-only configuration — predictable with
     // high accuracy because no loaded node participates (paper §4.4).
+    const auto [comm_cpu, comm_wire] =
+        comm_for(static_cast<int>(d.unloaded_members.size()));
     BalanceInput sub;
     sub.row_costs = input.row_costs;
-    sub.comm_cpu_per_node = comm_cpu_unloaded_s;
+    sub.comm_cpu_per_node = comm_cpu;
     for (int j : d.unloaded_members)
         sub.nodes.push_back(input.nodes[static_cast<std::size_t>(j)]);
     auto shares = successive_shares(sub);
     auto counts = blocks_from_shares(sub.row_costs, shares);
-    d.predicted_unloaded_s =
-        predict_cycle_time(sub, counts, comm_wire_unloaded_s);
+    d.predicted_unloaded_s = predict_cycle_time(sub, counts, comm_wire);
     d.drop = d.predicted_unloaded_s < measured_max_cycle_s;
     return d;
 }

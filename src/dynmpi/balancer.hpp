@@ -16,11 +16,21 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "dynmpi/comm_model.hpp"
 
 namespace dynmpi {
+
+/// The dmpi_ps load above which successive balancing and the §4.4 removal
+/// predictor treat a node as loaded.  It is a second threshold beside
+/// RuntimeOptions::load_change_eps (0.5), which triggers adaptation and
+/// picks the re-add candidates: a node at load 0.4 can be re-added as
+/// unloaded and then dropped as loaded.  Unifying the two would move
+/// virtual time.
+inline constexpr double kLoadedThreshold = 0.25;
 
 /// A node's processing capability as the runtime sees it.
 struct NodePower {
@@ -28,7 +38,7 @@ struct NodePower {
     double avg_competing = 0.0; ///< dmpi_ps load average
     double share() const { return 1.0 / (1.0 + avg_competing); }
     double power() const { return speed * share(); }
-    bool loaded(double eps = 0.25) const { return avg_competing > eps; }
+    bool loaded() const { return avg_competing > kLoadedThreshold; }
 };
 
 struct BalanceInput {
@@ -87,11 +97,12 @@ struct RemovalDecision {
 };
 
 /// `measured_max_cycle_s` is the post-redistribution grace-period average of
-/// the slowest node.  `comm_wire_unloaded_s` is the wire term for the
-/// smaller configuration.
-RemovalDecision evaluate_removal(const BalanceInput& input,
-                                 double measured_max_cycle_s,
-                                 double comm_cpu_unloaded_s,
-                                 double comm_wire_unloaded_s);
+/// the slowest node.  `comm_for(k)` gives the (CPU, wire) seconds per cycle
+/// that k nodes spend communicating; it is asked only for the unloaded-only
+/// configuration, and only when some but not all nodes are loaded (with
+/// none or all loaded there is no removal question: `drop` stays false).
+RemovalDecision evaluate_removal(
+    const BalanceInput& input, double measured_max_cycle_s,
+    const std::function<std::pair<double, double>(int)>& comm_for);
 
 }  // namespace dynmpi

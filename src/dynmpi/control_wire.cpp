@@ -1,5 +1,7 @@
 #include "dynmpi/control_wire.hpp"
 
+#include <cmath>
+
 #include "support/wire.hpp"
 
 namespace dynmpi {
@@ -16,6 +18,30 @@ std::vector<int> get_ints(WireReader& r, std::size_t n, int bound) {
     return v;
 }
 }  // namespace
+
+std::vector<std::byte> encode(const LoadSnapshot& s) {
+    WireWriter w(24 * s.loads.size());
+    for (double l : s.loads) w.f64(l);
+    for (char q : s.quarantined) w.u64(q != 0);
+    for (char j : s.joinable) w.u64(j != 0);
+    return w.take();
+}
+
+LoadSnapshot decode_load_snapshot(const std::vector<std::byte>& bytes,
+                                  int world) {
+    WireReader r(bytes);
+    LoadSnapshot s;
+    for (int m = 0; m < world; ++m) {
+        const double l = r.f64();
+        DYNMPI_REQUIRE(std::isfinite(l) && l >= 0.0,
+                       "load snapshot carries a bad load");
+        s.loads.push_back(l);
+    }
+    for (int m = 0; m < world; ++m) s.quarantined.push_back(r.below(2) != 0);
+    for (int m = 0; m < world; ++m) s.joinable.push_back(r.below(2) != 0);
+    r.finish();
+    return s;
+}
 
 std::vector<std::byte> encode(const Bootstrap& b) {
     WireWriter w;

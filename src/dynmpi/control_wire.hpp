@@ -1,6 +1,9 @@
-// The runtime's two control messages (paper §4.4), as typed structs with
-// free encode/decode functions over support/wire.hpp.
+// The runtime's control messages (paper §4.4), as typed structs with free
+// encode/decode functions over support/wire.hpp.
 //
+// - LoadSnapshot: relative rank 0's view of every node's load at a decision
+//   point, broadcast within the active set (the one consistent reading of
+//   the daemon mesh that every rank decides on).
 // - Bootstrap: the leader's hand-off to a revived node, so it can rejoin as
 //   a removed follower of the status channel.
 // - Status: relative rank 0's per-cycle message to every removed node,
@@ -22,6 +25,13 @@
 #include "dynmpi/comm_model.hpp"
 
 namespace dynmpi {
+
+struct LoadSnapshot {
+    // Per world rank.
+    std::vector<double> loads;      ///< dmpi_ps average competing, >= 0
+    std::vector<char> quarantined;  ///< sits out of balancing
+    std::vector<char> joinable;     ///< may be (re)admitted to the active set
+};
 
 struct Bootstrap {
     std::uint64_t next_cycle = 0; ///< first cycle whose status it follows
@@ -47,9 +57,13 @@ struct Status {
     std::vector<char> quarantined;   ///< per world rank
 };
 
+std::vector<std::byte> encode(const LoadSnapshot& s);
 std::vector<std::byte> encode(const Bootstrap& b);
 std::vector<std::byte> encode(const Status& s);
 
+/// Also rejects a load that is negative or not finite.
+LoadSnapshot decode_load_snapshot(const std::vector<std::byte>& bytes,
+                                  int world);
 Bootstrap decode_bootstrap(const std::vector<std::byte>& bytes, int world);
 Status decode_status(const std::vector<std::byte>& bytes, int world,
                      int global_rows);

@@ -13,19 +13,13 @@
 //        rt.send_rel / rt.recv_rel, charge work via rt.run_phase(...) ...
 //     rt.end_cycle();                            — monitor, adapt (§4.2–4.4)
 //
-// end_cycle() drives a three-mode state machine executed identically on all
-// ranks (every decision is a pure function of world-collectively exchanged
-// data, so the ranks never disagree):
-//
-//   Monitor   — cheap per-cycle check: has any node's dmpi_ps load changed?
-//   Grace     — 5 cycles of per-iteration measurement (§4.2), then a new
-//               distribution via successive balancing (§4.3) and a live
-//               redistribution (§4.4).
-//   PostGrace — 10 cycles observing the new distribution; if the predicted
-//               all-unloaded configuration beats the measurement, loaded
-//               nodes are dropped — physically (removed from the active set
-//               and the relative-rank space) or logically (kept with a
-//               minimum assignment), per options.
+// end_cycle() drives the three-mode Monitor -> Grace -> PostGrace machine of
+// §4.2-4.4.  Its rules live in AdaptPolicy (adapt_policy.hpp), a value type
+// every rank steps identically on world-collectively exchanged data, so
+// the ranks never disagree.  The Runtime is its I/O: the per-cycle
+// allreduce, the leader's load snapshot and its broadcast, the cost-vector
+// allgather, the status and bootstrap messages, crash repair and the
+// redistributions the policy's actions call for.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "dynmpi/balancer.hpp"
-#include "dynmpi/comm_model.hpp"
+#include "dynmpi/adapt_policy.hpp"
 #include "dynmpi/dense_array.hpp"
 #include "dynmpi/distribution.hpp"
 #include "dynmpi/redistributor.hpp"
@@ -43,65 +36,9 @@
 #include "dynmpi/sparse_matrix.hpp"
 #include "dynmpi/timing.hpp"
 #include "mpisim/collectives.hpp"
+#include "support/trace.hpp"
 
 namespace dynmpi {
-
-enum class DropMode { Physical, Logical };
-enum class BalanceScheme { SuccessiveBalancing, RelativePower };
-
-struct RuntimeOptions {
-    bool adapt = true; ///< false: behave like plain MPI (the No-Adapt baseline)
-    /// Initial distribution shape (paper §2.1: DMPI_BLOCK / DMPI_CYCLIC).
-    /// Adaptation always produces variable blocks; a cyclic program that
-    /// adapts is redistributed from its cyclic layout on the first change.
-    Distribution::Kind initial_dist = Distribution::Kind::Block;
-    int cyclic_block_size = 1;
-    int grace_cycles = 5;       ///< paper default (§4.2)
-    int post_grace_cycles = 10; ///< paper default (§4.4)
-    bool enable_removal = true;
-    /// Drop loaded nodes at the post-grace decision point regardless of the
-    /// §4.4 predictor (benches measure both configurations this way).
-    bool force_drop_loaded = false;
-    DropMode drop_mode = DropMode::Physical;
-    BalanceScheme scheme = BalanceScheme::SuccessiveBalancing;
-    bool calibrate = true; ///< run comm µ-benchmarks at commit_setup
-    CommCosts comm_costs;  ///< used directly when calibrate == false
-    TimingConfig timing;
-    int max_redistributions = -1;   ///< cap on adaptations; -1 = unlimited
-                                    ///< (Figure 5's "Redist Once" arm uses 1)
-    double load_change_eps = 0.5;   ///< dmpi_ps delta that triggers adaptation
-    double min_count_change = 0.1;  ///< skip redistribution unless some block
-                                    ///< changes by this fraction of an
-                                    ///< average block
-    int logical_min_rows = 1; ///< rows kept on logically dropped nodes
-    /// Memory-aware balancing (the AppLeS-style paging avoidance the paper
-    /// cites): cap each node's block so registered arrays fit its physical
-    /// memory.  Nodes over their memory page regardless (paging_slowdown x
-    /// compute), so turning this off makes the cost visible.
-    bool memory_aware = true;
-    double paging_slowdown = 4.0;
-    // ---- runtime hardening (fault tolerance; see docs/FAULTS.md) ----
-    /// Load reports older than this fall back to the last-known value.  The
-    /// effective window is max(this, 2 x the dmpi_ps period), so slow
-    /// daemons are not misread as faulty ones.
-    double report_staleness_s = 3.0;
-    /// Consecutive stale/bad reports before a node is quarantined (logically
-    /// dropped from the candidate set).
-    int quarantine_bad_reports = 3;
-    /// Consecutive clean reports before a quarantined node may be readmitted.
-    int readmit_clean_cycles = 8;
-    // ---- crash resilience: diskless buddy replication (docs/FAULTS.md) ----
-    /// Shadow each node's owned rows of every registered array onto its
-    /// replication buddy (the successor in the active ring) so a crashed
-    /// node's block is restored with real contents instead of zero-fill.
-    bool replicate = false;
-    /// Minimum seconds between incremental replica refreshes (dirty-row
-    /// deltas piggybacked on the monitoring cycle).  0 refreshes every
-    /// cycle.  Positive values must be at least the dmpi_ps monitoring
-    /// period — refreshes ride the monitoring protocol and cannot run more
-    /// often than it.
-    double replica_refresh_s = 0.0;
-};
 
 /// What happened in one phase cycle (for benches and tests).
 struct CycleRecord {
@@ -231,8 +168,9 @@ public:
     /// Global reduction with removed-node semantics (§4.4): active nodes
     /// compute the reduction; removed nodes skip the send-in but receive the
     /// result (send-out).  Must be called by every world rank.
-    double allreduce_active(double value, msg::OpSum op);
-    double allreduce_active(double value, msg::OpMax op);
+    /// `Op` is msg::OpSum or msg::OpMax.
+    template <typename Op>
+    double allreduce_active(double value, Op op);
 
     // ---- failure recovery ----
 
@@ -251,7 +189,7 @@ public:
     const Distribution& distribution() const { return dist_; }
     const msg::Group& active_group() const { return active_; }
     const RuntimeStats& stats() const { return stats_; }
-    const CommCosts& comm_costs() const { return comm_costs_; }
+    const CommCosts& comm_costs() const { return model_.comm_costs; }
     DenseArray& dense(const std::string& name);
     msg::Rank& rank() { return rank_; }
     int global_rows() const { return global_rows_; }
@@ -260,17 +198,17 @@ public:
     const std::vector<double>& last_row_costs() const { return row_costs_; }
 
 private:
-    enum class Mode { Monitor, Grace, PostGrace };
-
     struct Phase {
         int lo = 0, hi = 0;
-        PhaseComm comm;
         IterationTimer timer;
         bool measured_this_cycle = false;
     };
 
     ArrayInfo& info(const std::string& name);
     void record_event(AdaptationEvent::Kind kind, std::string detail);
+    /// Emit instant `id` of this cycle (its `cycle` arg first) when tracing.
+    void trace_instant(support::InstantId id,
+                       std::vector<support::TraceArg> args) const;
 
     /// This rank's iteration sets under one layout: the whole owned set and
     /// its clip to each phase, all empty on a removed node.
@@ -288,10 +226,6 @@ private:
     /// This rank's whole owned set under the current layout.
     const RowSet& owned_iters() const { return iter_sets().owned; }
 
-    /// allreduce_active for either operation.
-    template <typename Op>
-    double reduce_sendout(double value, Op op);
-
     double my_load() const;       ///< dmpi_ps average competing
     double node_speed() const;
 
@@ -303,15 +237,9 @@ private:
     /// first fault.
     msg::Group protocol_group() const;
 
-    /// Whether node w's dmpi_ps report is older than the staleness window.
-    bool report_stale(int w) const;
-
-    /// Leader-only, once per cycle: update per-node bad/clean report
-    /// streaks and decide whether quarantine state wants an adaptation.
-    void leader_scan_reports();
-    /// Leader: whether node `wi`'s current report streak flips its
-    /// quarantine flag (bad reports quarantine, clean ones readmit).
-    bool quarantine_flips(std::size_t wi) const;
+    /// Leader: read every node's membership and daemon report into
+    /// reports_ (a report is stale past the staleness window).
+    void read_reports();
 
     /// Drop crashed members from the active set, left-merging their row
     /// blocks into surviving predecessors (zero data movement).  Without
@@ -338,58 +266,39 @@ private:
     // ---- monitoring internals (all control-plane traffic) ----
 
     /// One consistent view of every node's dmpi_ps average: relative rank 0
-    /// reads all daemons (single reader → no divergence) and broadcasts
-    /// within the given protocol group, together with quarantine flags.
-    /// Stale and crashed nodes fall back to their last-known load.
-    std::vector<double> read_world_loads(const msg::Group& pg);
-
-    /// Outcome of a grace period, computed identically on all active nodes.
-    struct GraceDecision {
-        bool material = false;
-        msg::Group new_active;
-        std::vector<int> counts;
-        std::vector<double> loads;
-    };
-    GraceDecision compute_grace_decision(const std::vector<double>& loads,
-                                         const msg::Group& pg);
-
-    /// The balancer's view of `members` (world ranks) under `loads`.
-    BalanceInput balance_input(const std::vector<int>& members,
-                               const std::vector<double>& loads) const;
-    /// Block shares of `in` under the configured balancing scheme.
-    std::vector<double> shares_for(const BalanceInput& in) const;
+    /// builds the policy's snapshot (quarantine flips applied) and
+    /// broadcasts it within the protocol group.
+    LoadSnapshot read_world_loads(const msg::Group& pg);
+    /// Assemble the global per-row cost vector (row_costs_) from every
+    /// active rank's grace-period estimates.
+    void gather_row_costs(const msg::Group& pg);
 
     /// Per-cycle status messages from relative rank 0 to every removed node
-    /// (steady heartbeat, or a re-add instruction carrying full state).
+    /// (steady heartbeat, or a re-add instruction carrying full state when
+    /// `grace_end` redistributes).
     void send_statuses(const msg::Group& active_before,
-                       const GraceDecision* decision);
+                       const AdaptAction* grace_end);
     void active_cycle_monitor(CycleRecord& rec, double wall);
+    /// Carry out a step's action and emit the trace instants it describes.
+    void carry_out(const AdaptAction& a, const msg::Group& active_before,
+                   double max_delta);
     /// Follow the leader's status: track the active set, or on a re-add
     /// adopt the layout being left and join the redistribution through
     /// apply_distribution.
     void removed_cycle_follow();
 
-    /// Per-candidate row caps from node memories (0 entries = unlimited).
-    std::vector<int> row_caps_for(const std::vector<int>& members) const;
+    /// Allocate the rows this node's accesses need under the current layout.
+    void ensure_needed_rows();
     /// Paging factor for this node right now (1.0 when data fits).
     double paging_factor() const;
 
-    /// Zero the grace count and restart every phase's timer for the
-    /// current ownership.
-    void restart_grace_window();
-    void enter_grace();
-    void enter_post_grace();
-    void finish_post_grace(const std::vector<double>& world_loads);
-    /// The §4.4 removal decision at the end of post-grace, with loaded
-    /// nodes present: drop them (physically or logically) if predicted to
-    /// pay, or always under force_drop_loaded.  Returns whether it dropped.
-    bool try_drop(const std::vector<double>& world_loads, double measured);
+    /// Restart every phase's timer for the current ownership (a new grace
+    /// window).
+    void restart_phase_timers();
     /// Redistribute to (new_active, new_dist) and emit the redist.apply
     /// span (per-array breakdown) and the redist metrics.
     void apply_distribution(const msg::Group& new_active,
                             const Distribution& new_dist);
-    double comm_cpu_for(int active_nodes) const;
-    double comm_wire_for(int active_nodes) const;
 
     msg::Rank& rank_;
     int global_rows_;
@@ -402,41 +311,19 @@ private:
     mutable IterSets iters_;  ///< cache behind iter_sets()
     std::vector<ArrayInfo> arrays_;
     std::vector<Phase> phases_;
-    std::vector<double> speeds_;   ///< per world rank
-    std::vector<double> memories_; ///< per world rank, bytes (0 = unlimited)
-
-    CommCosts comm_costs_;
-    /// The monitor's progress through the state machine: everything a
-    /// retried monitoring attempt restores before it replays the cycle.
-    struct MonitorState {
-        Mode mode = Mode::Monitor;
-        int grace_count = 0;
-        int post_count = 0;
-        std::vector<double> post_cycle_max;
-        std::uint64_t redist_seq = 0;
-    };
-    MonitorState mon_;
-    std::vector<double> baseline_loads_; ///< loads at last decision point
+    MachineModel model_;
+    AdaptPolicy policy_;
+    std::uint64_t redist_seq_ = 0; ///< restored with the policy's progress
     std::vector<double> row_costs_; ///< latest global per-row cost estimates
+    std::vector<NodeReport> reports_; ///< leader: this cycle's reads
 
     double cycle_start_ = 0.0;
     bool in_cycle_ = false;
     std::uint64_t sendout_seq_ = 0;
 
-    // ---- hardening state ----
     RowSet recovered_rows_;        ///< crash-adopted rows awaiting the app
-    std::vector<int> bad_streak_;  ///< per world rank (leader maintained)
-    std::vector<int> clean_streak_;
-    std::vector<char> quarantined_; ///< per world rank, bcast with loads
-    std::vector<char> joinable_;    ///< per world rank, bcast with loads
-    bool quarantine_due_ = false;   ///< leader: transitions want a grace
     bool statuses_sent_this_cycle_ = false;
-
-    // ---- replication + rejoin state ----
     std::unique_ptr<ReplicaStore> replicas_; ///< null unless replicate
-    std::vector<int> bootstrapped_gen_; ///< leader: generation bootstrapped
-    std::vector<int> bootstrap_cycle_;  ///< leader: cycle it was sent
-    std::vector<int> seen_gen_; ///< per world rank: generation last active
 
     /// Record Kind::Rejoin for every member of `now` whose node generation
     /// advanced since it was last active (i.e. it came back via revive).

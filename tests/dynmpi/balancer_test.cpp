@@ -202,14 +202,26 @@ TEST(PredictCycleTime, CountsMustCover) {
     EXPECT_THROW(predict_cycle_time(in, {50, 40}), Error);
 }
 
+/// A comm model that charges `cpu` and `wire` seconds at any size, and
+/// records the sizes it is asked for.
+std::function<std::pair<double, double>(int)> fixed_comm(
+    double cpu, double wire, std::vector<int>* asked = nullptr) {
+    return [=](int nodes) {
+        if (asked) asked->push_back(nodes);
+        return std::pair{cpu, wire};
+    };
+}
+
 TEST(EvaluateRemoval, DropWhenLoadedNodeBottlenecks) {
     // 2 unloaded + 1 node with 3 competitors, big comm overhead: predicted
     // unloaded-only time beats the measured loaded time.
     auto in = make_input({{1, 0}, {1, 0}, {1, 3}}, 90, 0.03);
-    // Measured: loaded config is slow.
+    // Measured: loaded config is slow.  The comm terms are asked for the
+    // unloaded-only size.
+    std::vector<int> asked;
     auto d = evaluate_removal(in, /*measured=*/0.12,
-                              /*comm_cpu_unloaded=*/0.03,
-                              /*comm_wire_unloaded=*/0.005);
+                              fixed_comm(/*cpu=*/0.03, /*wire=*/0.005, &asked));
+    EXPECT_EQ(asked, (std::vector<int>{2}));
     EXPECT_TRUE(d.drop);
     EXPECT_EQ(d.unloaded_members, (std::vector<int>{0, 1}));
     EXPECT_LT(d.predicted_unloaded_s, 0.12);
@@ -219,21 +231,25 @@ TEST(EvaluateRemoval, KeepWhenComputationDominates) {
     // Plenty of compute per node: losing a worker hurts more than the load.
     auto in = make_input({{1, 0}, {1, 0}, {1, 1}}, 3000, 0.001);
     // Loaded config measured close to its ideal (~1.05s with shares).
-    auto d = evaluate_removal(in, /*measured=*/1.2, 0.001, 0.0005);
+    auto d = evaluate_removal(in, /*measured=*/1.2, fixed_comm(0.001, 0.0005));
     EXPECT_FALSE(d.drop);
     EXPECT_GT(d.predicted_unloaded_s, 1.2);
 }
 
 TEST(EvaluateRemoval, AllLoadedNeverDrops) {
     auto in = make_input({{1, 1}, {1, 2}}, 100, 0.01);
-    auto d = evaluate_removal(in, 1.0, 0.01, 0.0);
+    std::vector<int> asked;
+    auto d = evaluate_removal(in, 1.0, fixed_comm(0.01, 0.0, &asked));
     EXPECT_FALSE(d.drop);
+    EXPECT_TRUE(asked.empty()); // no removal question, no prediction
 }
 
 TEST(EvaluateRemoval, AllUnloadedNeverDrops) {
     auto in = make_input({{1, 0}, {1, 0}}, 100, 0.01);
-    auto d = evaluate_removal(in, 1.0, 0.01, 0.0);
+    std::vector<int> asked;
+    auto d = evaluate_removal(in, 1.0, fixed_comm(0.01, 0.0, &asked));
     EXPECT_FALSE(d.drop);
+    EXPECT_TRUE(asked.empty());
 }
 
 TEST(CommModel, NearestNeighborCpuPerCycle) {

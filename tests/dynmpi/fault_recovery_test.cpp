@@ -374,6 +374,25 @@ TEST(FaultRecovery, DoubleCrashFallsBackToZeroFill) {
     EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
 }
 
+// A node dropped for its load is a removed follower when the leader
+// crashes: it repairs its own view of the active set to find the new
+// leader's status channel, and that leader re-adds it once the load clears.
+TEST(FaultRecovery, RemovedNodeFollowsANewLeader) {
+    FaultParams fp;
+    fp.cycles = 90;
+    fp.load = "node 1: 0.3 4.0 x5\n"; // dropped at t = 2.7
+    fp.script = "crash node=0 t=3.2\n";
+    fp.opts.force_drop_loaded = true;
+    fp.collector = 2;
+    FaultOutcome out = run_with_faults(fp);
+    EXPECT_TRUE(out.data_ok);
+    EXPECT_EQ(out.physical_drops, 1);
+    EXPECT_EQ(out.crash_repairs, 1);
+    EXPECT_EQ(out.readds, 1);
+    EXPECT_EQ(out.final_active, 3);
+    EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
+}
+
 // ---------------------------------------------------------------------------
 // Node rejoin: crash + revive closes the shrink/grow loop
 // ---------------------------------------------------------------------------
@@ -421,6 +440,27 @@ TEST(FaultRecovery, CrashThenReviveWithoutReplication) {
     EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
 }
 
+// A second crash while the revived node waits for its bootstrap revokes
+// that wait; the node waits again, and the leader's bootstrap still brings
+// it back.
+TEST(FaultRecovery, CrashDuringBootstrapWaitStillRejoins) {
+    FaultParams fp;
+    fp.nodes = 8;
+    fp.rows = 96;
+    fp.cycles = 90;
+    fp.script =
+        "crash node=5 t=1.5\n"
+        "revive node=5 t=2.5\n"
+        "crash node=3 t=2.502\n";
+    fp.opts.replicate = true;
+    FaultOutcome out = run_with_faults(fp);
+    EXPECT_TRUE(out.data_ok);
+    EXPECT_EQ(out.crash_repairs, 2);
+    EXPECT_EQ(out.rejoins_max, 1.0);
+    EXPECT_EQ(out.final_active, fp.nodes - 1); // node 3 stays down
+    EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
+}
+
 // Determinism must survive the full crash/restore/rejoin machinery:
 // identical seed + script still yields a byte-identical trace.
 TEST(FaultRecovery, ReviveTraceIsByteIdenticalAcrossRuns) {
@@ -462,6 +502,38 @@ TEST(FaultRecovery, StaleReportsFallBack) {
     EXPECT_TRUE(out.data_ok);
     EXPECT_GT(out.stale_fallbacks, 0);
     EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
+}
+
+// The fallback is visible in the trace: the leader emits one
+// runtime.stale_report per stale node and cycle, naming the node and the
+// report's age.
+TEST(FaultRecovery, StaleReportsAreTraced) {
+    FaultParams fp;
+    fp.nodes = 4;
+    fp.rows = 48;
+    fp.cycles = 80;
+    fp.row_cost = 8e-3;
+    fp.script = "drop-reports node=1 t=1\n";
+    fp.opts.report_staleness_s = 0.6;
+    fp.opts.quarantine_bad_reports = 1000; // isolate staleness from quarantine
+    support::trace().enable();
+    FaultOutcome out = run_with_faults(fp);
+    const auto evs = support::trace().sorted_events();
+    support::trace().disable();
+    support::trace().clear();
+    int stale = 0;
+    for (const auto& e : evs) {
+        if (e.name != "runtime.stale_report") continue;
+        ++stale;
+        EXPECT_EQ(e.rank, 0); // the leader
+        ASSERT_EQ(e.args.size(), 3u);
+        EXPECT_EQ(e.args[1].key, "node");
+        EXPECT_EQ(e.args[1].value, "1");
+        EXPECT_EQ(e.args[2].key, "age_s");
+        EXPECT_GT(std::stod(e.args[2].value), fp.opts.report_staleness_s);
+    }
+    EXPECT_GT(stale, 0);
+    EXPECT_EQ(stale, out.stale_fallbacks);
 }
 
 // K consecutive bad reports quarantine the node (logically dropped from the

@@ -8,8 +8,10 @@
 // short or overlong buffer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "dynmpi/control_wire.hpp"
 #include "dynmpi/dense_array.hpp"
@@ -306,11 +308,18 @@ TEST(Fuzz, MutatedValidBufferEitherRejectedOrConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// Control messages: the leader's bootstrap and the per-cycle status
+// Control messages: the leader's load snapshot, bootstrap and per-cycle
+// status
 // ---------------------------------------------------------------------------
 
 constexpr int kWorld = 4;
 constexpr int kRows = 6;
+
+LoadSnapshot sample_snapshot() {
+    return LoadSnapshot{.loads = {0.0, 2.5, 0.25, 1.0},
+                        .quarantined = {0, 0, 1, 0},
+                        .joinable = {1, 1, 1, 0}};
+}
 
 Bootstrap sample_bootstrap() {
     Bootstrap b;
@@ -375,6 +384,9 @@ void expect_same(const Status& a, const Status& b) {
     EXPECT_EQ(a.quarantined, b.quarantined);
 }
 
+LoadSnapshot decode_ls(const std::vector<std::byte>& bytes) {
+    return decode_load_snapshot(bytes, kWorld);
+}
 Bootstrap decode_b(const std::vector<std::byte>& bytes) {
     return decode_bootstrap(bytes, kWorld);
 }
@@ -400,6 +412,17 @@ TEST(ControlWire, BootstrapRoundTripsAtItsFixedSize) {
     Bootstrap empty = b;
     empty.group_seqs.clear();
     expect_same(decode_b(encode(empty)), empty);
+}
+
+TEST(ControlWire, LoadSnapshotRoundTripsAtItsFixedSize) {
+    const LoadSnapshot s = sample_snapshot();
+    const auto bytes = encode(s);
+    // A load, a quarantine flag and a joinable flag per world rank.
+    EXPECT_EQ(bytes.size(), 24u * kWorld);
+    const LoadSnapshot d = decode_ls(bytes);
+    EXPECT_EQ(d.loads, s.loads);
+    EXPECT_EQ(d.quarantined, s.quarantined);
+    EXPECT_EQ(d.joinable, s.joinable);
 }
 
 TEST(ControlWire, StatusRoundTripsAtItsFixedSize) {
@@ -440,6 +463,8 @@ void expect_truncations_rejected(
 }
 
 TEST(Fuzz, ControlMessagesTruncatedAtEveryByteRejected) {
+    expect_truncations_rejected(encode(sample_snapshot()),
+                                [](const auto& b) { decode_ls(b); });
     expect_truncations_rejected(encode(sample_bootstrap()),
                                 [](const auto& b) { decode_b(b); });
     expect_truncations_rejected(encode(sample_steady()),
@@ -451,6 +476,9 @@ TEST(Fuzz, ControlMessagesTruncatedAtEveryByteRejected) {
 TEST(Fuzz, ControlMessagesTrailingBytesRejected) {
     for (std::size_t extra : {1u, 8u}) {
         SCOPED_TRACE(extra);
+        auto l = encode(sample_snapshot());
+        l.resize(l.size() + extra);
+        EXPECT_THROW(decode_ls(l), Error);
         auto b = encode(sample_bootstrap());
         b.resize(b.size() + extra);
         EXPECT_THROW(decode_b(b), Error);
@@ -502,25 +530,41 @@ TEST(Fuzz, ControlMessagesOutOfRangeValuesRejected) {
     EXPECT_THROW(decode_s(with_field(r, r.size() / 8 - 1, 2)), Error);
     EXPECT_THROW(decode_b(with_field(encode(sample_bootstrap()), 10, 2)),
                  Error);
+    // A snapshot load that is negative or not finite, and a quarantine or
+    // joinable flag that is neither 0 nor 1.
+    const auto l = encode(sample_snapshot());
+    for (double bad : {-0.5, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &bad, sizeof bits);
+        EXPECT_THROW(decode_ls(with_field(l, 1, bits)), Error);
+    }
+    EXPECT_THROW(decode_ls(with_field(l, kWorld + 2, 2)), Error);
+    EXPECT_THROW(decode_ls(with_field(l, 2 * kWorld, 2)), Error);
 }
 
 TEST(Fuzz, ControlMessagesRandomMutationsDecodeCleanly) {
     Rng rng(8086);
-    const std::vector<std::byte> goods[] = {encode(sample_bootstrap()),
-                                            encode(sample_steady()),
-                                            encode(sample_readd())};
+    const std::vector<std::byte> goods[] = {
+        encode(sample_bootstrap()), encode(sample_steady()),
+        encode(sample_readd()), encode(sample_snapshot())};
     int rejected = 0;
-    for (int trial = 0; trial < 600; ++trial) {
-        const auto& good = goods[trial % 3];
+    for (int trial = 0; trial < 800; ++trial) {
+        const auto& good = goods[trial % 4];
         auto bad = good;
         for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k)
             bad[rng.next_below(bad.size())] =
                 static_cast<std::byte>(rng.next_below(256));
         try {
-            if (trial % 3 == 0) {
+            if (trial % 4 == 0) {
                 const Bootstrap b = decode_b(bad);
                 for (int m : b.active) EXPECT_TRUE(m >= 0 && m < kWorld);
                 EXPECT_EQ(b.speeds.size(), static_cast<std::size_t>(kWorld));
+            } else if (trial % 4 == 3) {
+                const LoadSnapshot s = decode_ls(bad);
+                for (double l : s.loads)
+                    EXPECT_TRUE(std::isfinite(l) && l >= 0.0);
+                for (char q : s.quarantined) EXPECT_TRUE(q == 0 || q == 1);
             } else {
                 const Status s = decode_s(bad);
                 for (int m : s.active) EXPECT_TRUE(m >= 0 && m < kWorld);

@@ -10,6 +10,8 @@
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
+#include "sim/fault_plan.hpp"
+#include "sim/load_trace.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -151,6 +153,83 @@ TEST(TraceRuntime, MetricsMatchTheTrace) {
 
     // Snapshots of the same registry are deterministic.
     EXPECT_EQ(mx.snapshot_json(), mx.snapshot_json());
+}
+
+/// A metered 4-node run under a competing-load trace and a fault script:
+/// `reporter`'s stats, with the metrics registry left enabled for the
+/// caller (clean up via Observed).
+RuntimeStats run_metered(const std::string& load, const std::string& faults,
+                         const RuntimeOptions& opts, int cycles,
+                         int reporter) {
+    support::metrics().reset();
+    support::metrics().enable();
+    sim::ClusterConfig c = cfg(4);
+    c.seed = 7;
+    msg::Machine m(c);
+    if (!load.empty()) sim::apply_load_trace(m.cluster(), load);
+    if (!faults.empty())
+        m.cluster().install_faults(sim::FaultPlan::parse(faults));
+    RuntimeStats out;
+    m.run([&](msg::Rank& r) {
+        RuntimeOptions o = opts;
+        o.calibrate = false;
+        Runtime rt(r, 48, o);
+        rt.register_dense("A", 4, sizeof(double));
+        int ph = rt.init_phase(0, 48, PhaseComm{CommPattern::None, 0});
+        rt.add_array_access("A", AccessMode::Write, ph);
+        rt.commit_setup();
+        for (int cyc = 0; cyc < cycles; ++cyc) {
+            rt.begin_cycle();
+            if (rt.participating())
+                rt.run_phase(ph, std::vector<double>(
+                                     static_cast<std::size_t>(
+                                         rt.my_iters(ph).count()),
+                                     8e-3));
+            rt.end_cycle();
+        }
+        if (r.id() == reporter) out = rt.stats();
+    });
+    return out;
+}
+
+// A kind that one rank records counts on that rank: a drop and re-add run
+// counts the re-add once, on the rejoining node, and it matches the leader's
+// (rank 0's) own count of the nodes it re-added.
+TEST(TraceRuntime, ReaddsCountOnTheRejoiningRank) {
+    Observed guard;
+    RuntimeOptions o;
+    o.force_drop_loaded = true;
+    const RuntimeStats s =
+        run_metered("node 1: 0.3 8.0 x5\n", "", o, 150, /*reporter=*/0);
+    EXPECT_EQ(s.physical_drops, 1);
+    EXPECT_EQ(s.readds, 1);
+    auto& mx = support::metrics();
+    using support::CounterId;
+    EXPECT_EQ(mx.counter(CounterId::RuntimeReadds).value(),
+              static_cast<std::uint64_t>(s.readds));
+    EXPECT_EQ(mx.counter(CounterId::RuntimeDropsPhysical).value(), 1u);
+}
+
+// Quarantine decisions count on the leader, also when the leader is not
+// world rank 0 (node 0 crashed first, so node 1 leads).
+TEST(TraceRuntime, QuarantinesCountOnTheLeader) {
+    Observed guard;
+    RuntimeOptions o;
+    o.report_staleness_s = 0.6;
+    o.quarantine_bad_reports = 2;
+    o.readmit_clean_cycles = 8;
+    o.grace_cycles = 3;
+    const RuntimeStats s = run_metered(
+        "", "crash node=0 t=0.5\ndrop-reports node=2 t=1 dur=4\n", o, 140,
+        /*reporter=*/1);
+    EXPECT_GE(s.quarantines, 1);
+    EXPECT_GE(s.quarantine_readmits, 1);
+    auto& mx = support::metrics();
+    using support::CounterId;
+    EXPECT_EQ(mx.counter(CounterId::RuntimeQuarantines).value(),
+              static_cast<std::uint64_t>(s.quarantines));
+    EXPECT_EQ(mx.counter(CounterId::RuntimeReadmits).value(),
+              static_cast<std::uint64_t>(s.quarantine_readmits));
 }
 
 TEST(TraceRuntime, QuietRunStaysQuiet) {

@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 
-FLOOR = 96.9  # percent of src/ lines run by ctest (gcc 12: 96.99)
+FLOOR = 97.2  # percent of src/ lines run by ctest (gcc 12: 97.27)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src") + os.sep
