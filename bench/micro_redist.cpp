@@ -1,7 +1,10 @@
 // Micro-benchmarks for redistribution planning: the pure functions executed
-// by every node at each adaptation (transfer-set computation must stay cheap
-// because it is O(nodes^2 x arrays) per redistribution).
+// by every node at each adaptation.  Advisory wall-clock numbers only; the
+// planner's gate is the exact allocation count in
+// tests/dynmpi/redist_plan_cost_test.cpp.
 #include <benchmark/benchmark.h>
+
+#include <numeric>
 
 #include "dynmpi/redistributor.hpp"
 #include "support/rng.hpp"
@@ -16,32 +19,6 @@ std::vector<Drsd> halo(const std::string& name) {
         Drsd{name, AccessMode::Read, 0, 1, +1},
     };
 }
-
-void BM_TransferPlan_FullPairGrid(benchmark::State& state) {
-    const int nodes = static_cast<int>(state.range(0));
-    const int rows = 4096;
-    std::vector<int> members(static_cast<size_t>(nodes));
-    for (int i = 0; i < nodes; ++i) members[(size_t)i] = i;
-    msg::Group g(members);
-    auto oldd = Distribution::even_block(0, rows, nodes);
-    // Perturbed new distribution.
-    std::vector<int> counts(static_cast<size_t>(nodes), rows / nodes);
-    counts[0] -= rows / (4 * nodes);
-    counts[(size_t)nodes - 1] += rows / (4 * nodes);
-    auto newd = Distribution::block(0, rows, counts);
-    RedistContext ctx{rows, &g, &oldd, &g, &newd};
-    auto acc = halo("A");
-
-    for (auto _ : state) {
-        int total = 0;
-        for (int s = 0; s < nodes; ++s)
-            for (int d = 0; d < nodes; ++d)
-                total += transfer_rows(ctx, acc, s, d).count();
-        benchmark::DoNotOptimize(total);
-    }
-    state.SetItemsProcessed(state.iterations() * nodes * nodes);
-}
-BENCHMARK(BM_TransferPlan_FullPairGrid)->Arg(8)->Arg(32);
 
 void BM_NeededRows_WithGhosts(benchmark::State& state) {
     const int rows = 16384;
@@ -66,12 +43,15 @@ void BM_CyclicToBlockPlan(benchmark::State& state) {
     auto oldd = Distribution::cyclic(0, rows, 4);
     auto newd = Distribution::even_block(0, rows, 4);
     RedistContext ctx{rows, &g, &oldd, &g, &newd};
-    std::vector<Drsd> acc{Drsd{"A", AccessMode::Write, 0, 1, 0}};
+    std::vector<ArrayInfo> arrays(1);
+    arrays[0].accesses = {Drsd{"A", AccessMode::Write, 0, 1, 0}};
     for (auto _ : state) {
         int total = 0;
-        for (int s = 0; s < 4; ++s)
-            for (int d = 0; d < 4; ++d)
-                total += transfer_rows(ctx, acc, s, d).count();
+        for (int me = 0; me < 4; ++me) {
+            const RedistPlan plan = build_redist_plan(ctx, arrays, me);
+            for (const RowSet& s : plan.per_array[0].send_to)
+                total += s.count();
+        }
         benchmark::DoNotOptimize(total);
     }
 }
@@ -100,81 +80,29 @@ void BM_RowSetBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RowSetBuild)->Arg(0)->Arg(1);
 
-// ---------------------------------------------------------------------------
-// Plan-once vs. legacy pairwise schedule derivation.
-//
-// Both benchmarks compute one rank's complete redistribution schedule (send
-// sets, receive sets, and the cleanup target) for a many-party, many-array
-// adaptation.  Legacy mirrors the pre-plan executor: pairwise transfer_rows
-// in both the send and receive phase plus a fresh needed_rows per array at
-// cleanup — O(parties x arrays) set rebuilds per phase.  PlanOnce builds a
-// RedistPlan, which materializes each (array, party) needed set exactly
-// once.  tools/check_bench.py gates CI on the ratio of the two.
-// ---------------------------------------------------------------------------
-
-struct ScheduleFixture {
-    std::vector<int> members;
-    msg::Group g;
-    Distribution oldd;
-    Distribution newd;
-    std::vector<ArrayInfo> arrays;
-    RedistContext ctx;
-
-    explicit ScheduleFixture(int nodes, int rows = 4096)
-        : members(make_members(nodes)),
-          g(members),
-          oldd(Distribution::even_block(0, rows, nodes)),
-          newd(perturbed(rows, nodes)),
-          ctx{rows, &g, &oldd, &g, &newd} {
-        for (const char* name : {"A", "B", "C", "D"}) {
-            ArrayInfo ai;
-            ai.accesses = halo(name);
-            arrays.push_back(std::move(ai));
-        }
-    }
-
-    static std::vector<int> make_members(int nodes) {
-        std::vector<int> m(static_cast<size_t>(nodes));
-        for (int i = 0; i < nodes; ++i) m[(size_t)i] = i;
-        return m;
-    }
-
-    static Distribution perturbed(int rows, int nodes) {
-        std::vector<int> counts(static_cast<size_t>(nodes), rows / nodes);
-        counts[0] -= rows / (4 * nodes);
-        counts[(size_t)nodes - 1] += rows / (4 * nodes);
-        return Distribution::block(0, rows, counts);
-    }
-};
-
-void BM_RedistSchedule_Legacy(benchmark::State& state) {
-    ScheduleFixture f(static_cast<int>(state.range(0)));
-    const int me = static_cast<int>(state.range(0)) / 2; // mid-grid rank
-    for (auto _ : state) {
-        int total = 0;
-        for (const auto& ai : f.arrays)
-            for (int dst : f.members)
-                total += transfer_rows(f.ctx, ai.accesses, me, dst).count();
-        for (const auto& ai : f.arrays)
-            for (int src : f.members)
-                total += transfer_rows(f.ctx, ai.accesses, src, me).count();
-        for (const auto& ai : f.arrays)
-            total += needed_rows(f.g, f.newd, me, ai.accesses,
-                                 f.ctx.global_rows)
-                         .count();
-        benchmark::DoNotOptimize(total);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(f.members.size()) *
-                            static_cast<std::int64_t>(f.arrays.size()));
-}
-BENCHMARK(BM_RedistSchedule_Legacy)->Arg(16)->Arg(64);
-
 void BM_RedistSchedule_PlanOnce(benchmark::State& state) {
-    ScheduleFixture f(static_cast<int>(state.range(0)));
-    const int me = static_cast<int>(state.range(0)) / 2;
+    // One rank's complete schedule (send sets, receive sets, and the cleanup
+    // target) for a many-party, four-array adaptation: the mid-grid rank of
+    // an even block layout that moves rows/(4·nodes) rows from the first
+    // node to the last.  tests/dynmpi/redist_plan_cost_test.cpp pins this
+    // shape's exact allocation count.
+    const int nodes = static_cast<int>(state.range(0));
+    const int rows = 4096;
+    std::vector<int> members(static_cast<size_t>(nodes));
+    std::iota(members.begin(), members.end(), 0);
+    msg::Group g(members);
+    auto oldd = Distribution::even_block(0, rows, nodes);
+    std::vector<int> counts(static_cast<size_t>(nodes), rows / nodes);
+    counts.front() -= rows / (4 * nodes);
+    counts.back() += rows / (4 * nodes);
+    auto newd = Distribution::block(0, rows, counts);
+    RedistContext ctx{rows, &g, &oldd, &g, &newd};
+    std::vector<ArrayInfo> arrays(4);
+    for (std::size_t k = 0; k < arrays.size(); ++k)
+        arrays[k].accesses = halo(std::string(1, static_cast<char>('A' + k)));
+
     for (auto _ : state) {
-        RedistPlan plan = build_redist_plan(f.ctx, f.arrays, me);
+        RedistPlan plan = build_redist_plan(ctx, arrays, nodes / 2);
         int total = 0;
         for (const auto& ap : plan.per_array) {
             for (const auto& s : ap.send_to) total += s.count();
@@ -183,9 +111,8 @@ void BM_RedistSchedule_PlanOnce(benchmark::State& state) {
         }
         benchmark::DoNotOptimize(total);
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(f.members.size()) *
-                            static_cast<std::int64_t>(f.arrays.size()));
+    state.SetItemsProcessed(state.iterations() * nodes *
+                            static_cast<std::int64_t>(arrays.size()));
 }
 BENCHMARK(BM_RedistSchedule_PlanOnce)->Arg(16)->Arg(64);
 

@@ -29,22 +29,6 @@ RowSet needed_rows(const msg::Group& active, const Distribution& dist,
     return need;
 }
 
-RowSet transfer_rows(const RedistContext& ctx,
-                     const std::vector<Drsd>& accesses, int src_abs,
-                     int dst_abs) {
-    DYNMPI_REQUIRE(ctx.old_active && ctx.old_dist && ctx.new_active &&
-                       ctx.new_dist,
-                   "incomplete redistribution context");
-    if (src_abs == dst_abs) return {};
-    RowSet src_owned = owned_rows(*ctx.old_active, *ctx.old_dist, src_abs);
-    if (src_owned.empty()) return {};
-    RowSet dst_need = needed_rows(*ctx.new_active, *ctx.new_dist, dst_abs,
-                                  accesses, ctx.global_rows);
-    RowSet dst_old_owned =
-        owned_rows(*ctx.old_active, *ctx.old_dist, dst_abs);
-    return src_owned.intersect(dst_need.subtract(dst_old_owned));
-}
-
 namespace {
 
 /// need ∪= rows the DRSDs touch over `iters`, clipped to [0, rows) —

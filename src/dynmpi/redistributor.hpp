@@ -51,23 +51,13 @@ RowSet needed_rows(const msg::Group& active, const Distribution& dist,
                    int abs_rank, const std::vector<Drsd>& accesses,
                    int global_rows);
 
-/// Rows `src_abs` must ship to `dst_abs` for one array: the source's old
-/// ownership intersected with the destination's newly-needed rows, excluding
-/// rows the destination already owned authoritatively.
-///
-/// This is the reference formulation: calling it for every (src, dst) pair
-/// rebuilds the same owned/needed sets O(P²·A) times per redistribution.
-/// Execution uses RedistPlan instead; tests pin the two against each other.
-RowSet transfer_rows(const RedistContext& ctx,
-                     const std::vector<Drsd>& accesses, int src_abs,
-                     int dst_abs);
-
 /// One redistribution's complete transfer schedule from the calling rank's
 /// perspective, computed once and shared by the pack, unpack, and cleanup
-/// phases.  Building it materializes every party's old-owned RowSet once
-/// (it is array-independent) and every (array, party) needed RowSet exactly
-/// once — O(P·A) set constructions instead of the O(P²·A) that pairwise
-/// transfer_rows calls in both the send and the receive phase would cost.
+/// phases.  A party ships to a peer the rows it owned under the old layout
+/// that the peer needs under the new one and did not own before.  Building
+/// the plan materializes every party's old-owned RowSet once (it is
+/// array-independent) and every (array, party) needed RowSet exactly once:
+/// O(P·A) set constructions, not one rebuild per (src, dst) pair.
 struct RedistPlan {
     /// Union of old and new active members, ascending — the deterministic
     /// traversal order of every execution phase.

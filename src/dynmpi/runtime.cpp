@@ -116,11 +116,11 @@ void Runtime::record_event(AdaptationEvent::Kind kind, std::string detail) {
     AdaptationEvent e{kind, stats_.cycles, rank_.hrtime(), {}};
     const AdaptationIds& ids = kAdaptationIds[static_cast<std::size_t>(kind)];
     trace_instant(ids.event, {targ("detail", detail)});
-    // A kind every active rank records counts once, on world rank 0 (scope
-    // "rank 0"); one that a single rank records counts on that rank.
+    // A kind every active rank records counts once, on the active leader
+    // (scope "leader"); one that a single rank records counts on that rank.
     if (support::metrics().enabled() &&
-        (rank_.id() == 0 ||
-         kCounterScopes[static_cast<std::size_t>(ids.counter)] != "rank 0"))
+        (active_.index_of(rank_.id()) == 0 ||
+         kCounterScopes[static_cast<std::size_t>(ids.counter)] != "leader"))
         support::metrics().counter(ids.counter).add(1);
     e.detail = std::move(detail);
     stats_.events.push_back(std::move(e));
@@ -885,7 +885,7 @@ void Runtime::end_cycle() {
                               {targ("cycle", rec.cycle),
                                targ("mode", kModeNames[rec.mode]),
                                targ("redistributed", rec.redistributed)});
-    if (support::metrics().enabled() && rank_.id() == 0) {
+    if (support::metrics().enabled() && active_.index_of(rank_.id()) == 0) {
         support::metrics().counter(CounterId::RuntimeCycles).add(1);
         support::metrics().histogram(HistogramId::RuntimeCycleWallS)
             .record(rec.max_wall_s);

@@ -17,9 +17,9 @@
 // Aggregation semantics on the simulated machine: every rank fiber updates
 // the same registry (one runs at a time, so deterministically).  Cluster-wide
 // quantities (redistribution bytes, balancer rounds) therefore aggregate
-// over all ranks; run-level quantities (cycle counts) are recorded by world
-// rank 0 only.  snapshot_json()/csv() iterate names in sorted order, so two
-// identical runs snapshot byte-identically.
+// over all ranks; run-level quantities (cycle counts) are recorded by the
+// active leader only.  snapshot_json()/csv() iterate names in sorted order,
+// so two identical runs snapshot byte-identically.
 #pragma once
 
 #include <cstdint>

@@ -46,12 +46,26 @@ TEST(StridedDrsd, TransferPlanCoversStridedNeeds) {
         Drsd{"A", AccessMode::Read, 0, 2, 0}, // strided read within array
     };
     RedistContext ctx{12, &g, &oldd, &g, &newd};
-    for (int dst = 0; dst < 3; ++dst) {
+    std::vector<ArrayInfo> arrays(1);
+    arrays[0].accesses = acc;
+    std::vector<RedistPlan> plans; // parties {0,1,2}: slot i is node i
+    for (int me = 0; me < 3; ++me)
+        plans.push_back(build_redist_plan(ctx, arrays, me));
+    // Node 0 iterates 0..5 and reads rows {0,2,4,6,8,10}.
+    EXPECT_EQ(plans[0].per_array[0].my_needed.to_vector(),
+              (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 8, 10}));
+    for (std::size_t dst = 0; dst < plans.size(); ++dst) {
+        const auto& in = plans[dst].per_array[0];
         RowSet incoming;
-        for (int src = 0; src < 3; ++src)
-            incoming.add(transfer_rows(ctx, acc, src, dst));
-        RowSet need = needed_rows(g, newd, dst, acc, 12);
-        RowSet kept = owned_rows(g, oldd, dst).intersect(need);
+        for (std::size_t src = 0; src < plans.size(); ++src) {
+            EXPECT_EQ(plans[src].per_array[0].send_to[dst], in.recv_from[src])
+                << "src " << src << " dst " << dst;
+            incoming.add(in.recv_from[src]);
+        }
+        const int node = static_cast<int>(dst);
+        RowSet need = needed_rows(g, newd, node, acc, 12);
+        EXPECT_EQ(in.my_needed, need) << "dst " << dst;
+        RowSet kept = owned_rows(g, oldd, node).intersect(need);
         EXPECT_EQ(incoming.unite(kept), need) << "dst " << dst;
     }
 }

@@ -1,0 +1,98 @@
+// Exact cost gate for redistribution planning: the heap allocations of one
+// build_redist_plan call, counted by a replacement operator new.  The count
+// is a pure function of the code and the inputs, so the gate reads no clock
+// and cannot flake on a busy host.  A plan that rebuilds owned/needed sets
+// per (src, dst) pair allocates about 8x more and fails here.
+//
+// This is its own binary: the replacement operator new/delete would
+// otherwise stand in for the sanitizer's checked ones in dynmpi_tests.
+#include <cstdlib>
+#include <new>
+
+#include <gtest/gtest.h>
+
+#include "dynmpi/redistributor.hpp"
+
+namespace {
+
+bool g_counting = false;
+std::size_t g_allocations = 0;
+
+void* counted_alloc(std::size_t n) {
+    if (g_counting) ++g_allocations;
+    return std::malloc(n == 0 ? 1 : n);
+}
+
+void* checked_alloc(std::size_t n) {
+    if (void* p = counted_alloc(n)) return p;
+    throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Every form is replaced, so each block is released by the free() that
+// matches its malloc(), also under the sanitizer.
+void* operator new(std::size_t n) { return checked_alloc(n); }
+void* operator new[](std::size_t n) { return checked_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+    return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+    return counted_alloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+    std::free(p);
+}
+
+namespace dynmpi {
+namespace {
+
+/// Heap allocations of one build_redist_plan call for bench/micro_redist's
+/// schedule shape: `parties` nodes over 4096 rows, four arrays with a ±1
+/// halo, an even block layout moving rows/(4·parties) rows from the first
+/// party to the last, seen from the mid-grid rank.
+std::size_t plan_allocations(int parties) {
+    const int rows = 4096;
+    std::vector<int> members(static_cast<std::size_t>(parties));
+    for (int i = 0; i < parties; ++i) members[static_cast<std::size_t>(i)] = i;
+    msg::Group g(members);
+    auto oldd = Distribution::even_block(0, rows, parties);
+    std::vector<int> counts(static_cast<std::size_t>(parties), rows / parties);
+    counts.front() -= rows / (4 * parties);
+    counts.back() += rows / (4 * parties);
+    auto newd = Distribution::block(0, rows, counts);
+    RedistContext ctx{rows, &g, &oldd, &g, &newd};
+    std::vector<ArrayInfo> arrays;
+    for (const char* name : {"A", "B", "C", "D"}) {
+        ArrayInfo ai;
+        ai.accesses = {Drsd{name, AccessMode::Write, 0, 1, 0},
+                       Drsd{name, AccessMode::Read, 0, 1, -1},
+                       Drsd{name, AccessMode::Read, 0, 1, +1}};
+        arrays.push_back(std::move(ai));
+    }
+
+    g_allocations = 0;
+    g_counting = true;
+    RedistPlan plan = build_redist_plan(ctx, arrays, parties / 2);
+    g_counting = false;
+    EXPECT_EQ(plan.parties.size(), static_cast<std::size_t>(parties));
+    return g_allocations;
+}
+
+// Re-pin these only for an intended change to the planner, and note the old
+// and new counts in CHANGES.md (docs/PERF.md).
+TEST(RedistPlanCost, AllocationsAt16Parties) {
+    EXPECT_EQ(plan_allocations(16), 206u);
+}
+
+TEST(RedistPlanCost, AllocationsAt64Parties) {
+    EXPECT_EQ(plan_allocations(64), 782u);
+}
+
+}  // namespace
+}  // namespace dynmpi

@@ -46,6 +46,26 @@ TEST(RedistPlan, NoAccessesMeansOwnedOnly) {
     EXPECT_EQ(needed_rows(g, d, 1, {}, 10), RowSet(4, 10));
 }
 
+/// Rows `src` ships to `dst` under build_redist_plan, read from both ends:
+/// src's send_to slot for dst and dst's recv_from slot for src must agree.
+RowSet planned(const RedistContext& ctx, const std::vector<Drsd>& acc,
+               int src, int dst) {
+    std::vector<ArrayInfo> arrays(1);
+    arrays[0].accesses = acc;
+    const RedistPlan out = build_redist_plan(ctx, arrays, src);
+    const RedistPlan in = build_redist_plan(ctx, arrays, dst);
+    auto slot = [](const RedistPlan& p, const std::vector<RowSet>& sets,
+                   int abs) {
+        for (std::size_t i = 0; i < p.parties.size(); ++i)
+            if (p.parties[i] == abs) return sets[i];
+        return RowSet{};
+    };
+    RowSet sent = slot(out, out.per_array[0].send_to, dst);
+    EXPECT_EQ(sent, slot(in, in.per_array[0].recv_from, src))
+        << "src " << src << " dst " << dst;
+    return sent;
+}
+
 TEST(RedistPlan, TransferMovesOnlyChangedRows) {
     Group g({0, 1});
     auto oldd = Distribution::block(0, 100, {50, 50});
@@ -53,9 +73,9 @@ TEST(RedistPlan, TransferMovesOnlyChangedRows) {
     RedistContext ctx{100, &g, &oldd, &g, &newd};
     std::vector<Drsd> acc; // no ghosts: pure ownership
     // Node 1 now also owns rows 30..50, previously owned by node 0.
-    EXPECT_EQ(transfer_rows(ctx, acc, 0, 1), RowSet(30, 50));
-    EXPECT_TRUE(transfer_rows(ctx, acc, 1, 0).empty());
-    EXPECT_TRUE(transfer_rows(ctx, acc, 0, 0).empty()); // self
+    EXPECT_EQ(planned(ctx, acc, 0, 1), RowSet(30, 50));
+    EXPECT_TRUE(planned(ctx, acc, 1, 0).empty());
+    EXPECT_TRUE(planned(ctx, acc, 0, 0).empty()); // self
 }
 
 TEST(RedistPlan, TransferIncludesGhostRefresh) {
@@ -67,7 +87,7 @@ TEST(RedistPlan, TransferIncludesGhostRefresh) {
     // Node 0 needs rows 0..41 (ghost row 40 now at 40? new own 0..40 plus
     // ghost 40). Ghost row 40 was old-owned by node 0 itself; ghost row 41
     // too. Node 1 needs 39..100: ghost row 39 comes from node 0.
-    RowSet s01 = transfer_rows(ctx, acc, 0, 1);
+    RowSet s01 = planned(ctx, acc, 0, 1);
     EXPECT_TRUE(s01.contains(39)); // ghost refresh
     EXPECT_TRUE(s01.contains(40));
     EXPECT_TRUE(s01.contains(49));
@@ -82,11 +102,11 @@ TEST(RedistPlan, NodeRemovalDrainsItsRows) {
     RedistContext ctx{30, &oldg, &oldd, &newg, &newd};
     std::vector<Drsd> acc;
     // Node 1's old rows 10..20 split between nodes 0 and 2.
-    EXPECT_EQ(transfer_rows(ctx, acc, 1, 0), RowSet(10, 15));
-    EXPECT_EQ(transfer_rows(ctx, acc, 1, 2), RowSet(15, 20));
+    EXPECT_EQ(planned(ctx, acc, 1, 0), RowSet(10, 15));
+    EXPECT_EQ(planned(ctx, acc, 1, 2), RowSet(15, 20));
     // Node 1 receives nothing.
-    EXPECT_TRUE(transfer_rows(ctx, acc, 0, 1).empty());
-    EXPECT_TRUE(transfer_rows(ctx, acc, 2, 1).empty());
+    EXPECT_TRUE(planned(ctx, acc, 0, 1).empty());
+    EXPECT_TRUE(planned(ctx, acc, 2, 1).empty());
 }
 
 TEST(RedistPlan, NodeReaddReceivesItsNewRows) {
@@ -96,8 +116,8 @@ TEST(RedistPlan, NodeReaddReceivesItsNewRows) {
     auto newd = Distribution::block(0, 30, {10, 10, 10});
     RedistContext ctx{30, &oldg, &oldd, &newg, &newd};
     std::vector<Drsd> acc;
-    EXPECT_EQ(transfer_rows(ctx, acc, 0, 1), RowSet(10, 15));
-    EXPECT_EQ(transfer_rows(ctx, acc, 2, 1), RowSet(15, 20));
+    EXPECT_EQ(planned(ctx, acc, 0, 1), RowSet(10, 15));
+    EXPECT_EQ(planned(ctx, acc, 2, 1), RowSet(15, 20));
 }
 
 TEST(RedistPlan, PlanIsSymmetricallyConsistent) {
@@ -112,7 +132,7 @@ TEST(RedistPlan, PlanIsSymmetricallyConsistent) {
     for (int dst = 0; dst < 4; ++dst) {
         RowSet incoming;
         for (int src = 0; src < 4; ++src) {
-            RowSet t = transfer_rows(ctx, acc, src, dst);
+            RowSet t = planned(ctx, acc, src, dst);
             EXPECT_TRUE(incoming.intersect(t).empty())
                 << "row sent twice to " << dst;
             incoming.add(t);
@@ -123,18 +143,49 @@ TEST(RedistPlan, PlanIsSymmetricallyConsistent) {
     }
 }
 
-TEST(RedistPlan, PlanMatchesPairwiseTransferRows) {
-    // The plan-once schedule must be row-for-row identical to the reference
-    // pairwise formulation, for every perspective rank, across distribution
-    // shape changes (block -> cyclic) and active-set shrink/grow.
-    const int rows = 48;
-    std::vector<ArrayInfo> arrays;
-    for (const char* name : {"A", "B"}) {
-        ArrayInfo ai;
-        ai.accesses = name[0] == 'A' ? halo_accesses(name)
-                                     : std::vector<Drsd>{};
-        arrays.push_back(std::move(ai));
+/// Brute-force reference for the plan, sharing no code with it: rows `abs`
+/// needs under (active, dist), built row by row from the iterations
+/// Distribution::owner_of assigns it and the rows each DRSD touches there.
+RowSet oracle_needed(const Group& active, const Distribution& dist, int abs,
+                     const std::vector<Drsd>& acc, int rows) {
+    std::vector<bool> need(static_cast<std::size_t>(rows), false);
+    auto mark = [&](int row) {
+        if (row >= 0 && row < rows) need[static_cast<std::size_t>(row)] = true;
+    };
+    for (int i = dist.lo(); i < dist.hi(); ++i) {
+        if (active.member(dist.owner_of(i)) != abs) continue;
+        mark(i);
+        for (const Drsd& d : acc) mark(d.a * i + d.b);
     }
+    RowSet out;
+    for (int row = 0; row < rows; ++row)
+        if (need[static_cast<std::size_t>(row)]) out.add(row, row + 1);
+    return out;
+}
+
+/// Rows `src` ships to `dst`: each row `dst` newly needs whose old owner,
+/// by Distribution::owner_of, is `src` and not `dst` itself.
+RowSet oracle_transfer(const RedistContext& ctx, const std::vector<Drsd>& acc,
+                       int src, int dst) {
+    RowSet out;
+    if (src == dst) return out;
+    for (int row : oracle_needed(*ctx.new_active, *ctx.new_dist, dst, acc,
+                                 ctx.global_rows)
+                       .to_vector())
+        if (ctx.old_active->member(ctx.old_dist->owner_of(row)) == src)
+            out.add(row, row + 1);
+    return out;
+}
+
+TEST(RedistPlan, PlanMatchesRowOwnerOracle) {
+    // The plan-once schedule must be row-for-row identical to the per-row
+    // owner oracle, for every perspective rank, across distribution shape
+    // changes (block -> cyclic) and active-set shrink/grow, for a halo, an
+    // owned-only and a strided array.
+    const int rows = 48;
+    std::vector<ArrayInfo> arrays(3);
+    arrays[0].accesses = halo_accesses("A");
+    arrays[2].accesses = {Drsd{"C", AccessMode::Read, 0, 2, 1}};
 
     auto check = [&](const Group& oldg, const Distribution& oldd,
                      const Group& newg, const Distribution& newd) {
@@ -144,22 +195,20 @@ TEST(RedistPlan, PlanMatchesPairwiseTransferRows) {
             ASSERT_EQ(plan.per_array.size(), arrays.size());
             for (std::size_t k = 0; k < arrays.size(); ++k) {
                 const auto& ap = plan.per_array[k];
+                const auto& acc = arrays[k].accesses;
                 ASSERT_EQ(ap.send_to.size(), plan.parties.size());
                 ASSERT_EQ(ap.recv_from.size(), plan.parties.size());
                 for (std::size_t i = 0; i < plan.parties.size(); ++i) {
                     const int peer = plan.parties[i];
                     EXPECT_EQ(ap.send_to[i],
-                              transfer_rows(ctx, arrays[k].accesses, me,
-                                            peer))
+                              oracle_transfer(ctx, acc, me, peer))
                         << "send me=" << me << " peer=" << peer << " k=" << k;
                     EXPECT_EQ(ap.recv_from[i],
-                              transfer_rows(ctx, arrays[k].accesses, peer,
-                                            me))
+                              oracle_transfer(ctx, acc, peer, me))
                         << "recv me=" << me << " peer=" << peer << " k=" << k;
                 }
                 EXPECT_EQ(ap.my_needed,
-                          needed_rows(newg, newd, me, arrays[k].accesses,
-                                      rows))
+                          oracle_needed(newg, newd, me, acc, rows))
                     << "needed me=" << me << " k=" << k;
             }
         }

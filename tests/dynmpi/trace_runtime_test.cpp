@@ -210,8 +210,9 @@ TEST(TraceRuntime, ReaddsCountOnTheRejoiningRank) {
     EXPECT_EQ(mx.counter(CounterId::RuntimeDropsPhysical).value(), 1u);
 }
 
-// Quarantine decisions count on the leader, also when the leader is not
-// world rank 0 (node 0 crashed first, so node 1 leads).
+// Run-level metrics and quarantine decisions count on the leader, also
+// when the leader is not world rank 0 (node 0 crashed first, so node 1
+// leads): every cycle and the crash are counted once.
 TEST(TraceRuntime, QuarantinesCountOnTheLeader) {
     Observed guard;
     RuntimeOptions o;
@@ -230,6 +231,10 @@ TEST(TraceRuntime, QuarantinesCountOnTheLeader) {
               static_cast<std::uint64_t>(s.quarantines));
     EXPECT_EQ(mx.counter(CounterId::RuntimeReadmits).value(),
               static_cast<std::uint64_t>(s.quarantine_readmits));
+    EXPECT_EQ(mx.counter(CounterId::RuntimeCycles).value(), 140u);
+    EXPECT_EQ(mx.histogram(support::HistogramId::RuntimeCycleWallS).count(),
+              140u);
+    EXPECT_EQ(mx.counter(CounterId::RuntimeCrashes).value(), 1u);
 }
 
 TEST(TraceRuntime, QuietRunStaysQuiet) {

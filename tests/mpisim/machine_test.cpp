@@ -300,6 +300,63 @@ TEST(Machine, TwentyCrashReviveCyclesUnwindEveryIncarnation) {
     EXPECT_EQ(m.cluster().node_generation(1), 20);
 }
 
+// ---- explicit revocation and peer failure ----
+
+TEST(Machine, RevokeControlWakesOnlyControlPlaneRecvs) {
+    // Ranks 1 and 2 wait in a control-plane recv, rank 3 in a user-plane
+    // recv; rank 0 revokes at t=1 and only then sends rank 3 its message.
+    Machine m(cfg(4));
+    std::vector<int> revoked(4, 0);
+    std::vector<double> woke(4, -1.0);
+    m.run([&](Rank& r) {
+        const auto i = static_cast<std::size_t>(r.id());
+        if (r.id() == 0) {
+            r.sleep(1.0);
+            r.revoke_control();
+            r.sleep(1.0);
+            const int v = 42;
+            r.send(3, 5, &v, sizeof v);
+        } else if (r.id() == 3) {
+            int v = 0;
+            r.recv(0, 5, &v, sizeof v);
+            EXPECT_EQ(v, 42);
+            woke[i] = r.hrtime();
+        } else {
+            try {
+                r.recv_wire(0, make_tag(TagSpace::Runtime, 7));
+            } catch (const EpochRevoked&) {
+                ++revoked[i];
+                woke[i] = r.hrtime();
+            }
+        }
+    });
+    EXPECT_EQ(revoked, (std::vector<int>{0, 1, 1, 0}));
+    EXPECT_NEAR(woke[1], 1.0, 1e-9);
+    EXPECT_NEAR(woke[2], 1.0, 1e-9);
+    EXPECT_GT(woke[3], 2.0); // still blocked through the revocation
+}
+
+TEST(Machine, UserRecvFromCrashedPeerThrowsPeerFailure) {
+    // Rank 1 is already blocked in a user-plane recv from rank 0 when node
+    // 0 crashes: it wakes with a local failure naming the dead peer.
+    Machine m(cfg(2));
+    m.cluster().install_faults(sim::FaultPlan::parse("crash node=0 t=0.5"));
+    int failed_peer = -1;
+    m.run([&](Rank& r) {
+        if (r.id() == 0) {
+            r.sleep(1.0);
+            return;
+        }
+        int v = 0;
+        try {
+            r.recv(0, 5, &v, sizeof v);
+        } catch (const PeerFailure& e) {
+            failed_peer = e.peer();
+        }
+    });
+    EXPECT_EQ(failed_peer, 0);
+}
+
 // ---- per-fiber floating-point control state ----
 
 /// 1/3 in the current rounding mode (volatile: computed at run time).
