@@ -1,6 +1,7 @@
 // Micro-benchmarks for the substrate hot paths: event queue, CPU model,
-// rank fiber switches, row-set algebra, sparse pack/unpack, and the dense
-// unpack and whole round trip of a replica refresh.
+// rank fiber switches, row-set algebra, sparse pack/unpack, the dense
+// unpack and whole round trip of a replica refresh, and one CG cycle's
+// vector arithmetic.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -184,6 +185,62 @@ void BM_Replica_RefreshDense(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_Replica_RefreshDense);
+
+// One CG cycle's vector work on the fourth of 8 nodes (n = 14000, rows
+// [5250, 7000), which start and end inside a 512-row block), through the
+// span accessor as src/apps/cg.cpp runs it: the p.q dot, the x/r axpy, the
+// r.r dot and the p update.  q stands in for the matrix product's output.
+void BM_Dense_CgVectorOps(benchmark::State& state) {
+    constexpr int kN = 14000;
+    const RowSet mine(5250, 7000);
+    DenseArray x("x", kN, 1, sizeof(double)), r("r", kN, 1, sizeof(double)),
+        p("p", kN, 1, sizeof(double)), q("q", kN, 1, sizeof(double));
+    for (DenseArray* v : {&x, &r, &p, &q}) v->ensure_rows(mine);
+    p.for_each_span(mine, [&](int lo, int hi) {
+        double* pp = p.span_ptr<double>(lo, hi);
+        double* rr = r.span_ptr<double>(lo, hi);
+        double* qq = q.span_ptr<double>(lo, hi);
+        for (int k = 0; k < hi - lo; ++k) {
+            pp[k] = rr[k] = 1.0 + 0.01 * ((lo + k) % 13);
+            qq[k] = 0.5 * pp[k];
+        }
+    });
+    const auto dot = [&](DenseArray& a, DenseArray& b) {
+        double s = 0.0;
+        a.for_each_span(mine, [&](int lo, int hi) {
+            const double* u = a.span_ptr<double>(lo, hi);
+            const double* v = b.span_ptr<double>(lo, hi);
+            for (int k = 0; k < hi - lo; ++k) s += u[k] * v[k];
+        });
+        return s;
+    };
+    double rr_old = dot(r, r);
+    for (auto _ : state) {
+        const double alpha = rr_old / dot(p, q);
+        x.for_each_span(mine, [&](int lo, int hi) {
+            double* xx = x.span_ptr<double>(lo, hi);
+            double* rr = r.span_ptr<double>(lo, hi);
+            const double* pp = p.span_ptr<double>(lo, hi);
+            const double* qq = q.span_ptr<double>(lo, hi);
+            for (int k = 0; k < hi - lo; ++k) {
+                xx[k] += alpha * pp[k];
+                rr[k] -= alpha * qq[k];
+            }
+        });
+        const double rr_new = dot(r, r);
+        const double beta = rr_new / rr_old;
+        p.for_each_span(mine, [&](int lo, int hi) {
+            const double* rr = r.span_ptr<double>(lo, hi);
+            double* pp = p.span_ptr<double>(lo, hi);
+            for (int k = 0; k < hi - lo; ++k) pp[k] = rr[k] + beta * pp[k];
+        });
+        rr_old = rr_new;
+        benchmark::DoNotOptimize(rr_old);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * mine.count());
+}
+BENCHMARK(BM_Dense_CgVectorOps);
 
 }  // namespace
 }  // namespace dynmpi

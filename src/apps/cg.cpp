@@ -1,6 +1,7 @@
 #include "apps/cg.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 
@@ -45,14 +46,57 @@ std::vector<std::pair<int, double>> row_entries(const CgConfig& cfg, int r) {
     return out;
 }
 
-/// Sum of a[i] * b[i] over `rows`, ascending.  The non-const row access
-/// marks the rows of both arrays dirty, as the element accessors did.
+/// Sum of a[i] * b[i] over `rows`, ascending.  The writable spans mark
+/// the rows of both arrays dirty, as the element accessors did.
 double local_dot(const RowSet& rows, DenseArray& a, DenseArray& b) {
     double s = 0.0;
-    for (const RowInterval& iv : rows.intervals())
-        for (int i = iv.lo; i < iv.hi; ++i)
-            s += *a.row_ptr<double>(i) * *b.row_ptr<double>(i);
+    a.for_each_span(rows, [&](int lo, int hi) {
+        const double* x = a.span_ptr<double>(lo, hi);
+        const double* y = b.span_ptr<double>(lo, hi);
+        for (int k = 0; k < hi - lo; ++k) s += x[k] * y[k];
+    });
     return s;
+}
+
+/// x += alpha * p and r -= alpha * q over `rows`; marks all four dirty.
+void update_xr(const RowSet& rows, double alpha, DenseArray& X, DenseArray& R,
+               DenseArray& P, DenseArray& Q) {
+    X.for_each_span(rows, [&](int lo, int hi) {
+        double* x = X.span_ptr<double>(lo, hi);
+        double* r = R.span_ptr<double>(lo, hi);
+        const double* p = P.span_ptr<double>(lo, hi);
+        const double* q = Q.span_ptr<double>(lo, hi);
+        for (int k = 0; k < hi - lo; ++k) {
+            x[k] += alpha * p[k];
+            r[k] -= alpha * q[k];
+        }
+    });
+}
+
+/// p = r + beta * p over `rows`; marks both dirty.
+void update_p(const RowSet& rows, double beta, DenseArray& R, DenseArray& P) {
+    P.for_each_span(rows, [&](int lo, int hi) {
+        const double* r = R.span_ptr<double>(lo, hi);
+        double* p = P.span_ptr<double>(lo, hi);
+        for (int k = 0; k < hi - lo; ++k) p[k] = r[k] + beta * p[k];
+    });
+}
+
+/// Copies a's values over `rows`, in row order, to `out`.  The read goes
+/// through the writable spans, so it marks those rows dirty.
+void read_rows(DenseArray& a, const RowSet& rows, double* out) {
+    a.for_each_span(rows, [&](int lo, int hi) {
+        const double* in = a.span_ptr<double>(lo, hi);
+        out = std::copy(in, in + (hi - lo), out);
+    });
+}
+
+/// Copies `in`, in row order, to a's rows `rows`.
+void write_rows(DenseArray& a, const RowSet& rows, const double* in) {
+    a.for_each_span(rows, [&](int lo, int hi) {
+        std::copy(in, in + (hi - lo), a.span_ptr<double>(lo, hi));
+        in += hi - lo;
+    });
 }
 
 /// The full search direction p, one value per row of the phase [0, n).
@@ -64,18 +108,16 @@ struct FullP {
     }
 };
 
-/// Gather p (AllGather pattern).  Under a block layout the gathered buffer
-/// already is p in row order; a cyclic layout scatters it once, into a
-/// buffer that is not zero-filled first because every slot is written.
-/// Callers free both right after the matrix product: held across the
-/// yields that follow, they would raise peak memory.
+/// Gather p (AllGather pattern), sending this node's rows from `vals`, a
+/// buffer the caller keeps across cycles.  Under a block layout the
+/// gathered buffer already is p in row order; a cyclic layout scatters it
+/// once, into a buffer that is not zero-filled first because every slot is
+/// written.  Callers free both right after the matrix product: held across
+/// the yields that follow, they would raise peak memory.
 FullP gather_p(msg::Rank& rank, const Runtime& rt, const RowSet& mine,
-               DenseArray& P, int n) {
-    std::vector<double> vals;
-    vals.reserve(static_cast<std::size_t>(mine.count()));
-    for (const RowInterval& iv : mine.intervals())
-        for (int i = iv.lo; i < iv.hi; ++i)
-            vals.push_back(*P.row_ptr<double>(i));
+               DenseArray& P, int n, std::vector<double>& vals) {
+    vals.resize(static_cast<std::size_t>(mine.count()));
+    read_rows(P, mine, vals.data());
     FullP p{msg::allgather(rank, rt.active_group(), vals), nullptr};
     const Distribution& dist = rt.distribution();
     DYNMPI_CHECK(p.gathered.size() == static_cast<std::size_t>(n),
@@ -97,23 +139,42 @@ FullP gather_p(msg::Rank& rank, const Runtime& rt, const RowSet& mine,
     return p;
 }
 
-/// q = A * p over `rows`.  Returns each row's virtual cost, which tracks
-/// its stored entries.
-std::vector<double> apply_a(const CgConfig& cfg, const RowSet& rows,
-                            const SparseMatrix& A, const double* full_p,
-                            DenseArray& Q) {
-    std::vector<double> costs;
-    costs.reserve(static_cast<std::size_t>(rows.count()));
-    for (const RowInterval& iv : rows.intervals())
-        for (int i = iv.lo; i < iv.hi; ++i) {
+/// q = A * p over `rows`.  Refills `costs`, a buffer the caller keeps
+/// across cycles, with each row's virtual cost, which tracks its stored
+/// entries.
+void apply_a(const CgConfig& cfg, const RowSet& rows, const SparseMatrix& A,
+             const double* full_p, DenseArray& Q, std::vector<double>& costs) {
+    costs.clear();
+    Q.for_each_span(rows, [&](int lo, int hi) {
+        double* q = Q.span_ptr<double>(lo, hi);
+        for (int i = lo; i < hi; ++i) {
             const SparseMatrix::RowList& row = A.row(i);
             double s = 0.0;
             for (const auto& e : row) s += e.value * full_p[e.col];
-            *Q.row_ptr<double>(i) = s;
+            q[i - lo] = s;
             costs.push_back(cfg.sec_per_nnz * static_cast<int>(row.size()));
         }
-    return costs;
+    });
 }
+
+/// The cycle-start values of the four vectors over some rows, in row
+/// order.  Taking and restoring each mark all four vectors dirty over
+/// those rows.
+struct CgSnapshot {
+    std::array<std::vector<double>, 4> vals;
+
+    void take(const RowSet& rows, const std::array<DenseArray*, 4>& vecs) {
+        for (std::size_t v = 0; v < vecs.size(); ++v) {
+            vals[v].resize(static_cast<std::size_t>(rows.count()));
+            read_rows(*vecs[v], rows, vals[v].data());
+        }
+    }
+
+    void restore(const RowSet& rows, const std::array<DenseArray*, 4>& vecs) {
+        for (std::size_t v = 0; v < vecs.size(); ++v)
+            write_rows(*vecs[v], rows, vals[v].data());
+    }
+};
 
 /// The CG arrays on one runtime: the matrix A and the vectors x, r, p, q,
 /// all written by the single phase `ph` over [0, n).
@@ -198,13 +259,14 @@ CgResult run_cg(msg::Rank& rank, const CgConfig& config) {
         msg::OpSum{});
 
     CgResult out;
+    std::vector<double> vals, costs;
     for (int cycle = 0; cycle < config.cycles; ++cycle) {
         fire_hook(config.on_cycle, rank, cycle);
         rt.begin_cycle();
         if (rt.participating()) {
             const RowSet& mine = rt.my_iters(ph);
-            const std::vector<double> costs = apply_a(
-                config, mine, A, gather_p(rank, rt, mine, P, n).get(), Q);
+            apply_a(config, mine, A,
+                    gather_p(rank, rt, mine, P, n, vals).get(), Q, costs);
             rt.run_phase(ph, costs);
         }
 
@@ -212,24 +274,13 @@ CgResult run_cg(msg::Rank& rank, const CgConfig& config) {
             rt.participating() ? local_dot(rt.my_iters(ph), P, Q) : 0.0,
             msg::OpSum{});
         double alpha = rr / pq;
-        if (rt.participating()) {
-            for (const RowInterval& iv : rt.my_iters(ph).intervals())
-                for (int i = iv.lo; i < iv.hi; ++i) {
-                    *X.row_ptr<double>(i) += alpha * *P.row_ptr<double>(i);
-                    *R.row_ptr<double>(i) -= alpha * *Q.row_ptr<double>(i);
-                }
-        }
+        if (rt.participating()) update_xr(rt.my_iters(ph), alpha, X, R, P, Q);
         double rr_new = rt.allreduce_active(
             rt.participating() ? local_dot(rt.my_iters(ph), R, R) : 0.0,
             msg::OpSum{});
         double beta = rr_new / rr;
         rr = rr_new;
-        if (rt.participating()) {
-            for (const RowInterval& iv : rt.my_iters(ph).intervals())
-                for (int i = iv.lo; i < iv.hi; ++i)
-                    *P.row_ptr<double>(i) =
-                        *R.row_ptr<double>(i) + beta * *P.row_ptr<double>(i);
-        }
+        if (rt.participating()) update_p(rt.my_iters(ph), beta, R, P);
         out.residual_history.push_back(rr);
         rt.end_cycle();
     }
@@ -255,50 +306,33 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
 
     CgRecoverResult out;
     int repairs_seen = rt.stats().crash_repairs;
-    std::vector<double> snap_x, snap_r, snap_p, snap_q;
+    const std::array<DenseArray*, 4> vecs{&X, &R, &P, &Q};
+    CgSnapshot snap;
+    std::vector<double> vals, costs;
     for (int cycle = 0; cycle < config.cycles; ++cycle) {
         fire_hook(config.on_cycle, rank, cycle);
         for (;;) {
             // Snapshot the cycle-start state of my rows.  After a rollback
             // the restored + rolled-back rows are again at cycle start, so
             // re-snapshotting each attempt also covers freshly adopted rows
-            // before a possible second crash.  The reads go through the
-            // non-const accessor, so they mark all four vectors dirty.
+            // before a possible second crash.
             const RowSet snap_rows = rt.my_iters(ph);
-            snap_x.clear();
-            snap_r.clear();
-            snap_p.clear();
-            snap_q.clear();
-            for (const RowInterval& iv : snap_rows.intervals())
-                for (int i = iv.lo; i < iv.hi; ++i) {
-                    snap_x.push_back(*X.row_ptr<double>(i));
-                    snap_r.push_back(*R.row_ptr<double>(i));
-                    snap_p.push_back(*P.row_ptr<double>(i));
-                    snap_q.push_back(*Q.row_ptr<double>(i));
-                }
+            snap.take(snap_rows, vecs);
             const double rr_snap = rr;
 
             try {
                 rt.begin_cycle();
                 const RowSet& mine = rt.my_iters(ph);
-                const std::vector<double> costs = apply_a(
-                    config, mine, A, gather_p(rank, rt, mine, P, n).get(), Q);
+                apply_a(config, mine, A,
+                        gather_p(rank, rt, mine, P, n, vals).get(), Q, costs);
                 rt.run_phase(ph, costs);
 
                 double pq = sum_active(local_dot(rt.my_iters(ph), P, Q));
-                double alpha = rr / pq;
-                for (const RowInterval& iv : mine.intervals())
-                    for (int i = iv.lo; i < iv.hi; ++i) {
-                        *X.row_ptr<double>(i) += alpha * *P.row_ptr<double>(i);
-                        *R.row_ptr<double>(i) -= alpha * *Q.row_ptr<double>(i);
-                    }
+                update_xr(mine, rr / pq, X, R, P, Q);
                 double rr_new = sum_active(local_dot(rt.my_iters(ph), R, R));
                 double beta = rr_new / rr;
                 rr = rr_new;
-                for (const RowInterval& iv : mine.intervals())
-                    for (int i = iv.lo; i < iv.hi; ++i)
-                        *P.row_ptr<double>(i) = *R.row_ptr<double>(i) +
-                                                beta * *P.row_ptr<double>(i);
+                update_p(mine, beta, R, P);
                 rt.end_cycle();
             } catch (const msg::PeerFailure&) {
                 // A peer died mid-cycle.  Wake every rank stranded in the
@@ -318,14 +352,7 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
             // cycle-start state, so no rollback is needed for them.
             repairs_seen = rt.stats().crash_repairs;
             ++out.redo_cycles;
-            std::size_t k = 0;
-            for (const RowInterval& iv : snap_rows.intervals())
-                for (int i = iv.lo; i < iv.hi; ++i, ++k) {
-                    *X.row_ptr<double>(i) = snap_x[k];
-                    *R.row_ptr<double>(i) = snap_r[k];
-                    *P.row_ptr<double>(i) = snap_p[k];
-                    *Q.row_ptr<double>(i) = snap_q[k];
-                }
+            snap.restore(snap_rows, vecs);
             rr = rr_snap;
         }
         out.residual_history.push_back(rr);

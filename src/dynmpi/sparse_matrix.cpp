@@ -197,7 +197,9 @@ RowSet SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
 }
 
 void SparseMatrix::drop_rows(const RowSet& rows) {
-    stats_.rows_freed += static_cast<std::uint64_t>(rows_.erase(rows));
+    // One row per block, and no row of `rows` stays held.
+    stats_.rows_freed += static_cast<std::uint64_t>(
+        rows_.erase(rows, [](int, int) { return false; }));
     held_.subtract_with(rows);
     rows_.fit(held_);
 }

@@ -1,53 +1,11 @@
 // Exact cost gate for redistribution planning: the heap allocations of one
-// build_redist_plan call, counted by a replacement operator new.  The count
-// is a pure function of the code and the inputs, so the gate reads no clock
-// and cannot flake on a busy host.  A plan that rebuilds owned/needed sets
-// per (src, dst) pair allocates about 8x more and fails here.
-//
-// This is its own binary: the replacement operator new/delete would
-// otherwise stand in for the sanitizer's checked ones in dynmpi_tests.
-#include <cstdlib>
-#include <new>
-
+// build_redist_plan call, counted by the replacement operator new of
+// alloc_counter.cpp.  A plan that rebuilds owned/needed sets per
+// (src, dst) pair allocates about 8x more and fails here.
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hpp"
 #include "dynmpi/redistributor.hpp"
-
-namespace {
-
-bool g_counting = false;
-std::size_t g_allocations = 0;
-
-void* counted_alloc(std::size_t n) {
-    if (g_counting) ++g_allocations;
-    return std::malloc(n == 0 ? 1 : n);
-}
-
-void* checked_alloc(std::size_t n) {
-    if (void* p = counted_alloc(n)) return p;
-    throw std::bad_alloc();
-}
-
-}  // namespace
-
-// Every form is replaced, so each block is released by the free() that
-// matches its malloc(), also under the sanitizer.
-void* operator new(std::size_t n) { return checked_alloc(n); }
-void* operator new[](std::size_t n) { return checked_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-    return counted_alloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-    return counted_alloc(n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-    std::free(p);
-}
 
 namespace dynmpi {
 namespace {
@@ -76,12 +34,11 @@ std::size_t plan_allocations(int parties) {
         arrays.push_back(std::move(ai));
     }
 
-    g_allocations = 0;
-    g_counting = true;
-    RedistPlan plan = build_redist_plan(ctx, arrays, parties / 2);
-    g_counting = false;
+    RedistPlan plan;
+    const std::size_t n = test::allocations_of(
+        [&] { plan = build_redist_plan(ctx, arrays, parties / 2); });
     EXPECT_EQ(plan.parties.size(), static_cast<std::size_t>(parties));
-    return g_allocations;
+    return n;
 }
 
 // Re-pin these only for an intended change to the planner, and note the old

@@ -6,7 +6,9 @@
 // model of its held rows.  After every step the held set, every row's
 // contents, rows_allocated / rows_freed, nnz() and the pack_rows bytes must
 // match the model, and every non-held row id — holes inside the table's
-// window, negative ids and ids >= global_rows — must throw.
+// window, negative ids and ids >= global_rows — must throw.  The dense
+// kinds span the block sizes: several rows per block, blocks that the
+// sequences cross with a partial last one, and one block per row.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,8 @@
 #include <cstddef>
 #include <map>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dynmpi/dense_array.hpp"
@@ -25,11 +29,13 @@
 namespace dynmpi {
 namespace {
 
-constexpr int kRows = 96;
-constexpr int kElems = 3;
 constexpr int kCols = 16;
 
-struct Dense {
+/// A DenseArray of `Rows` rows of `Elems` doubles.
+template <int Rows, int Elems>
+struct DenseKind {
+    static constexpr int kRows = Rows;
+    static constexpr int kElems = Elems;
     using Array = DenseArray;
     using Row = std::vector<double>;
 
@@ -49,6 +55,9 @@ struct Dense {
     static void expect_write_rejected(Array& a, int r) {
         EXPECT_THROW(a.row_data(r), Error) << "row " << r;
         EXPECT_THROW(a.at<double>(r, 0), Error) << "row " << r;
+        if (r != INT_MAX) {
+            EXPECT_THROW(a.span_ptr<double>(r, r + 1), Error) << "row " << r;
+        }
     }
     static std::size_t stored(const Row&) { return 0; }
     static std::size_t nnz(const Array&) { return 0; }
@@ -57,11 +66,21 @@ struct Dense {
     }
     static void put_payload(WireWriter& out, const Row& row) {
         out.u64(row.size() * sizeof(double));
-        for (double v : row) out.f64(v);
+        out.bytes(row.data(), row.size() * sizeof(double));
     }
 };
 
+/// 24-byte rows: one 128-row block holds them all.
+struct Dense : DenseKind<96, 3> {};
+/// One double per row: 512-row blocks, the last one partial.
+struct DenseNarrow : DenseKind<1300, 1> {};
+/// 64-byte rows: two blocks of 64 rows, the second partial.
+struct DenseLine : DenseKind<96, 8> {};
+/// 16 KB rows: one block per row, Figure 3's one allocation per row.
+struct DenseWide : DenseKind<96, 2048> {};
+
 struct Sparse {
+    static constexpr int kRows = 96;
     using Array = SparseMatrix;
     using Row = std::map<int, double>; ///< column → value
 
@@ -167,10 +186,11 @@ void expect_matches(typename T::Array& a, const Model<T>& m) {
     EXPECT_EQ(T::canonical(a.pack_rows(held)), T::canonical(m.pack()));
     // Non-held rows: out of range, just outside the held span, and the
     // first and last holes inside it (inside the table's window).
-    std::vector<int> absent = {INT_MIN, -1000, -1, kRows, kRows + 7, INT_MAX};
+    std::vector<int> absent = {INT_MIN,    -1000,          -1,
+                               T::kRows,   T::kRows + 7,   INT_MAX};
     if (!held.empty()) {
         if (held.first() > 0) absent.push_back(held.first() - 1);
-        if (held.last() + 1 < kRows) absent.push_back(held.last() + 1);
+        if (held.last() + 1 < T::kRows) absent.push_back(held.last() + 1);
         const RowSet holes =
             RowSet(held.first(), held.last() + 1).subtract(held);
         if (!holes.empty()) {
@@ -184,14 +204,15 @@ void expect_matches(typename T::Array& a, const Model<T>& m) {
     }
 }
 
-/// One to three runs of rows; every other one is strided like a cyclic
-/// layout, which leaves holes inside the table's window.
-RowSet random_rows(Rng& rng) {
+/// One to three runs of up to a third of the `rows` row ids each; every
+/// other one is strided like a cyclic layout, which leaves holes inside the
+/// table's window.
+RowSet random_rows(Rng& rng, int rows) {
     RowSet s;
     for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k) {
-        const int lo = static_cast<int>(rng.next_below(kRows));
-        const int len = 1 + static_cast<int>(rng.next_below(32));
-        const int hi = std::min(kRows, lo + len);
+        const int lo = static_cast<int>(rng.next_below(rows));
+        const int len = 1 + static_cast<int>(rng.next_below(rows / 3));
+        const int hi = std::min(rows, lo + len);
         const int stride = 2 + static_cast<int>(rng.next_below(3));
         const int step = rng.next_below(2) == 0 ? 1 : stride;
         for (int r = lo; r < hi; r += step) s.add(r, r + 1);
@@ -216,7 +237,8 @@ void unpack_random(typename T::Array& a, Model<T>& m, const RowSet& rows,
 
 template <typename T>
 class RowTableModel : public ::testing::Test {};
-using ArrayKinds = ::testing::Types<Dense, Sparse>;
+using ArrayKinds =
+    ::testing::Types<Dense, DenseNarrow, DenseLine, DenseWide, Sparse>;
 TYPED_TEST_SUITE(RowTableModel, ArrayKinds);
 
 TYPED_TEST(RowTableModel, RandomSequencesMatchMapModel) {
@@ -228,7 +250,7 @@ TYPED_TEST(RowTableModel, RandomSequencesMatchMapModel) {
         Model<T> m;
         for (int step = 0; step < 120; ++step) {
             SCOPED_TRACE(step);
-            const RowSet rows = random_rows(rng);
+            const RowSet rows = random_rows(rng, T::kRows);
             switch (rng.next_below(6)) {
             case 0:
                 a.ensure_rows(rows);
@@ -274,8 +296,8 @@ TYPED_TEST(RowTableModel, WindowGrowsAtFrontAndBack) {
     // Back: unpack, then ensure up to the last row.
     unpack_random(a, m, RowSet(70, 72), rng);
     expect_matches(a, m);
-    a.ensure_rows(RowSet(kRows - 1, kRows));
-    m.ensure(RowSet(kRows - 1, kRows));
+    a.ensure_rows(RowSet(T::kRows - 1, T::kRows));
+    m.ensure(RowSet(T::kRows - 1, T::kRows));
     expect_matches(a, m);
     // One row at a time, ascending and then descending.
     for (int r = 44; r < 70; ++r) {
@@ -295,8 +317,8 @@ TYPED_TEST(RowTableModel, DropEveryRowThenReadd) {
     Model<T> m;
     unpack_random(a, m, RowSet(10, 60), rng);
     expect_matches(a, m);
-    a.drop_rows(RowSet(0, kRows));
-    m.drop(RowSet(0, kRows));
+    a.drop_rows(RowSet(0, T::kRows));
+    m.drop(RowSet(0, T::kRows));
     expect_matches(a, m);
     EXPECT_EQ(a.local_bytes(), 0u);
     // Re-added rows come back fresh, not with their old contents.
@@ -315,10 +337,10 @@ TYPED_TEST(RowTableModel, ShrinkKeepsSurvivors) {
     Rng rng(13);
     auto a = T::make("A");
     Model<T> m;
-    unpack_random(a, m, RowSet(0, kRows), rng);
+    unpack_random(a, m, RowSet(0, T::kRows), rng);
     // Shrink from both ends until one row is left; the table narrows on
     // the way, and every survivor keeps its contents.
-    for (int lo = 0, hi = kRows; hi - lo > 1; lo += 3, hi -= 5) {
+    for (int lo = 0, hi = T::kRows; hi - lo > 1; lo += 3, hi -= 5) {
         const RowSet keep(lo, std::max(lo + 1, hi));
         a.retain_only(keep);
         m.retain_only(keep);
@@ -333,7 +355,7 @@ TYPED_TEST(RowTableModel, OutOfRangeEnsureRejectedWithoutChange) {
     a.ensure_rows(RowSet(5, 9));
     m.ensure(RowSet(5, 9));
     RowSet bad(10, 12);
-    bad.add(kRows, kRows + 2);
+    bad.add(T::kRows, T::kRows + 2);
     EXPECT_THROW(a.ensure_rows(bad), Error);
     EXPECT_THROW(a.ensure_rows(RowSet(-3, 2)), Error);
     expect_matches(a, m);
@@ -436,6 +458,113 @@ TEST(SparseRowModel, ShuffledSetsOverwritesAndErasesMatchMap) {
     }
 }
 
+TEST(DenseBlocks, RowEnsuredAgainInsideALiveBlockReadsZero) {
+    auto a = DenseNarrow::make("A");
+    ASSERT_EQ(a.block_rows(), 512);
+    a.ensure_rows(RowSet(500, 530)); // crosses the edge at row 512
+    *a.row_ptr<double>(505) = 3.0;
+    *a.row_ptr<double>(520) = 4.0;
+    a.drop_rows(RowSet::single(505));
+    a.drop_rows(RowSet::single(520));
+    // Both blocks keep held rows, so the dropped rows' old values are
+    // still in their storage until ensure_rows claims them again.
+    RowSet again = RowSet::single(505);
+    again.add_row(520);
+    a.ensure_rows(again);
+    EXPECT_EQ(*a.row_ptr<double>(505), 0.0);
+    EXPECT_EQ(*a.row_ptr<double>(520), 0.0);
+    EXPECT_EQ(a.stats().rows_allocated, 32u);
+    EXPECT_EQ(a.stats().rows_freed, 2u);
+    EXPECT_EQ(a.local_bytes(), 30 * sizeof(double));
+}
+
+TEST(DenseBlocks, NonHeldRowInsideAnAllocatedBlockIsRejected) {
+    auto a = DenseNarrow::make("A");
+    a.ensure_rows(RowSet(0, 8));
+    a.ensure_rows(RowSet(10, 20));
+    const DenseArray& c = a;
+    // Rows 8 and 9 share the block of rows 0-19 but are not held.
+    for (int r : {8, 9}) {
+        EXPECT_THROW(a.row_data(r), Error) << r;
+        EXPECT_THROW(c.row_data(r), Error) << r;
+        EXPECT_THROW(a.span_ptr<double>(r, r + 1), Error) << r;
+        EXPECT_THROW(c.span_data(r, r + 1), Error) << r;
+    }
+    try {
+        (void)c.span_data(0, 20);
+        ADD_FAILURE() << "a span over a hole was accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("non-held row 8 of A"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_NO_THROW(a.span_ptr<double>(10, 20));
+    // A row dropped from a block that stays allocated is rejected too.
+    a.drop_rows(RowSet::single(15));
+    EXPECT_THROW(a.row_data(15), Error);
+    EXPECT_THROW(a.span_ptr<double>(10, 20), Error);
+    EXPECT_NO_THROW(a.span_ptr<double>(16, 20));
+    // A span must lie inside one block.
+    a.ensure_rows(RowSet(500, 530));
+    EXPECT_THROW(a.span_ptr<double>(500, 530), Error);
+    EXPECT_THROW(a.span_ptr<double>(520, 520), Error);
+    EXPECT_NO_THROW(a.span_ptr<double>(500, 512));
+    EXPECT_NO_THROW(a.span_ptr<double>(512, 530));
+}
+
+TEST(DenseBlocks, SpansSplitAtBlockEdgesAndMarkDirty) {
+    auto a = DenseNarrow::make("A");
+    RowSet rows(500, 1100);
+    rows.add(1200, 1300);
+    a.ensure_rows(rows);
+    a.clear_dirty(rows);
+    std::vector<std::pair<int, int>> spans;
+    a.for_each_span(rows, [&](int lo, int hi) { spans.emplace_back(lo, hi); });
+    const std::vector<std::pair<int, int>> want = {
+        {500, 512}, {512, 1024}, {1024, 1100}, {1200, 1300}};
+    EXPECT_EQ(spans, want);
+    // Row lo + k of a span is element k; the const span marks nothing.
+    for (auto [lo, hi] : spans) {
+        double* p = a.span_ptr<double>(lo, hi);
+        for (int r = lo; r < hi; ++r) p[r - lo] = r;
+    }
+    EXPECT_EQ(a.dirty_rows(RowSet(0, 1300)), rows);
+    a.clear_dirty(rows);
+    const DenseArray& c = a;
+    for (auto [lo, hi] : spans) {
+        const double* p = c.span_ptr<double>(lo, hi);
+        EXPECT_EQ(p[0], lo);
+        EXPECT_EQ(p[hi - lo - 1], hi - 1);
+        EXPECT_EQ(p, c.row_ptr<double>(lo));
+    }
+    EXPECT_TRUE(a.dirty_rows(RowSet(0, 1300)).empty());
+    EXPECT_THROW(a.span_ptr<float>(500, 512), Error);
+}
+
+TEST(RowTable, BlocksCoverAlignedRowRanges) {
+    RowTable<int> t(1300, 512);
+    EXPECT_EQ(t.block_rows(), 512);
+    t.cover(RowSet(), 600, 1100);
+    t.slot(600) = std::make_unique<int>(1);
+    t.slot(1299) = std::make_unique<int>(2);
+    EXPECT_EQ(*t.find(512), 1);
+    EXPECT_EQ(*t.find(1023), 1);
+    EXPECT_EQ(*t.find(1024), 2);
+    EXPECT_EQ(t.find(511), nullptr);
+    for (int r : {INT_MIN, -1, 1536, INT_MAX}) EXPECT_EQ(t.find(r), nullptr) << r;
+    // Erasing one row frees its block only if no row of it is in use.
+    EXPECT_EQ(t.erase(RowSet::single(700), [](int lo, int hi) {
+        EXPECT_EQ(lo, 512);
+        EXPECT_EQ(hi, 1024);
+        return true;
+    }),
+              0);
+    EXPECT_EQ(*t.find(700), 1);
+    EXPECT_EQ(t.erase(RowSet(0, 1300), [](int, int) { return false; }), 2);
+    EXPECT_EQ(t.find(700), nullptr);
+    EXPECT_THROW(RowTable<int>(100, 3), Error);
+}
+
 TEST(RowTable, FindRejectsEveryRowOutsideTheWindow) {
     RowTable<int> t(100);
     EXPECT_EQ(t.find(0), nullptr);
@@ -448,7 +577,7 @@ TEST(RowTable, FindRejectsEveryRowOutsideTheWindow) {
     for (int r : {INT_MIN, -1, 0, 4, 26, 99, 100, INT_MAX})
         EXPECT_EQ(t.find(r), nullptr) << r;
     EXPECT_THROW(t.slot(200), Error);
-    EXPECT_EQ(t.erase(RowSet(0, 100)), 2);
+    EXPECT_EQ(t.erase(RowSet(0, 100), [](int, int) { return false; }), 2);
     EXPECT_EQ(t.find(10), nullptr);
 }
 
