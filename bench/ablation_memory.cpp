@@ -3,10 +3,10 @@
 //
 // One node has only enough physical memory for a fraction of an even block.
 // Without memory awareness, the balancer assigns it a power-proportional
-// block, the node pages (paging_slowdown x compute), and — interestingly —
-// the grace-period measurements *see* the inflation and partially shift work
-// away on the next adaptation.  With memory awareness, blocks are capped up
-// front and no paging ever occurs.
+// block, the node pages (Runtime::kPagingSlowdown x compute), and —
+// interestingly — the grace-period measurements *see* the inflation and
+// partially shift work away on the next adaptation.  With memory
+// awareness, blocks are capped up front and no paging ever occurs.
 #include "apps/jacobi.hpp"
 #include "bench/bench_common.hpp"
 

@@ -27,7 +27,6 @@ struct ParticleConfig {
     /// half of P0's rows).
     int boost_rows = 0;
     double boost_density = 1.0;
-    double move_fraction = 0.15; ///< mass moving to each neighbor row
     double sec_per_particle = 2e-6;
     double sec_per_row_base = 1e-6;
     RuntimeOptions runtime;

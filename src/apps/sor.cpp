@@ -7,6 +7,8 @@
 namespace dynmpi::apps {
 
 namespace {
+constexpr double kOmega = 1.5; ///< over-relaxation factor
+
 double initial_value(int row, int col) {
     return (row % 7) * 0.125 + (col % 5) * 0.25;
 }
@@ -70,7 +72,7 @@ SorResult run_sor(msg::Rank& rank, const SorConfig& config) {
             for (int j = j0; j < w - 1; j += 2) {
                 double gs =
                     0.25 * (up[j] + down[j] + mid[j - 1] + mid[j + 1]);
-                mid[j] = (1.0 - config.omega) * mid[j] + config.omega * gs;
+                mid[j] = (1.0 - kOmega) * mid[j] + kOmega * gs;
             }
         }
     };

@@ -15,7 +15,6 @@ struct SorConfig {
     int cols_stored = 64;
     int cols_math = 32;
     int cycles = 50;
-    double omega = 1.5;        ///< over-relaxation factor
     double sec_per_row = 1e-4; ///< per full cycle (split across sweeps)
     RuntimeOptions runtime;
     CycleHook on_cycle;

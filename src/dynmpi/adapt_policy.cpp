@@ -20,8 +20,7 @@ std::pair<double, double> MachineModel::comm_for(int nodes) const {
 
 AdaptPolicy::AdaptPolicy(const RuntimeOptions& opts, int world)
     : opts_(opts) {
-    DYNMPI_REQUIRE(opts_.grace_cycles > 0 && opts_.post_grace_cycles > 0,
-                   "grace periods must be positive");
+    DYNMPI_REQUIRE(opts_.grace_cycles > 0, "grace periods must be positive");
     DYNMPI_REQUIRE(opts_.quarantine_bad_reports > 0 &&
                        opts_.readmit_clean_cycles > 0,
                    "quarantine thresholds must be positive");
@@ -41,7 +40,7 @@ bool AdaptPolicy::decision_due() const {
     return mon_.mode == Mode::Grace
                ? mon_.grace_count + 1 >= opts_.grace_cycles
                : mon_.mode == Mode::PostGrace &&
-                     mon_.post_count + 1 >= opts_.post_grace_cycles;
+                     mon_.post_count + 1 >= kPostGraceCycles;
 }
 
 AdaptAction AdaptPolicy::step(const CycleView& v) {
@@ -103,7 +102,7 @@ AdaptAction AdaptPolicy::end_grace(const CycleView& v) {
     // machine size.
     bool material = a.members != v.active;
     if (!material) {
-        const double threshold = opts_.min_count_change *
+        const double threshold = kMinCountChange *
                                  static_cast<double>(v.dist.total_iters()) /
                                  static_cast<double>(n);
         const std::vector<int> old_counts = v.dist.counts();
@@ -175,7 +174,7 @@ AdaptAction AdaptPolicy::end_post_grace(const CycleView& v) {
             spread[static_cast<std::size_t>(d.unloaded_members[k])] = sh[k];
         sh = std::move(spread);
     }
-    a.counts = blocks(sh, a.members, physical ? 1 : opts_.logical_min_rows, v);
+    a.counts = blocks(sh, a.members, physical ? 1 : kLogicalMinRows, v);
     a.kind = physical ? AdaptAction::Kind::DropPhysical
                       : AdaptAction::Kind::DropLogical;
     return a;

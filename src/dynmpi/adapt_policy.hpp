@@ -13,7 +13,7 @@
 //               (the active nodes plus every joinable, unquarantined removed
 //               node whose load cleared) are balanced (§4.3); a material
 //               change redistributes, and PostGrace begins.
-//   PostGrace — after post_grace_cycles observing the new layout, the §4.4
+//   PostGrace — after kPostGraceCycles observing the new layout, the §4.4
 //               predictor may drop the loaded nodes: physically (out of the
 //               active set) or logically (kept with a minimum block).
 //
@@ -32,7 +32,6 @@
 #include "dynmpi/comm_model.hpp"
 #include "dynmpi/control_wire.hpp"
 #include "dynmpi/distribution.hpp"
-#include "dynmpi/timing.hpp"
 
 namespace dynmpi {
 
@@ -47,30 +46,23 @@ struct RuntimeOptions {
     /// adapts is redistributed from its cyclic layout on the first change.
     Distribution::Kind initial_dist = Distribution::Kind::Block;
     int cyclic_block_size = 1;
-    int grace_cycles = 5;       ///< paper default (§4.2)
-    int post_grace_cycles = 10; ///< paper default (§4.4)
+    int grace_cycles = 5; ///< paper default (§4.2)
     bool enable_removal = true;
     /// Drop loaded nodes at the post-grace decision point regardless of the
     /// §4.4 predictor (benches measure both configurations this way).
     bool force_drop_loaded = false;
     DropMode drop_mode = DropMode::Physical;
     BalanceScheme scheme = BalanceScheme::SuccessiveBalancing;
-    bool calibrate = true; ///< run comm µ-benchmarks at commit_setup
-    CommCosts comm_costs;  ///< used directly when calibrate == false
-    TimingConfig timing;
+    bool calibrate = true; ///< run comm µ-benchmarks (false: CommCosts{})
     int max_redistributions = -1;   ///< cap on adaptations; -1 = unlimited
                                     ///< (Figure 5's "Redist Once" arm uses 1)
     double load_change_eps = 0.5;   ///< dmpi_ps delta that triggers adaptation
-    double min_count_change = 0.1;  ///< skip redistribution unless some block
-                                    ///< changes by this fraction of an
-                                    ///< average block
-    int logical_min_rows = 1; ///< rows kept on logically dropped nodes
     /// Memory-aware balancing (the AppLeS-style paging avoidance the paper
     /// cites): cap each node's block so registered arrays fit its physical
-    /// memory.  Nodes over their memory page regardless (paging_slowdown x
-    /// compute), so turning this off makes the cost visible.
+    /// memory.  Nodes over their memory page regardless
+    /// (Runtime::kPagingSlowdown x compute), so turning this off makes the
+    /// cost visible.
     bool memory_aware = true;
-    double paging_slowdown = 4.0;
     // ---- runtime hardening (fault tolerance; see docs/FAULTS.md) ----
     /// Load reports older than this fall back to the last-known value.  The
     /// effective window is max(this, 2 x the dmpi_ps period), so slow
@@ -162,6 +154,15 @@ struct AdaptAction {
 class AdaptPolicy {
 public:
     enum class Mode { Monitor, Grace, PostGrace };
+
+    /// Cycles observed after a redistribution before the §4.4 removal
+    /// decision (the paper's fixed window).
+    static constexpr int kPostGraceCycles = 10;
+    /// A grace end skips the redistribution unless some block changes by
+    /// more than this fraction of an average block.
+    static constexpr double kMinCountChange = 0.1;
+    /// Rows each logically dropped node keeps.
+    static constexpr int kLogicalMinRows = 1;
 
     /// The machine's progress.
     struct MonitorState {

@@ -35,7 +35,18 @@ void RowSet::add(int lo, int hi) {
 }
 
 void RowSet::add(const RowSet& other) {
-    if (other.intervals_.empty()) return;
+    // A contained set adds no row, so the held vector stays as it is (a
+    // replica refresh unpacks into a shadow that already holds its rows).
+    // Each interval of `other` must then lie inside the first interval
+    // here that reaches its end.
+    auto held = intervals_.begin();
+    std::size_t k = 0;
+    for (; k < other.intervals_.size(); ++k) {
+        const RowInterval& iv = other.intervals_[k];
+        while (held != intervals_.end() && held->hi < iv.hi) ++held;
+        if (held == intervals_.end() || held->lo > iv.lo) break;
+    }
+    if (k == other.intervals_.size()) return;
     // Two-way merge of two sorted lists, coalescing as it goes.
     std::vector<RowInterval> merged;
     merged.reserve(intervals_.size() + other.intervals_.size());

@@ -37,7 +37,6 @@ Runtime::Runtime(msg::Rank& rank, int global_rows, RuntimeOptions opts)
                 "s): replica refreshes piggyback on the monitoring cycle "
                 "and cannot run more often than it");
     }
-    opts_.timing.grace_cycles = opts_.grace_cycles;
     dist_ = opts_.initial_dist == Distribution::Kind::Block
                 ? Distribution::even_block(0, global_rows_, world_.size())
                 : Distribution::cyclic(0, global_rows_, world_.size(),
@@ -157,7 +156,7 @@ int Runtime::init_phase(int lo, int hi, PhaseComm comm) {
     DYNMPI_REQUIRE(!committed_, "init_phase after commit_setup");
     DYNMPI_REQUIRE(lo >= 0 && hi <= global_rows_ && lo < hi,
                    "phase bounds outside the iteration space");
-    phases_.push_back(Phase{lo, hi, IterationTimer(opts_.timing)});
+    phases_.push_back(Phase{lo, hi, IterationTimer(opts_.grace_cycles)});
     model_.phases.push_back(comm);
     return static_cast<int>(phases_.size()) - 1;
 }
@@ -185,7 +184,7 @@ void Runtime::commit_setup() {
     }
 
     model_.comm_costs = opts_.calibrate ? calibrate_comm_costs(rank_, world_)
-                                        : opts_.comm_costs;
+                                        : CommCosts{};
     model_.speeds = msg::allgather_scalar(rank_, world_, node_speed());
     model_.memories = msg::allgather_scalar(
         rank_, world_, static_cast<double>(rank_.node().memory_bytes()));
@@ -468,7 +467,7 @@ double Runtime::paging_factor() const {
     if (mem <= 0) return 1.0;
     std::size_t used = 0;
     for (const auto& ai : arrays_) used += ai.array->local_bytes();
-    return static_cast<double>(used) > mem ? opts_.paging_slowdown : 1.0;
+    return static_cast<double>(used) > mem ? kPagingSlowdown : 1.0;
 }
 
 void Runtime::send_rel(int rel_dst, int tag, const void* data,
@@ -595,7 +594,7 @@ void Runtime::run_phase(int phase, const std::vector<double>& row_costs) {
                        my_iters(phase).count(),
                    "row_costs must align with my_iters");
 
-    // Thrashing: every row costs paging_slowdown x its CPU time.  The
+    // Thrashing: every row costs kPagingSlowdown x its CPU time.  The
     // grace-period measurements see the inflation, so even without
     // memory-aware caps the balancer is pushed away from this node.
     const double paging = paging_factor();
@@ -735,7 +734,7 @@ void Runtime::removed_cycle_follow() {
     record_rejoins(active_);
     policy_.start_post_grace();
     trace_instant(InstantId::RuntimePostGraceEnter,
-                  {targ("post_grace_cycles", opts_.post_grace_cycles)});
+                  {targ("post_grace_cycles", AdaptPolicy::kPostGraceCycles)});
 }
 
 void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
@@ -827,8 +826,9 @@ void Runtime::carry_out(const AdaptAction& a, const msg::Group& active_before,
         record_event(AdaptationEvent::Kind::Redistributed,
                      "blocks " + counts_string(a.counts));
         record_rejoins(active_);
-        trace_instant(InstantId::RuntimePostGraceEnter,
-                      {targ("post_grace_cycles", opts_.post_grace_cycles)});
+        trace_instant(
+            InstantId::RuntimePostGraceEnter,
+            {targ("post_grace_cycles", AdaptPolicy::kPostGraceCycles)});
         return;
     case Kind::EndPostGrace:
     case Kind::DropPhysical:

@@ -97,6 +97,9 @@ struct RuntimeStats {
 
 class Runtime {
 public:
+    /// Compute slowdown of a node whose local rows exceed its memory.
+    static constexpr double kPagingSlowdown = 4.0;
+
     /// `global_rows` is the size of the distributed dimension shared by all
     /// registered arrays (and the iteration space of phases).
     Runtime(msg::Rank& rank, int global_rows, RuntimeOptions opts = {});

@@ -4,13 +4,13 @@
 #include <cmath>
 #include <numeric>
 
+#include "sim/cpu.hpp"
 #include "support/error.hpp"
 
 namespace dynmpi {
 
-IterationTimer::IterationTimer(TimingConfig cfg) : cfg_(cfg) {
-    DYNMPI_REQUIRE(cfg_.grace_cycles > 0, "grace period needs cycles");
-    DYNMPI_REQUIRE(cfg_.jiffy_s > 0, "jiffy must be positive");
+IterationTimer::IterationTimer(int grace_cycles) : grace_cycles_(grace_cycles) {
+    DYNMPI_REQUIRE(grace_cycles_ > 0, "grace period needs cycles");
 }
 
 void IterationTimer::start(int num_rows) {
@@ -33,7 +33,7 @@ std::vector<double> IterationTimer::quantize_proc(
         // Real jiffy counters are integral; the epsilon keeps accumulated
         // floating-point error from flipping an exact boundary downward.
         double reading =
-            std::floor(cum / cfg_.jiffy_s + 1e-9) * cfg_.jiffy_s;
+            std::floor(cum / sim::kJiffyS + 1e-9) * sim::kJiffyS;
         out[i] = reading - prev_reading;
         prev_reading = reading;
     }
@@ -73,7 +73,8 @@ IterationTimer::Method IterationTimer::chosen_method() const {
     double mean_row =
         std::accumulate(proc_sum_.begin(), proc_sum_.end(), 0.0) /
         (static_cast<double>(cycles_) * static_cast<double>(num_rows_));
-    return mean_row >= cfg_.proc_threshold_s ? Method::Proc : Method::Hrtime;
+    // Below one jiffy per row the quantized readings are mostly noise.
+    return mean_row >= sim::kJiffyS ? Method::Proc : Method::Hrtime;
 }
 
 std::vector<double> IterationTimer::estimates() const {

@@ -5,7 +5,8 @@
 // times.  Two mechanisms are available:
 //
 //  - /proc CPU time: immune to competing processes but quantized to the
-//    10 ms jiffy, so it is only used when iterations are long enough;
+//    10 ms jiffy (sim::kJiffyS), so it is only used when the mean row takes
+//    at least one jiffy;
 //  - gethrtime wall time: fine-grained but inflated by competing processes
 //    and by context-switch spikes; dividing by the dmpi_ps load and taking
 //    the minimum across the grace period's cycles filters the spikes.
@@ -19,17 +20,12 @@
 
 namespace dynmpi {
 
-struct TimingConfig {
-    double jiffy_s = 0.010;          ///< /proc granularity
-    double proc_threshold_s = 0.010; ///< use /proc when mean row time >= this
-    int grace_cycles = 5;            ///< cycles measured per grace period
-};
-
 class IterationTimer {
 public:
     enum class Method { Proc, Hrtime };
 
-    explicit IterationTimer(TimingConfig cfg = {});
+    /// Measure `grace_cycles` cycles per grace period.
+    explicit IterationTimer(int grace_cycles = 5);
 
     /// Begin a grace period measuring `num_rows` rows.
     void start(int num_rows);
@@ -42,7 +38,7 @@ public:
                       double speed);
 
     int cycles_recorded() const { return cycles_; }
-    bool complete() const { return cycles_ >= cfg_.grace_cycles; }
+    bool complete() const { return cycles_ >= grace_cycles_; }
 
     /// Which mechanism the estimates would use right now.
     Method chosen_method() const;
@@ -50,14 +46,12 @@ public:
     /// Per-row unloaded cost estimates (reference-CPU seconds).
     std::vector<double> estimates() const;
 
-    const TimingConfig& config() const { return cfg_; }
-
 private:
     /// Apply jiffy quantization to a sequence of per-row CPU times the way a
     /// /proc reader would observe them (cumulative counter, floor to jiffy).
     std::vector<double> quantize_proc(const std::vector<double>& cpu) const;
 
-    TimingConfig cfg_;
+    int grace_cycles_;
     int num_rows_ = 0;
     int cycles_ = 0;
     std::vector<double> hrtime_min_;  ///< min unloaded estimate per row

@@ -20,9 +20,8 @@ double Rank::exact_cpu_time() const {
 }
 
 double Rank::proc_cpu_time() const {
-    const sim::Cpu& cpu = machine_.cluster().node(id_).cpu();
-    double jiffy = cpu.params().jiffy_s;
-    return std::floor(cpu.app_cpu_seconds() / jiffy) * jiffy;
+    const double cpu = machine_.cluster().node(id_).cpu().app_cpu_seconds();
+    return std::floor(cpu / sim::kJiffyS) * sim::kJiffyS;
 }
 
 void Rank::compute(double ref_sec) {

@@ -26,7 +26,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
             cp.speed = config_.speeds[static_cast<std::size_t>(i)];
         std::uint64_t mem =
             config_.memories.empty()
-                ? config_.node_memory_bytes
+                ? 0
                 : config_.memories[static_cast<std::size_t>(i)];
         nodes_.push_back(std::make_unique<Node>(
             engine_, i, cp,

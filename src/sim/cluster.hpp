@@ -29,11 +29,10 @@ struct ClusterConfig {
     NetParams net;
     std::uint64_t seed = 42;
     SimTime ps_period = kNsPerSec; ///< dmpi_ps sampling period
-    /// Physical memory per node for application data; 0 = unlimited.
-    /// Exceeding it models paging (the AppLeS-style constraint the
-    /// memory-aware balancer avoids).
-    std::uint64_t node_memory_bytes = 0;
-    std::vector<std::uint64_t> memories; ///< per-node override; empty → uniform
+    /// Physical memory per node for application data (0 = unlimited); empty
+    /// → every node unlimited.  Exceeding it models paging (the AppLeS-style
+    /// constraint the memory-aware balancer avoids).
+    std::vector<std::uint64_t> memories;
 };
 
 class Cluster {

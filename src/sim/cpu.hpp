@@ -11,8 +11,8 @@
 //    jitter of up to `quantum_s * n` (a context switch landing inside the
 //    row), which is what makes short-iteration timing unreliable (paper §4.2
 //    and Figure 7);
-//  - /proc-style CPU times are exact here and quantized to the 10 ms jiffy by
-//    the reader (dynmpi/timing).
+//  - /proc-style CPU times are exact here and quantized to the 10 ms jiffy
+//    (kJiffyS) by the reader (Rank::proc_cpu_time, dynmpi/timing).
 #pragma once
 
 #include <cstdint>
@@ -24,10 +24,13 @@
 
 namespace dynmpi::sim {
 
+/// /proc accounting granularity (paper §4.2).  The iteration timer also
+/// reads /proc only when a row takes at least this long.
+inline constexpr double kJiffyS = 0.010;
+
 struct CpuParams {
     double speed = 1.0;       ///< relative to the reference node
     double quantum_s = 0.030; ///< scheduler quantum, bounds timing jitter
-    double jiffy_s = 0.010;   ///< /proc accounting granularity
     double jitter_frac = 1.0; ///< scale factor for measurement jitter
     /// Scheduler wake-up latency: when a blocked process becomes runnable on
     /// a node with competing processes, it waits up to wake_delay_s per

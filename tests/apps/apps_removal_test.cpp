@@ -5,17 +5,10 @@
 #include "apps/cg.hpp"
 #include "apps/particle.hpp"
 #include "apps/sor.hpp"
+#include "common/cluster_fixture.hpp"
 
 namespace dynmpi::apps {
 namespace {
-
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
 
 /// Heavy load on one node + comm-heavy settings force a physical drop;
 /// killing the load later forces the re-add.
@@ -24,7 +17,7 @@ void heavy_then_clear(msg::Machine& m, int node, double clear_at = 4.0) {
 }
 
 TEST(AppsRemoval, CgDropsAndReaddsWithCorrectResiduals) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     heavy_then_clear(m, 1, /*clear_at=*/1.0);
     CgConfig cc;
     cc.n = 256;
@@ -53,7 +46,7 @@ TEST(AppsRemoval, CgDropsAndReaddsWithCorrectResiduals) {
 }
 
 TEST(AppsRemoval, ParticleMassSurvivesDropAndReadd) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     heavy_then_clear(m, 2);
     ParticleConfig pc;
     pc.rows = 48;
@@ -75,7 +68,7 @@ TEST(AppsRemoval, ParticleMassSurvivesDropAndReadd) {
 
 TEST(AppsRemoval, SorChecksumUnchangedByDropPath) {
     auto run_once = [](bool with_load) {
-        msg::Machine m(cfg(4));
+        msg::Machine m(fast_cluster(4));
         if (with_load) heavy_then_clear(m, 1);
         SorConfig sc;
         sc.rows = 48;

@@ -4,19 +4,12 @@
 
 #include <string>
 
+#include "common/cluster_fixture.hpp"
 #include "sim/fault_plan.hpp"
 #include "support/error.hpp"
 
 namespace dynmpi::apps {
 namespace {
-
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
 
 CgConfig small_cg() {
     CgConfig cc;
@@ -29,7 +22,7 @@ CgConfig small_cg() {
 
 CgResult run_on(int nodes, CgConfig cc,
                 std::function<void(msg::Machine&)> setup = {}) {
-    msg::Machine m(cfg(nodes));
+    msg::Machine m(fast_cluster(nodes));
     if (setup) setup(m);
     CgResult out;
     m.run([&](msg::Rank& r) {
@@ -107,7 +100,7 @@ CgRecoverResult run_recoverable(int nodes, CgConfig cc,
                                 const std::string& faults = {},
                                 int collector = 0) {
     cc.runtime.replicate = true;
-    msg::Machine m(cfg(nodes));
+    msg::Machine m(fast_cluster(nodes));
     if (!faults.empty())
         m.cluster().install_faults(sim::FaultPlan::parse(faults));
     CgRecoverResult out;

@@ -2,19 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/report.hpp"
 #include "sim/fault_plan.hpp"
 
 namespace dynmpi::apps {
 namespace {
-
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
 
 JacobiConfig small_jacobi() {
     JacobiConfig jc;
@@ -29,7 +22,7 @@ JacobiConfig small_jacobi() {
 
 double run_on(int nodes, JacobiConfig jc,
               std::function<void(msg::Machine&)> setup = {}) {
-    msg::Machine m(cfg(nodes));
+    msg::Machine m(fast_cluster(nodes));
     if (setup) setup(m);
     double checksum = 0;
     m.run([&](msg::Rank& r) {
@@ -63,7 +56,7 @@ TEST(JacobiApp, AdaptationBeatsNoAdaptUnderLoad) {
     JacobiConfig jc = small_jacobi();
     jc.cycles = 250;
     auto timed = [&](bool adapt) {
-        msg::Machine m(cfg(4));
+        msg::Machine m(fast_cluster(4));
         m.cluster().add_load_interval(2, 0.2, -1.0, 2);
         JacobiConfig c = jc;
         c.runtime.adapt = adapt;
@@ -101,14 +94,14 @@ TEST(JacobiApp, StoredColumnsSurviveRedistributionAndRestore) {
     serial.cycles = 1;
     double reference = 0;
     {
-        msg::Machine m(cfg(1));
+        msg::Machine m(fast_cluster(1));
         m.run([&](msg::Rank& r) {
             reference = run_jacobi(r, serial).stored_checksum;
         });
     }
 
     jc.runtime.replicate = true;
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.1, 1.0, 2);
     m.cluster().install_faults(sim::FaultPlan::parse("crash node=3 t=1.8\n"));
     double stored = 0;

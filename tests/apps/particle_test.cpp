@@ -1,17 +1,10 @@
 #include "apps/particle.hpp"
+#include "common/cluster_fixture.hpp"
 
 #include <gtest/gtest.h>
 
 namespace dynmpi::apps {
 namespace {
-
-sim::ClusterConfig cfg(int nodes, double jitter = 0.0) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = jitter;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
 
 ParticleConfig small_particle() {
     ParticleConfig pc;
@@ -25,7 +18,7 @@ ParticleConfig small_particle() {
 
 ParticleResult run_on(int nodes, ParticleConfig pc,
                       std::function<void(msg::Machine&)> setup = {}) {
-    msg::Machine m(cfg(nodes));
+    msg::Machine m(fast_cluster(nodes));
     if (setup) setup(m);
     ParticleResult out;
     m.run([&](msg::Rank& r) {
@@ -92,7 +85,7 @@ TEST(ParticleApp, GracePeriodFiveMeasuresRowCostsBetter) {
     // spikes.  Compare the estimated cost of the loaded node's rows (its
     // initial block) against the clean-node estimate of a comparable block.
     auto estimates = [&](int gp) {
-        auto c = cfg(4, /*jitter=*/1.0);
+        auto c = fast_cluster(4, /*jitter=*/1.0);
         c.cpu.quantum_s = 0.010;
         msg::Machine m(c);
         m.cluster().add_load_interval(1, 0.5, -1.0, 2);

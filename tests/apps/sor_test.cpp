@@ -1,17 +1,10 @@
 #include "apps/sor.hpp"
+#include "common/cluster_fixture.hpp"
 
 #include <gtest/gtest.h>
 
 namespace dynmpi::apps {
 namespace {
-
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
 
 SorConfig small_sor() {
     SorConfig sc;
@@ -26,7 +19,7 @@ SorConfig small_sor() {
 
 double run_on(int nodes, SorConfig sc,
               std::function<void(msg::Machine&)> setup = {}) {
-    msg::Machine m(cfg(nodes));
+    msg::Machine m(fast_cluster(nodes));
     if (setup) setup(m);
     double checksum = 0;
     m.run([&](msg::Rank& r) {
@@ -56,7 +49,7 @@ TEST(SorApp, ChecksumStableUnderRedistribution) {
 TEST(SorApp, TwoPhasesPerCycleCharged) {
     // SOR's two sweeps mean its per-cycle comm/compute profile differs from
     // Jacobi; verify both phases exist and both run.
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     SorConfig sc = small_sor();
     sc.cycles = 5;
     m.run([&](msg::Rank& r) {
@@ -73,7 +66,7 @@ TEST(SorApp, TwoPhasesPerCycleCharged) {
 TEST(SorApp, RemovalTriggersInCommHeavyRegime) {
     // The §5.3 scenario in miniature: little compute, boundary exchanges
     // dominate, several competing processes on one node.
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.3, -1.0, 5);
     SorConfig sc = small_sor();
     sc.rows = 48;

@@ -229,7 +229,6 @@ TEST(AdaptPolicy, PostGraceDrops) {
         o.enable_removal = c.enable_removal;
         o.force_drop_loaded = c.force;
         o.drop_mode = c.mode;
-        o.logical_min_rows = 2;
         AdaptPolicy p(o, kWorld);
         const AdaptAction a = post_grace_end(p, f, snap, c.max_wall);
         EXPECT_EQ(a.kind, c.kind);
@@ -244,7 +243,7 @@ TEST(AdaptPolicy, PostGraceDrops) {
         }
         if (c.kind == Kind::DropLogical) {
             EXPECT_EQ(a.members, f.active);
-            EXPECT_EQ(a.counts[1], 2); // the minimum assignment
+            EXPECT_EQ(a.counts[1], AdaptPolicy::kLogicalMinRows);
             EXPECT_EQ(sum(a.counts), kRows);
         }
     }
@@ -380,7 +379,7 @@ TEST(AdaptPolicy, DecisionWithoutSnapshotIsAnError) {
 
 TEST(AdaptPolicy, RejectsNonPositiveWindows) {
     RuntimeOptions o;
-    o.post_grace_cycles = 0;
+    o.grace_cycles = 0;
     EXPECT_THROW(AdaptPolicy(o, kWorld), Error);
     o = RuntimeOptions{};
     o.readmit_clean_cycles = 0;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/mpi_compat.hpp"
 #include "mpisim/rank.hpp"
@@ -11,14 +12,6 @@
 namespace dynmpi::capi {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
-
 RuntimeOptions fast() {
     RuntimeOptions o;
     o.calibrate = false;
@@ -26,7 +19,7 @@ RuntimeOptions fast() {
 }
 
 TEST(CApi, LifecycleMirrorsFigure2) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.run([](msg::Rank& r) {
         DMPI_init(r, 64, fast());
         DenseArray& A = DMPI_register_dense_array("A", 4, sizeof(double));
@@ -50,7 +43,7 @@ TEST(CApi, LifecycleMirrorsFigure2) {
 }
 
 TEST(CApi, RelativeRankMessaging) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     m.run([](msg::Rank& r) {
         DMPI_init(r, 30, fast());
         DMPI_register_dense_array("A", 1, sizeof(double));
@@ -75,7 +68,7 @@ TEST(CApi, RelativeRankMessaging) {
 }
 
 TEST(CApi, SparseRegistration) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.run([](msg::Rank& r) {
         DMPI_init(r, 16, fast());
         SparseMatrix& S = DMPI_register_sparse_array("S", 32);
@@ -98,7 +91,7 @@ TEST(CApi, SparseRegistration) {
 }
 
 TEST(CApi, DoubleInitRejected) {
-    msg::Machine m(cfg(1));
+    msg::Machine m(fast_cluster(1));
     EXPECT_THROW(m.run([](msg::Rank& r) {
         DMPI_init(r, 8, fast());
         DMPI_init(r, 8, fast());
@@ -107,12 +100,12 @@ TEST(CApi, DoubleInitRejected) {
 }
 
 TEST(CApi, UseBeforeInitRejected) {
-    msg::Machine m(cfg(1));
+    msg::Machine m(fast_cluster(1));
     EXPECT_THROW(m.run([](msg::Rank&) { DMPI_begin_cycle(); }), Error);
 }
 
 TEST(CApi, FinalizeAllowsReinit) {
-    msg::Machine m(cfg(1));
+    msg::Machine m(fast_cluster(1));
     m.run([](msg::Rank& r) {
         DMPI_init(r, 8, fast());
         DMPI_finalize();
@@ -123,7 +116,7 @@ TEST(CApi, FinalizeAllowsReinit) {
 }
 
 TEST(CApi, AdaptationWorksThroughShim) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(2, 0.5, -1.0, 2);
     std::vector<int> counts;
     m.run([&](msg::Rank& r) {
@@ -153,7 +146,7 @@ TEST(CApi, AdaptationWorksThroughShim) {
 }
 
 TEST(CApi, GlobalReductionsAndClock) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     m.run([](msg::Rank& r) {
         DMPI_init(r, 24, fast());
         DMPI_register_dense_array("A", 1, sizeof(double));
@@ -174,7 +167,7 @@ TEST(CApi, GlobalReductionsAndClock) {
 TEST(CApi, ShimStateFollowsTheRunningRank) {
     // Two ranks take turns in the DMPI_* and MPI_* shims, with a blocking
     // receive between turns: each must only ever see its own state.
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     std::vector<const Runtime*> runtimes(2, nullptr);
     m.run([&](msg::Rank& r) {
         using namespace dynmpi::mpi;
@@ -210,7 +203,7 @@ TEST(CApi, ShimStateFollowsTheRunningRank) {
 TEST(CApi, RevivedRankCanInitAgain) {
     // The crashed incarnation's runtime dies with it; the revived rank
     // reruns the program from the top, DMPI_init included.
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.cluster().install_faults(
         sim::FaultPlan::parse("crash node=1 t=0.5\nrevive node=1 t=1.0\n"));
     std::vector<int> inits(2, 0), finished(2, 0);
@@ -229,9 +222,9 @@ TEST(CApi, RevivedRankCanInitAgain) {
 TEST(CApi, ShimsOutsideARankAreRejected) {
     EXPECT_THROW(DMPI_runtime(), Error);
     DMPI_finalize(); // no bound rank: nothing to destroy
-    msg::Machine m(cfg(1));
+    msg::Machine m(fast_cluster(1));
     EXPECT_THROW(m.run([&](msg::Rank&) {
-        msg::Machine other(cfg(1));
+        msg::Machine other(fast_cluster(1));
         msg::Rank stranger(other, 0);
         DMPI_init(stranger, 8, fast());
     }),

@@ -2,6 +2,7 @@
 // fragmented; data integrity and plan coverage must hold regardless.
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/dense_array.hpp"
 #include "dynmpi/redistributor.hpp"
 #include "mpisim/machine.hpp"
@@ -13,16 +14,9 @@ namespace {
 
 using msg::Group;
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 TEST(CyclicRedistStress, CyclicToBlockMovesEverythingIntact) {
     const int nodes = 8, rows = 128;
-    msg::Machine m(cfg(nodes));
+    msg::Machine m(quiet_cluster(nodes));
     m.run([&](msg::Rank& r) {
         std::vector<int> members(nodes);
         for (int i = 0; i < nodes; ++i) members[(std::size_t)i] = i;
@@ -68,7 +62,7 @@ TEST(CyclicRedistStress, RandomBlockPairsPreserveData) {
         };
         auto c1 = random_counts(), c2 = random_counts();
 
-        msg::Machine m(cfg(nodes));
+        msg::Machine m(quiet_cluster(nodes));
         m.run([&](msg::Rank& r) {
             std::vector<int> members(nodes);
             for (int i = 0; i < nodes; ++i) members[(std::size_t)i] = i;

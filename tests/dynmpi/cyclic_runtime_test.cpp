@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
@@ -12,14 +13,6 @@
 
 namespace dynmpi {
 namespace {
-
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
 
 RuntimeOptions cyclic_opts(int block = 1) {
     RuntimeOptions o;
@@ -30,7 +23,7 @@ RuntimeOptions cyclic_opts(int block = 1) {
 }
 
 TEST(CyclicRuntime, InitialOwnershipIsRoundRobin) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     m.run([](msg::Rank& r) {
         Runtime rt(r, 12, cyclic_opts());
         rt.register_dense("A", 2, sizeof(double));
@@ -44,7 +37,7 @@ TEST(CyclicRuntime, InitialOwnershipIsRoundRobin) {
 }
 
 TEST(CyclicRuntime, BlockCyclicRespectsBlockSize) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.run([](msg::Rank& r) {
         Runtime rt(r, 16, cyclic_opts(4));
         rt.register_dense("A", 1, sizeof(double));
@@ -64,7 +57,7 @@ TEST(CyclicRuntime, BlockCyclicRespectsBlockSize) {
 // working: a block layout, and a block-cyclic one whose block size deals
 // each rank a single block.
 TEST(CyclicRuntime, StartEndIterRequireOneRun) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     m.run([](msg::Rank& r) {
         for (int block : {1, 4}) {
             Runtime rt(r, 12, cyclic_opts(block));
@@ -98,7 +91,7 @@ TEST(CyclicRuntime, StartEndIterRequireOneRun) {
 }
 
 TEST(CyclicRuntime, NonContiguousRowsAllocated) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.run([](msg::Rank& r) {
         Runtime rt(r, 32, cyclic_opts());
         auto& A = rt.register_dense("A", 2, sizeof(double));
@@ -114,7 +107,7 @@ TEST(CyclicRuntime, NonContiguousRowsAllocated) {
 }
 
 TEST(CyclicRuntime, AdaptationMovesCyclicToVariableBlock) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.5, -1.0, 2);
     m.run([](msg::Rank& r) {
         RuntimeOptions o = cyclic_opts();

@@ -2,6 +2,7 @@
 // the order it happened.
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/report.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
@@ -10,18 +11,10 @@
 namespace dynmpi {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
-
-RuntimeStats run_with_load(sim::ClusterConfig cc, RuntimeOptions o,
-                           int cycles, double row_cost,
+RuntimeStats run_with_load(int nodes, RuntimeOptions o, int cycles,
+                           double row_cost,
                            std::function<void(msg::Machine&)> setup) {
-    msg::Machine m(cc);
+    msg::Machine m(fast_cluster(nodes));
     setup(m);
     RuntimeStats out;
     m.run([&](msg::Rank& r) {
@@ -48,7 +41,7 @@ RuntimeStats run_with_load(sim::ClusterConfig cc, RuntimeOptions o,
 TEST(Events, LoadChangeThenRedistributionRecorded) {
     RuntimeOptions o;
     o.enable_removal = false;
-    auto stats = run_with_load(cfg(4), o, 60, 5e-3, [](msg::Machine& m) {
+    auto stats = run_with_load(4, o, 60, 5e-3, [](msg::Machine& m) {
         m.cluster().add_load_interval(1, 0.5, -1.0, 2);
     });
     ASSERT_GE(stats.events.size(), 2u);
@@ -63,7 +56,7 @@ TEST(Events, ImmaterialChangeRecordsSkip) {
     // balanced shares do not move — the decision must be visibly Skipped.
     RuntimeOptions o;
     o.enable_removal = false;
-    auto stats = run_with_load(cfg(2), o, 80, 5e-3, [](msg::Machine& m) {
+    auto stats = run_with_load(2, o, 80, 5e-3, [](msg::Machine& m) {
         m.cluster().add_load_interval(0, 0.5, -1.0, 1);
         m.cluster().add_load_interval(1, 0.5, -1.0, 1);
     });
@@ -81,7 +74,7 @@ TEST(Events, DropAndReaddRecordedInOrder) {
     RuntimeOptions o;
     o.enable_removal = true;
     o.force_drop_loaded = true;
-    auto stats = run_with_load(cfg(4), o, 700, 2e-4, [](msg::Machine& m) {
+    auto stats = run_with_load(4, o, 700, 2e-4, [](msg::Machine& m) {
         m.cluster().add_load_interval(1, 0.3, 1.5, 4);
     });
     std::vector<AdaptationEvent::Kind> kinds;
@@ -108,7 +101,7 @@ TEST(Events, DropAndReaddRecordedInOrder) {
 TEST(Events, RenderEventsIsHumanReadable) {
     RuntimeOptions o;
     o.enable_removal = false;
-    auto stats = run_with_load(cfg(2), o, 60, 5e-3, [](msg::Machine& m) {
+    auto stats = run_with_load(2, o, 60, 5e-3, [](msg::Machine& m) {
         m.cluster().add_load_interval(1, 0.5, -1.0, 1);
     });
     std::string s = render_events(stats);
@@ -119,7 +112,7 @@ TEST(Events, RenderEventsIsHumanReadable) {
 
 TEST(Events, QuietRunHasNoEvents) {
     RuntimeOptions o;
-    auto stats = run_with_load(cfg(2), o, 20, 1e-3, [](msg::Machine&) {});
+    auto stats = run_with_load(2, o, 20, 1e-3, [](msg::Machine&) {});
     EXPECT_TRUE(stats.events.empty());
     EXPECT_EQ(render_events(stats), "(no adaptation events)\n");
 }

@@ -9,11 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/load_trace.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace dynmpi {
@@ -56,11 +58,8 @@ struct FaultOutcome {
 };
 
 FaultOutcome run_with_faults(const FaultParams& fp) {
-    sim::ClusterConfig cc;
-    cc.num_nodes = fp.nodes;
+    sim::ClusterConfig cc = fast_cluster(fp.nodes);
     cc.seed = 7;
-    cc.cpu.jitter_frac = 0.0;
-    cc.ps_period = sim::from_seconds(0.25);
     msg::Machine m(cc);
     if (!fp.script.empty())
         m.cluster().install_faults(sim::FaultPlan::parse(fp.script));
@@ -558,7 +557,8 @@ TEST(FaultRecovery, QuarantineAndReadmit) {
 }
 
 // Transient send failures are absorbed by bounded retry with backoff: the
-// doomed attempts are counted, and no data is lost.
+// doomed attempts are counted, traced (one net.send_retry per attempt) and
+// metered (net.send_retries), and no data is lost.
 TEST(FaultRecovery, MessageLossRetries) {
     sim::ClusterConfig cc;
     cc.num_nodes = 2;
@@ -566,6 +566,9 @@ TEST(FaultRecovery, MessageLossRetries) {
     msg::Machine m(cc);
     m.cluster().install_faults(
         sim::FaultPlan::parse("lose-sends node=1 t=0 count=3\n"));
+    support::trace().enable();
+    support::metrics().reset();
+    support::metrics().enable();
     std::vector<double> got;
     m.run([&](msg::Rank& r) {
         if (r.id() == 1) {
@@ -581,6 +584,21 @@ TEST(FaultRecovery, MessageLossRetries) {
             }
         }
     });
+    const auto evs = support::trace().sorted_events();
+    const std::uint64_t retries =
+        support::metrics().counter(support::CounterId::NetSendRetries).value();
+    support::trace().disable();
+    support::trace().clear();
+    support::metrics().disable();
+    support::metrics().reset();
+    std::vector<std::string> attempts;
+    for (const auto& e : evs) {
+        if (e.name != "net.send_retry") continue;
+        EXPECT_EQ(e.rank, 1);
+        attempts.push_back(e.args.back().value);
+    }
+    EXPECT_EQ(attempts, (std::vector<std::string>{"1", "2", "3"}));
+    EXPECT_EQ(retries, 3u);
     EXPECT_EQ(m.cluster().network().send_failures(), 3u);
     ASSERT_EQ(got.size(), 5u);
     for (int i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(got[(std::size_t)i], 100.0 + i);

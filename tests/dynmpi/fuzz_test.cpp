@@ -13,6 +13,7 @@
 #include <functional>
 #include <limits>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/control_wire.hpp"
 #include "dynmpi/dense_array.hpp"
 #include "dynmpi/replica.hpp"
@@ -629,12 +630,7 @@ TEST(Fuzz, FaultScriptMutationsParseOrThrowError) {
 // ---------------------------------------------------------------------------
 
 TEST(Fuzz, RankFailureMidCollectiveUnwindsCleanly) {
-    msg::Machine m([] {
-        sim::ClusterConfig c;
-        c.num_nodes = 4;
-        c.cpu.jitter_frac = 0.0;
-        return c;
-    }());
+    msg::Machine m(quiet_cluster(4));
     EXPECT_THROW(m.run([](msg::Rank& r) {
         msg::Group g = msg::Group::world(r);
         msg::barrier(r, g);
@@ -646,12 +642,7 @@ TEST(Fuzz, RankFailureMidCollectiveUnwindsCleanly) {
 }
 
 TEST(Fuzz, RuntimeMisuseAfterCommitRejected) {
-    msg::Machine m([] {
-        sim::ClusterConfig c;
-        c.num_nodes = 2;
-        c.cpu.jitter_frac = 0.0;
-        return c;
-    }());
+    msg::Machine m(quiet_cluster(2));
     EXPECT_THROW(m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;

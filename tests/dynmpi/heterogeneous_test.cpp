@@ -5,6 +5,7 @@
 
 #include <numeric>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
@@ -13,11 +14,8 @@ namespace dynmpi {
 namespace {
 
 sim::ClusterConfig hetero(std::vector<double> speeds) {
-    sim::ClusterConfig c;
-    c.num_nodes = static_cast<int>(speeds.size());
+    sim::ClusterConfig c = fast_cluster(static_cast<int>(speeds.size()));
     c.speeds = std::move(speeds);
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
     return c;
 }
 

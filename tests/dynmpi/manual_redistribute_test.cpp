@@ -2,6 +2,7 @@
 // related work) and daemon windowed queries.
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
@@ -10,16 +11,8 @@
 namespace dynmpi {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
-
 TEST(ManualRedistribute, AppliesExplicitCountsAndMovesData) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;
@@ -44,7 +37,7 @@ TEST(ManualRedistribute, AppliesExplicitCountsAndMovesData) {
 }
 
 TEST(ManualRedistribute, CountsMustMatchActiveSet) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     EXPECT_THROW(m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;
@@ -59,7 +52,7 @@ TEST(ManualRedistribute, CountsMustMatchActiveSet) {
 }
 
 TEST(ManualRedistribute, RejectedInsideCycle) {
-    msg::Machine m(cfg(1));
+    msg::Machine m(fast_cluster(1));
     EXPECT_THROW(m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;
@@ -75,7 +68,7 @@ TEST(ManualRedistribute, RejectedInsideCycle) {
 }
 
 TEST(DaemonWindow, AvgOverSelectsRecentSamples) {
-    sim::Cluster c(cfg(1));
+    sim::Cluster c(fast_cluster(1));
     // Load only during [0, 2): later windows must fade it out.
     c.add_load_interval(0, 0.0, 2.0);
     c.engine().run_until(sim::from_seconds(4.1));
@@ -86,7 +79,7 @@ TEST(DaemonWindow, AvgOverSelectsRecentSamples) {
 }
 
 TEST(DaemonWindow, EmptyHistoryIsZero) {
-    sim::Cluster c(cfg(1));
+    sim::Cluster c(fast_cluster(1));
     EXPECT_DOUBLE_EQ(c.daemon(0).avg_over(5.0), 0.0);
 }
 

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/balancer.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
@@ -57,16 +58,8 @@ TEST(RowCaps, ExactFitAccepted) {
 // Runtime integration
 // ---------------------------------------------------------------------------
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
-
 TEST(MemoryAware, AdaptationHonorsNodeMemory) {
-    auto c = cfg(4);
+    auto c = fast_cluster(4);
     // Node 3 can hold only ~10 rows of the registered array (64 doubles).
     c.memories = {0, 0, 0, 10 * 64 * sizeof(double) + 100};
     msg::Machine m(c);
@@ -95,7 +88,7 @@ TEST(MemoryAware, AdaptationHonorsNodeMemory) {
 }
 
 TEST(MemoryAware, PagingInflatesCharges) {
-    auto c = cfg(1);
+    auto c = fast_cluster(1);
     c.memories = {8 * 16 * sizeof(double)}; // fits only 8 of 16 rows
     msg::Machine m(c);
     m.run([](msg::Rank& r) {
@@ -115,7 +108,7 @@ TEST(MemoryAware, PagingInflatesCharges) {
 }
 
 TEST(MemoryAware, NoPagingWhenDataFits) {
-    auto c = cfg(1);
+    auto c = fast_cluster(1);
     c.memories = {16 * 16 * sizeof(double) + 1024};
     msg::Machine m(c);
     m.run([](msg::Rank& r) {
@@ -134,7 +127,7 @@ TEST(MemoryAware, NoPagingWhenDataFits) {
 }
 
 TEST(MemoryAware, UnlimitedMemoryMeansNoCaps) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.cluster().add_load_interval(0, 0.5, -1.0, 2);
     m.run([](msg::Rank& r) {
         RuntimeOptions o;

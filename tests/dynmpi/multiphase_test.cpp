@@ -5,6 +5,7 @@
 
 #include <numeric>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/report.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
@@ -13,16 +14,8 @@
 namespace dynmpi {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
-
 TEST(MultiPhase, SubRangePhasesClipToOwnership) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;
@@ -51,7 +44,7 @@ TEST(MultiPhase, PerPhaseCostsCombineInGlobalVector) {
     // 6ms/row on rows [32,64).  The measured global cost vector must show
     // the step, and the resulting blocks must give the bottom's owners
     // fewer rows.
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(0, 0.5, 1.2); // trigger one grace period
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
@@ -92,7 +85,7 @@ TEST(MultiPhase, PerPhaseCostsCombineInGlobalVector) {
 }
 
 TEST(MultiPhase, DataIntactAcrossRedistributionWithSubRanges) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     m.cluster().add_load_interval(1, 0.5, -1.0, 2);
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
@@ -134,7 +127,7 @@ TEST(MultiPhase, DataIntactAcrossRedistributionWithSubRanges) {
 }
 
 TEST(MultiPhase, CsvExportCoversEveryCycle) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;

@@ -1,6 +1,7 @@
 // RuntimeOptions and setup validation: every misuse has a clear error.
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
@@ -8,16 +9,9 @@
 namespace dynmpi {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 template <typename Fn>
 void expect_rank_error(int nodes, Fn fn) {
-    msg::Machine m(cfg(nodes));
+    msg::Machine m(quiet_cluster(nodes));
     EXPECT_THROW(m.run(fn), Error);
 }
 
@@ -111,7 +105,7 @@ TEST(OptionsValidation, ReplicaRefreshShorterThanMonitoringRejected) {
 }
 
 TEST(OptionsValidation, ReplicaRefreshEveryCycleAccepted) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;

@@ -7,6 +7,7 @@
 // sampler sees only 0 or 1.
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
@@ -15,16 +16,8 @@
 namespace dynmpi {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
-
 TEST(ParallelApp, DaemonPricesItAtComputeFraction) {
-    sim::Cluster c(cfg(4));
+    sim::Cluster c(fast_cluster(4));
     // Period divides the daemon window exactly, so the average is exact.
     c.add_parallel_app({0, 1}, 0.0, -1.0, /*period=*/0.05, /*duty=*/0.6);
     c.engine().run_until(sim::from_seconds(3.1));
@@ -38,7 +31,7 @@ TEST(ParallelApp, DaemonPricesItAtComputeFraction) {
 }
 
 TEST(ParallelApp, LockstepAcrossItsNodes) {
-    sim::Cluster c(cfg(3));
+    sim::Cluster c(fast_cluster(3));
     c.add_parallel_app({0, 1, 2}, 0.0, -1.0, 0.2, 0.5);
     // At any instant all member processes are in the same phase.
     for (double t : {0.05, 0.15, 0.25, 0.72}) {
@@ -60,7 +53,7 @@ TEST(ParallelApp, LockstepAcrossItsNodes) {
 TEST(ParallelApp, RuntimeAssignsFractionalShares) {
     // A 50%-duty parallel app on nodes 0 and 1: effective power 1/1.5 each,
     // nodes 2 and 3 stay at 1 — optimal counts ~ 12.8/12.8/19.2/19.2 of 64.
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_parallel_app({0, 1}, 0.5, -1.0, 0.05, 0.5);
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
@@ -92,7 +85,7 @@ TEST(ParallelApp, RuntimeAssignsFractionalShares) {
 }
 
 TEST(ParallelApp, BoundedAppEventuallyReleasesNodes) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.cluster().add_parallel_app({1}, 0.5, 3.0, 0.05, 0.8);
     m.run([](msg::Rank& r) {
         RuntimeOptions o;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/dense_array.hpp"
 #include "dynmpi/sparse_matrix.hpp"
 #include "mpisim/machine.hpp"
@@ -229,15 +230,8 @@ TEST(RedistPlan, PlanMatchesRowOwnerOracle) {
 // Execution on the machine
 // ---------------------------------------------------------------------------
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 TEST(RedistExec, DenseDataSurvivesOwnershipChange) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(quiet_cluster(3));
     m.run([](msg::Rank& r) {
         Group g({0, 1, 2});
         auto oldd = Distribution::block(0, 30, {10, 10, 10});
@@ -270,7 +264,7 @@ TEST(RedistExec, DenseDataSurvivesOwnershipChange) {
 }
 
 TEST(RedistExec, SparseDataAndMetadataSurvive) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         Group g({0, 1});
         auto oldd = Distribution::block(0, 20, {10, 10});
@@ -302,7 +296,7 @@ TEST(RedistExec, SparseDataAndMetadataSurvive) {
 }
 
 TEST(RedistExec, MultipleArraysMoveTogether) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         Group g({0, 1});
         auto oldd = Distribution::block(0, 16, {8, 8});
@@ -339,7 +333,7 @@ TEST(RedistExec, MultipleArraysMoveTogether) {
 }
 
 TEST(RedistExec, IdentityRedistributionRefreshesGhostsOnly) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         Group g({0, 1});
         auto d = Distribution::block(0, 10, {5, 5});

@@ -10,6 +10,7 @@ RuntimeStats make_stats() {
     s.cycles = 30;
     s.redistributions = 2;
     s.physical_drops = 1;
+    s.logical_drops = 1;
     s.readds = 1;
     s.redist_wall_s = 0.5;
     s.transfer.rows_moved = 123;
@@ -32,6 +33,7 @@ TEST(Report, SummaryMentionsAllEvents) {
     EXPECT_NE(s.find("30 cycles"), std::string::npos);
     EXPECT_NE(s.find("2 redistribution"), std::string::npos);
     EXPECT_NE(s.find("1 physical drop"), std::string::npos);
+    EXPECT_NE(s.find("1 logical drop"), std::string::npos);
     EXPECT_NE(s.find("1 re-add"), std::string::npos);
     EXPECT_NE(s.find("123 rows"), std::string::npos);
 }

@@ -266,6 +266,9 @@ TEST_P(RowSetProperty, MultiIntervalAlgebraMatchesBitmapModel) {
         RowSet self = a;
         self.add(self);
         ASSERT_EQ(self, a) << "add(self)";
+        RowSet grown = merged;
+        grown.add(a.intersect(b));
+        ASSERT_EQ(grown, merged) << "add(contained)";
 
         expect_matches(a.subtract(b), diff, "subtract");
         RowSet sw = a;

@@ -7,20 +7,13 @@
 #include <functional>
 #include <numeric>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 #include "sim/fault_plan.hpp"
 
 namespace dynmpi {
 namespace {
-
-sim::ClusterConfig cfg(int nodes, double jitter = 0.0) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = jitter;
-    c.ps_period = sim::from_seconds(0.25); // fast daemon for quick tests
-    return c;
-}
 
 RuntimeOptions fast_opts() {
     RuntimeOptions o;
@@ -103,7 +96,7 @@ DriverResult run_driver(msg::Machine& m, int rows, double row_cost,
 }
 
 TEST(Runtime, StaysEvenWhenDedicated) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     auto res = run_driver(m, 64, 0.005, 20, fast_opts());
     EXPECT_EQ(res.stats.redistributions, 0);
     EXPECT_EQ(res.final_dist.counts(), (std::vector<int>{16, 16, 16, 16}));
@@ -111,7 +104,7 @@ TEST(Runtime, StaysEvenWhenDedicated) {
 }
 
 TEST(Runtime, AdaptsToCompetingProcess) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     // CP lands on node 2 at t=1s and stays.
     m.cluster().add_load_interval(2, 1.0, -1.0);
     RuntimeOptions o = fast_opts();
@@ -127,7 +120,7 @@ TEST(Runtime, AdaptsToCompetingProcess) {
 }
 
 TEST(Runtime, NoAdaptBaselineNeverRedistributes) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(2, 1.0, -1.0);
     RuntimeOptions o = fast_opts();
     o.adapt = false;
@@ -138,7 +131,7 @@ TEST(Runtime, NoAdaptBaselineNeverRedistributes) {
 
 TEST(Runtime, AdaptationImprovesElapsedTime) {
     auto elapsed_with = [](bool adapt) {
-        msg::Machine m(cfg(4));
+        msg::Machine m(fast_cluster(4));
         m.cluster().add_load_interval(1, 1.0, -1.0, 2); // 2 CPs
         RuntimeOptions o;
         o.calibrate = false;
@@ -153,7 +146,7 @@ TEST(Runtime, AdaptationImprovesElapsedTime) {
 }
 
 TEST(Runtime, RebalancesBackWhenLoadDisappears) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(3, 1.0, 6.0);
     RuntimeOptions o = fast_opts();
     o.enable_removal = false;
@@ -166,7 +159,7 @@ TEST(Runtime, RebalancesBackWhenLoadDisappears) {
 }
 
 TEST(Runtime, PhysicalRemovalDropsLoadedNode) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.3, -1.0, 5); // heavy load
     RuntimeOptions o = fast_opts();
     o.enable_removal = true;
@@ -179,7 +172,7 @@ TEST(Runtime, PhysicalRemovalDropsLoadedNode) {
 }
 
 TEST(Runtime, RemovalKeepsNodeWhenComputeDominates) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 1.0, -1.0, 1);
     RuntimeOptions o = fast_opts();
     o.enable_removal = true;
@@ -189,7 +182,7 @@ TEST(Runtime, RemovalKeepsNodeWhenComputeDominates) {
 }
 
 TEST(Runtime, LogicalDropKeepsMinimumRows) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.3, -1.0, 5);
     RuntimeOptions o = fast_opts();
     o.drop_mode = DropMode::Logical;
@@ -203,7 +196,7 @@ TEST(Runtime, LogicalDropKeepsMinimumRows) {
 }
 
 TEST(Runtime, DroppedNodeReturnsWhenLoadClears) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.3, 2.5, 5);
     RuntimeOptions o = fast_opts();
     o.enable_removal = true;
@@ -216,7 +209,7 @@ TEST(Runtime, DroppedNodeReturnsWhenLoadClears) {
 
 TEST(Runtime, DeterministicAcrossIdenticalRuns) {
     auto run_once = [] {
-        msg::Machine m(cfg(4));
+        msg::Machine m(fast_cluster(4));
         m.cluster().add_load_interval(2, 1.0, 5.0, 2);
         auto res = run_driver(m, 64, 0.01, 60, fast_opts());
         return std::make_pair(m.elapsed_seconds(), res.final_dist.counts());
@@ -228,7 +221,7 @@ TEST(Runtime, DeterministicAcrossIdenticalRuns) {
 }
 
 TEST(Runtime, SetupOrderEnforced) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     EXPECT_THROW(m.run([](msg::Rank& r) {
         Runtime rt(r, 16);
         rt.begin_cycle(); // before commit_setup
@@ -237,7 +230,7 @@ TEST(Runtime, SetupOrderEnforced) {
 }
 
 TEST(Runtime, RunPhaseCostAlignmentEnforced) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     EXPECT_THROW(m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;
@@ -253,7 +246,7 @@ TEST(Runtime, RunPhaseCostAlignmentEnforced) {
 }
 
 TEST(Runtime, CalibrationProducesPlausibleModel) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.run([](msg::Rank& r) {
         Runtime rt(r, 16); // calibrate = true by default
         rt.register_dense("A", 4, sizeof(double));
@@ -272,7 +265,7 @@ TEST(Runtime, CalibrationProducesPlausibleModel) {
 }
 
 TEST(Runtime, AllreduceActiveSendOutReachesRemovedNodes) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     m.cluster().add_load_interval(2, 0.5, -1.0, 3);
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
@@ -309,7 +302,7 @@ TEST(Runtime, AllreduceActiveSendOutReachesRemovedNodes) {
 }
 
 TEST(Runtime, SparseArrayRedistributesWithRuntime) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     m.cluster().add_load_interval(0, 1.0, -1.0, 2);
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
@@ -344,7 +337,7 @@ TEST(Runtime, SparseArrayRedistributesWithRuntime) {
 }
 
 TEST(Runtime, HistoryRecordsRedistributionCycles) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.cluster().add_load_interval(1, 1.0, -1.0);
     RuntimeOptions o = fast_opts();
     o.enable_removal = false;
@@ -441,7 +434,7 @@ std::vector<ItersProbe> run_probed(
 }
 
 TEST(RuntimeIters, FollowCyclicToBlockAdaptation) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.5, -1.0, 2);
     RuntimeOptions o = fast_opts();
     o.enable_removal = false;
@@ -456,7 +449,7 @@ TEST(RuntimeIters, FollowCyclicToBlockAdaptation) {
 }
 
 TEST(RuntimeIters, FollowManualRedistribution) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     RuntimeOptions o = fast_opts();
     o.adapt = false;
     auto probes = run_probed(m, 30, 12, 1e-3, o, [](Runtime& rt, int c) {
@@ -471,7 +464,7 @@ TEST(RuntimeIters, FollowManualRedistribution) {
 }
 
 TEST(RuntimeIters, FollowForcedDrop) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.3, -1.0, 4);
     RuntimeOptions o = fast_opts();
     o.enable_removal = true;
@@ -485,7 +478,7 @@ TEST(RuntimeIters, FollowForcedDrop) {
 }
 
 TEST(RuntimeIters, FollowReplicatedCrashRepair) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().install_faults(
         sim::FaultPlan::parse("crash node=2 t=1.5\n"));
     RuntimeOptions o = fast_opts();

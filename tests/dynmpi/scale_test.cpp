@@ -4,20 +4,13 @@
 
 #include <numeric>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 
 namespace dynmpi {
 namespace {
-
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
 
 struct ScaleOutcome {
     std::vector<int> counts;
@@ -26,7 +19,7 @@ struct ScaleOutcome {
 };
 
 ScaleOutcome run_scale(int nodes, int cycles) {
-    msg::Machine m(cfg(nodes));
+    msg::Machine m(fast_cluster(nodes));
     m.cluster().add_load_interval(nodes / 2, 0.5, -1.0, 2);
     ScaleOutcome out;
     const int rows = nodes * 8;
@@ -85,7 +78,7 @@ TEST_P(Scale, AdaptationHoldsAtMachineScale) {
 INSTANTIATE_TEST_SUITE_P(Sizes, Scale, ::testing::Values(16, 32));
 
 TEST(Scale, ThirtyTwoNodeRemovalRoundTrip) {
-    msg::Machine m(cfg(32));
+    msg::Machine m(fast_cluster(32));
     m.cluster().add_load_interval(9, 0.3, 2.0, 5);
     const int rows = 32 * 4;
     int drops = 0, readds = 0, final_active = 0;

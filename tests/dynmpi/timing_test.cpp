@@ -91,9 +91,7 @@ TEST(IterationTimer, SpeedScalesEstimates) {
 }
 
 TEST(IterationTimer, CompleteAfterConfiguredCycles) {
-    TimingConfig cfg;
-    cfg.grace_cycles = 3;
-    IterationTimer t(cfg);
+    IterationTimer t(3);
     t.start(1);
     for (int i = 0; i < 3; ++i) {
         EXPECT_FALSE(t.complete());

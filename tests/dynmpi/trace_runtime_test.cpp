@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cluster_fixture.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
@@ -18,14 +19,6 @@
 namespace dynmpi {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
-
 /// One scripted scenario: 4 nodes, a competing process lands on node 1 at
 /// t = 0.5 s and stays.  Returns the JSONL trace; the registries are left
 /// enabled for the caller to inspect and must be cleaned up via Observed.
@@ -34,7 +27,7 @@ std::string run_traced(int cycles) {
     support::metrics().reset();
     support::metrics().enable();
 
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.5, -1.0, 2);
     m.run([&](msg::Rank& r) {
         RuntimeOptions o;
@@ -163,7 +156,7 @@ RuntimeStats run_metered(const std::string& load, const std::string& faults,
                          int reporter) {
     support::metrics().reset();
     support::metrics().enable();
-    sim::ClusterConfig c = cfg(4);
+    sim::ClusterConfig c = fast_cluster(4);
     c.seed = 7;
     msg::Machine m(c);
     if (!load.empty()) sim::apply_load_trace(m.cluster(), load);
@@ -240,7 +233,7 @@ TEST(TraceRuntime, QuarantinesCountOnTheLeader) {
 TEST(TraceRuntime, QuietRunStaysQuiet) {
     Observed guard;
     support::trace().enable();
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.run([&](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;

@@ -1,23 +1,17 @@
 // Tests for the second wave of collectives: scatter, scan, ring_shift.
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/collectives.hpp"
 #include "mpisim/machine.hpp"
 
 namespace dynmpi::msg {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 class ExtraCollectives : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExtraCollectives, ScatterDeliversPerMemberChunks) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     int n = GetParam();
     m.run([n](Rank& r) {
         Group g = Group::world(r);
@@ -35,7 +29,7 @@ TEST_P(ExtraCollectives, ScatterDeliversPerMemberChunks) {
 }
 
 TEST_P(ExtraCollectives, ScanComputesInclusivePrefix) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     m.run([](Rank& r) {
         Group g = Group::world(r);
         int rel = g.index_of(r.id());
@@ -48,7 +42,7 @@ TEST_P(ExtraCollectives, ScanComputesInclusivePrefix) {
 }
 
 TEST_P(ExtraCollectives, ScanRespectsNonCommutativeOrder) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     m.run([](Rank& r) {
         Group g = Group::world(r);
         int rel = g.index_of(r.id());
@@ -61,7 +55,7 @@ TEST_P(ExtraCollectives, ScanRespectsNonCommutativeOrder) {
 }
 
 TEST_P(ExtraCollectives, RingShiftRoutesByDistance) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     int n = GetParam();
     m.run([n](Rank& r) {
         Group g = Group::world(r);
@@ -78,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(GroupSizes, ExtraCollectives,
                          ::testing::Values(1, 2, 3, 5, 8));
 
 TEST(ExtraCollectives, ScatterFromNonRootRejectsWrongChunkCount) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     EXPECT_THROW(m.run([](Rank& r) {
         Group g = Group::world(r);
         std::vector<std::vector<int>> chunks(1); // should be 2 at the root
@@ -88,7 +82,7 @@ TEST(ExtraCollectives, ScatterFromNonRootRejectsWrongChunkCount) {
 }
 
 TEST(ExtraCollectives, ScatterOnSubgroup) {
-    Machine m(cfg(4));
+    Machine m(quiet_cluster(4));
     m.run([](Rank& r) {
         Group sub({1, 3});
         if (!sub.contains(r.id())) return;

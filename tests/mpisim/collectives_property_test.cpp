@@ -6,19 +6,13 @@
 #include <algorithm>
 #include <map>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/collectives.hpp"
 #include "mpisim/machine.hpp"
 #include "support/rng.hpp"
 
 namespace dynmpi::msg {
 namespace {
-
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
 
 /// Deterministic per-(seed, rank, index) test value.
 double value_of(std::uint64_t seed, int rank, int i) {
@@ -57,7 +51,7 @@ TEST_P(CollectiveProperty, AllOpsMatchBruteForce) {
             ref_max[(std::size_t)i] = std::max(ref_max[(std::size_t)i], v);
         }
 
-    Machine m(cfg(world));
+    Machine m(quiet_cluster(world));
     m.run([&](Rank& r) {
         Group g(members);
         if (!g.contains(r.id())) {

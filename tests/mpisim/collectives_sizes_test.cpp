@@ -9,19 +9,13 @@
 
 #include <vector>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/collectives.hpp"
 #include "mpisim/machine.hpp"
 #include "support/rng.hpp"
 
 namespace dynmpi::msg {
 namespace {
-
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
 
 /// Deterministic per-(rank, index) test value.
 double value_of(int rank, int i) {
@@ -65,7 +59,7 @@ TEST_P(CollectiveSizes, BcastReduceAllgatherMatchBruteForce) {
         for (int i = 0; i < len; ++i)
             ref_sum[(std::size_t)i] += value_of(members[(std::size_t)rel], i);
 
-    Machine m(cfg(n + 1));
+    Machine m(quiet_cluster(n + 1));
     m.run([&](Rank& r) {
         Group g(members);
         if (!g.contains(r.id())) {
@@ -119,7 +113,7 @@ TEST_P(CollectiveSizes, ScanAppliesNonCommutativeOpInMemberOrder) {
         ref[(std::size_t)rel] = MatMul{}(ref[(std::size_t)rel - 1],
                                          mat_of(rel));
 
-    Machine m(cfg(n));
+    Machine m(quiet_cluster(n));
     m.run([&](Rank& r) {
         Group g(members);
         const int rel = g.index_of(r.id());
@@ -163,7 +157,7 @@ TEST_P(FlatAllgather, MatchesBruteForce) {
             expect.push_back(value_of(members[(std::size_t)rel], i));
     }
 
-    Machine m(cfg(n + 1));
+    Machine m(quiet_cluster(n + 1));
     m.run([&](Rank& r) {
         Group g(members);
         if (!g.contains(r.id())) return;
@@ -193,7 +187,7 @@ INSTANTIATE_TEST_SUITE_P(Members, FlatAllgather, ::testing::Range(1, 10));
 TEST(FlatAllgatherWire, TrafficAndTimeArePinned) {
     const int n = 6;
     const std::vector<int> members = offset_members(n);
-    Machine m(cfg(n + 1));
+    Machine m(quiet_cluster(n + 1));
     m.run([&](Rank& r) {
         Group g(members);
         if (!g.contains(r.id())) return;

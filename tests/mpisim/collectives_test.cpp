@@ -5,22 +5,16 @@
 #include <limits>
 #include <numeric>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 
 namespace dynmpi::msg {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 class CollectivesParam : public ::testing::TestWithParam<int> {};
 
 TEST_P(CollectivesParam, BcastReachesAllMembers) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     m.run([](Rank& r) {
         Group g = Group::world(r);
         std::vector<double> data;
@@ -31,7 +25,7 @@ TEST_P(CollectivesParam, BcastReachesAllMembers) {
 }
 
 TEST_P(CollectivesParam, BcastFromNonZeroRoot) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     int root = GetParam() - 1;
     m.run([root](Rank& r) {
         Group g = Group::world(r);
@@ -44,7 +38,7 @@ TEST_P(CollectivesParam, BcastFromNonZeroRoot) {
 }
 
 TEST_P(CollectivesParam, AllreduceSumsAcrossRanks) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     int n = GetParam();
     m.run([n](Rank& r) {
         Group g = Group::world(r);
@@ -55,7 +49,7 @@ TEST_P(CollectivesParam, AllreduceSumsAcrossRanks) {
 }
 
 TEST_P(CollectivesParam, AllreduceMinMax) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     int n = GetParam();
     m.run([n](Rank& r) {
         Group g = Group::world(r);
@@ -65,7 +59,7 @@ TEST_P(CollectivesParam, AllreduceMinMax) {
 }
 
 TEST_P(CollectivesParam, AllreduceElementwiseVector) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     int n = GetParam();
     m.run([n](Rank& r) {
         Group g = Group::world(r);
@@ -77,7 +71,7 @@ TEST_P(CollectivesParam, AllreduceElementwiseVector) {
 }
 
 TEST_P(CollectivesParam, GatherCollectsInOrder) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     int n = GetParam();
     m.run([n](Rank& r) {
         Group g = Group::world(r);
@@ -97,7 +91,7 @@ TEST_P(CollectivesParam, GatherCollectsInOrder) {
 }
 
 TEST_P(CollectivesParam, AllgatherGivesEveryoneEverything) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     int n = GetParam();
     m.run([n](Rank& r) {
         Group g = Group::world(r);
@@ -108,7 +102,7 @@ TEST_P(CollectivesParam, AllgatherGivesEveryoneEverything) {
 }
 
 TEST_P(CollectivesParam, AlltoallRoutesChunks) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     int n = GetParam();
     m.run([n](Rank& r) {
         Group g = Group::world(r);
@@ -125,7 +119,7 @@ TEST_P(CollectivesParam, AlltoallRoutesChunks) {
 }
 
 TEST_P(CollectivesParam, BarrierSynchronizes) {
-    Machine m(cfg(GetParam()));
+    Machine m(quiet_cluster(GetParam()));
     m.run([](Rank& r) {
         Group g = Group::world(r);
         // Stagger arrival; after the barrier everyone's clock is >= the
@@ -140,7 +134,7 @@ INSTANTIATE_TEST_SUITE_P(GroupSizes, CollectivesParam,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 16));
 
 TEST(Collectives, SubgroupLeavesOutsidersUntouched) {
-    Machine m(cfg(4));
+    Machine m(quiet_cluster(4));
     m.run([](Rank& r) {
         Group active({0, 1, 3}); // rank 2 is "removed"
         if (active.contains(r.id())) {
@@ -173,7 +167,7 @@ TEST(Collectives, GroupHashDistinguishesMembership) {
 TEST(Collectives, MixedGroupSequencesStayAligned) {
     // Ranks use the world group and a subgroup in interleaved order; the
     // per-group sequence counters must keep tags matched.
-    Machine m(cfg(3));
+    Machine m(quiet_cluster(3));
     m.run([](Rank& r) {
         Group world = Group::world(r);
         Group sub({0, 2});
@@ -187,7 +181,7 @@ TEST(Collectives, MixedGroupSequencesStayAligned) {
 }
 
 TEST(Collectives, NonMemberCallRejected) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     EXPECT_THROW(m.run([](Rank& r) {
         Group sub({0});
         allreduce_scalar(r, sub, 1, OpSum{}); // rank 1 is not a member

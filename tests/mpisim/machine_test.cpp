@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/rank.hpp"
 #include "sim/fault_plan.hpp"
 #include "support/error.hpp"
@@ -16,22 +17,15 @@
 namespace dynmpi::msg {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 TEST(Machine, RunsEveryRankExactlyOnce) {
-    Machine m(cfg(4));
+    Machine m(quiet_cluster(4));
     std::vector<int> ran(4, 0);
     m.run([&](Rank& r) { ran[static_cast<size_t>(r.id())]++; });
     EXPECT_EQ(ran, (std::vector<int>{1, 1, 1, 1}));
 }
 
 TEST(Machine, RanksSeeCorrectIdAndSize) {
-    Machine m(cfg(3));
+    Machine m(quiet_cluster(3));
     m.run([](Rank& r) {
         EXPECT_GE(r.id(), 0);
         EXPECT_LT(r.id(), 3);
@@ -40,14 +34,14 @@ TEST(Machine, RanksSeeCorrectIdAndSize) {
 }
 
 TEST(Machine, ComputeAdvancesVirtualTime) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) { r.compute(1.0 + r.id()); });
     // Ranks compute in parallel: total time = max over ranks.
     EXPECT_NEAR(m.elapsed_seconds(), 2.0, 1e-6);
 }
 
 TEST(Machine, SleepIsNotCpuTime) {
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     double cpu = -1;
     m.run([&](Rank& r) {
         r.sleep(5.0);
@@ -58,7 +52,7 @@ TEST(Machine, SleepIsNotCpuTime) {
 }
 
 TEST(Machine, RankExceptionPropagates) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     EXPECT_THROW(m.run([](Rank& r) {
         if (r.id() == 1) throw std::runtime_error("rank boom");
         r.compute(0.1);
@@ -67,7 +61,7 @@ TEST(Machine, RankExceptionPropagates) {
 }
 
 TEST(Machine, DeadlockDetectedAndReported) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     try {
         m.run([](Rank& r) {
             if (r.id() == 0) {
@@ -83,13 +77,13 @@ TEST(Machine, DeadlockDetectedAndReported) {
 }
 
 TEST(Machine, SecondRunRejected) {
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     m.run([](Rank&) {});
     EXPECT_THROW(m.run([](Rank&) {}), Error);
 }
 
 TEST(Machine, CompetingProcessSlowsOnlyItsNode) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.cluster().add_load_interval(1, 0.0, -1.0);
     std::vector<double> end_times(2);
     m.run([&](Rank& r) {
@@ -102,7 +96,7 @@ TEST(Machine, CompetingProcessSlowsOnlyItsNode) {
 
 TEST(Machine, DeterministicAcrossRuns) {
     auto run_once = [] {
-        Machine m(cfg(4));
+        Machine m(quiet_cluster(4));
         m.cluster().add_load_interval(2, 0.5, 1.5);
         m.run([](Rank& r) {
             for (int i = 0; i < 5; ++i) {
@@ -122,7 +116,7 @@ TEST(Machine, DeterministicAcrossRuns) {
 
 TEST(Machine, DestructorCleansUpAfterFailure) {
     // A machine whose run() threw must still destruct without hanging.
-    auto m = std::make_unique<Machine>(cfg(2));
+    auto m = std::make_unique<Machine>(quiet_cluster(2));
     EXPECT_THROW(m->run([](Rank& r) {
         if (r.id() == 0) throw std::runtime_error("die");
         double buf;
@@ -158,7 +152,7 @@ long big_frame_sum(Rank& r) {
 }
 
 TEST(Machine, RankWithOneMegabyteStackFrameRuns) {
-    Machine m(cfg(3));
+    Machine m(quiet_cluster(3));
     std::vector<long> sums(3);
     m.run([&](Rank& r) {
         sums[static_cast<size_t>(r.id())] = big_frame_sum(r);
@@ -169,7 +163,7 @@ TEST(Machine, RankWithOneMegabyteStackFrameRuns) {
 }
 
 TEST(Machine, FailureUnwindsEveryOtherRankBeforeRethrow) {
-    Machine m(cfg(4));
+    Machine m(quiet_cluster(4));
     int destroyed = 0;
     try {
         m.run([&](Rank& r) {
@@ -190,7 +184,7 @@ TEST(Machine, FailureUnwindsEveryOtherRankBeforeRethrow) {
 }
 
 TEST(Machine, DeadlockNamesStuckRanksAndUnwindsThem) {
-    Machine m(cfg(4));
+    Machine m(quiet_cluster(4));
     int destroyed = 0;
     try {
         m.run([&](Rank& r) {
@@ -209,10 +203,33 @@ TEST(Machine, DeadlockNamesStuckRanksAndUnwindsThem) {
     }
 }
 
+// A crash that leaves the survivors waiting on each other is a deadlock,
+// and the error names the crashed node as the likely cause.
+TEST(Machine, DeadlockAfterCrashNamesCrashedNodes) {
+    Machine m(quiet_cluster(3));
+    m.cluster().install_faults(sim::FaultPlan::parse("crash node=2 t=0.5\n"));
+    try {
+        m.run([](Rank& r) {
+            if (r.id() == 2) {
+                r.sleep(1.0); // the crash unwinds it here
+                return;
+            }
+            double buf;
+            r.recv(1 - r.id(), 9, &buf, sizeof buf); // neither ever sends
+        });
+        FAIL() << "expected deadlock error";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("blocked ranks: 0 1 (crashed nodes: 2 "),
+                  std::string::npos)
+            << what;
+    }
+}
+
 TEST(Machine, SuspendedCatchHandlerKeepsItsOwnException) {
     // Each rank blocks inside its own catch handler while the other throws
     // and catches; a bare rethrow must still find the rank's own exception.
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     std::vector<std::string> rethrown(2);
     m.run([&](Rank& r) {
         try {
@@ -239,7 +256,7 @@ TEST(Machine, ConcurrentMachinesOnTwoThreadsAgree) {
     };
     auto run_once = [](Outcome& out) {
         try {
-            Machine m(cfg(8));
+            Machine m(quiet_cluster(8));
             m.cluster().add_load_interval(3, 0.2, 0.9);
             m.run([](Rank& r) {
                 const int right = (r.id() + 1) % r.size();
@@ -279,7 +296,7 @@ TEST(Machine, ConcurrentMachinesOnTwoThreadsAgree) {
 }
 
 TEST(Machine, TwentyCrashReviveCyclesUnwindEveryIncarnation) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     std::string script;
     for (int k = 0; k < 20; ++k) {
         script += "crash node=1 t=" + std::to_string(1.05 + 2.0 * k) + "\n";
@@ -305,7 +322,7 @@ TEST(Machine, TwentyCrashReviveCyclesUnwindEveryIncarnation) {
 TEST(Machine, RevokeControlWakesOnlyControlPlaneRecvs) {
     // Ranks 1 and 2 wait in a control-plane recv, rank 3 in a user-plane
     // recv; rank 0 revokes at t=1 and only then sends rank 3 its message.
-    Machine m(cfg(4));
+    Machine m(quiet_cluster(4));
     std::vector<int> revoked(4, 0);
     std::vector<double> woke(4, -1.0);
     m.run([&](Rank& r) {
@@ -339,7 +356,7 @@ TEST(Machine, RevokeControlWakesOnlyControlPlaneRecvs) {
 TEST(Machine, UserRecvFromCrashedPeerThrowsPeerFailure) {
     // Rank 1 is already blocked in a user-plane recv from rank 0 when node
     // 0 crashes: it wakes with a local failure naming the dead peer.
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.cluster().install_faults(sim::FaultPlan::parse("crash node=0 t=0.5"));
     int failed_peer = -1;
     m.run([&](Rank& r) {
@@ -385,7 +402,7 @@ TEST(Machine, EveryFiberKeepsItsOwnRoundingMode) {
     // The engine runs in a mode no rank uses; new fibers must not inherit
     // it, and the ranks' modes must not leak back into it.
     ASSERT_EQ(std::fesetround(FE_DOWNWARD), 0);
-    Machine m(cfg(4));
+    Machine m(quiet_cluster(4));
     std::vector<int> start_mode(4, -1), mismatches(4, 0);
     m.run([&](Rank& r) {
         const auto id = static_cast<std::size_t>(r.id());
@@ -405,7 +422,7 @@ TEST(Machine, EveryFiberKeepsItsOwnRoundingMode) {
 
 TEST(Machine, RevivedRankStartsWithDefaultRoundingMode) {
     RoundingReset reset;
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.cluster().install_faults(sim::FaultPlan::parse(
         "crash node=1 t=1.05\nrevive node=1 t=1.55\n"));
     std::vector<int> start_modes; // rank 1, one entry per incarnation

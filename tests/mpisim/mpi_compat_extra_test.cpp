@@ -2,21 +2,17 @@
 // the machine's traffic accounting.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/mpi_compat.hpp"
 
 namespace dynmpi::mpi {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 TEST(MpiCompatExtra, GatherCollectsAtRoot) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(quiet_cluster(4));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         int mine[2] = {r.id(), r.id() * r.id()};
@@ -32,7 +28,7 @@ TEST(MpiCompatExtra, GatherCollectsAtRoot) {
 }
 
 TEST(MpiCompatExtra, ScatterDealsFromRoot) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(quiet_cluster(3));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         double chunks[6] = {10, 11, 20, 21, 30, 31};
@@ -46,7 +42,7 @@ TEST(MpiCompatExtra, ScatterDealsFromRoot) {
 }
 
 TEST(MpiCompatExtra, AlltoallTransposes) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(quiet_cluster(3));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         int out[3], in[3];
@@ -58,7 +54,7 @@ TEST(MpiCompatExtra, AlltoallTransposes) {
 }
 
 TEST(MpiCompatExtra, IprobeAndGetCount) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         if (r.id() == 0) {
@@ -69,10 +65,12 @@ TEST(MpiCompatExtra, IprobeAndGetCount) {
             MPI_Iprobe(0, 9, MPI_COMM_WORLD, &flag, nullptr);
             EXPECT_EQ(flag, 0); // not yet arrived
             mpi_rank().sleep(0.5);
-            MPI_Iprobe(0, 9, MPI_COMM_WORLD, &flag, nullptr);
-            EXPECT_EQ(flag, 1);
-            double v[3];
             MPI_Status st;
+            MPI_Iprobe(0, 9, MPI_COMM_WORLD, &flag, &st);
+            EXPECT_EQ(flag, 1);
+            EXPECT_EQ(st.MPI_SOURCE, 0);
+            EXPECT_EQ(st.MPI_TAG, 9);
+            double v[3];
             MPI_Recv(v, 3, MPI_DOUBLE, 0, 9, MPI_COMM_WORLD, &st);
             int count = 0;
             MPI_Get_count(&st, MPI_DOUBLE, &count);
@@ -82,8 +80,40 @@ TEST(MpiCompatExtra, IprobeAndGetCount) {
     });
 }
 
+TEST(MpiCompatExtra, WaitFillsStatusForLongAndByte) {
+    EXPECT_EQ(mpi_type_size(MPI_BYTE), 1u);
+    EXPECT_EQ(mpi_type_size(MPI_LONG), sizeof(long));
+    msg::Machine m(quiet_cluster(2));
+    m.run([](msg::Rank& r) {
+        MPI_Init(r);
+        if (r.id() == 0) {
+            long l[2] = {7, -8};
+            char b[5] = {'h', 'e', 'l', 'l', 'o'};
+            MPI_Send(l, 2, MPI_LONG, 1, 4, MPI_COMM_WORLD);
+            MPI_Send(b, 5, MPI_BYTE, 1, 6, MPI_COMM_WORLD);
+        } else {
+            long l[2] = {};
+            char b[5] = {};
+            MPI_Request req;
+            MPI_Status st;
+            int count = 0;
+            MPI_Irecv(l, 2, MPI_LONG, 0, 4, MPI_COMM_WORLD, &req);
+            MPI_Wait(&req, &st);
+            EXPECT_EQ(st.MPI_SOURCE, 0);
+            MPI_Get_count(&st, MPI_LONG, &count);
+            EXPECT_EQ(count, 2);
+            EXPECT_EQ(l[1], -8);
+            MPI_Irecv(b, 5, MPI_BYTE, 0, 6, MPI_COMM_WORLD, &req);
+            MPI_Wait(&req, &st);
+            EXPECT_EQ(st.bytes, 5);
+            EXPECT_EQ(std::string(b, 5), "hello");
+        }
+        MPI_Finalize();
+    });
+}
+
 TEST(MpiCompatExtra, TrafficAccountingSplitsBySpace) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         // One user message and one collective.
@@ -108,7 +138,7 @@ TEST(MpiCompatExtra, TrafficAccountingSplitsBySpace) {
 }
 
 TEST(MpiCompatExtra, ControlTrafficCountedSeparately) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         if (r.id() == 0) {
             msg::Rank::ControlScope control(r);

@@ -6,20 +6,14 @@
 
 #include <numeric>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 
 namespace dynmpi::mpi {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 TEST(MpiCompat, InitRankSizeFinalize) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(quiet_cluster(3));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         int rank = -1, size = -1;
@@ -35,7 +29,7 @@ TEST(MpiCompat, Figure1StyleNearestNeighbor) {
     // The paper's Figure 1 skeleton: compute, then exchange boundary rows
     // with rank-relative neighbors.
     const int kN = 8;
-    msg::Machine m(cfg(4));
+    msg::Machine m(quiet_cluster(4));
     m.run([kN](msg::Rank& rk) {
         MPI_Init(rk);
         int rank, numprocs;
@@ -60,7 +54,7 @@ TEST(MpiCompat, Figure1StyleNearestNeighbor) {
 }
 
 TEST(MpiCompat, AllreduceAllTypesAndOps) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(quiet_cluster(4));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         double d = r.id() + 1.0, dsum = 0;
@@ -79,7 +73,7 @@ TEST(MpiCompat, AllreduceAllTypesAndOps) {
 }
 
 TEST(MpiCompat, BcastAndReduce) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(quiet_cluster(4));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         double v[2] = {0, 0};
@@ -101,7 +95,7 @@ TEST(MpiCompat, BcastAndReduce) {
 }
 
 TEST(MpiCompat, AllgatherConcatenatesInRankOrder) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(quiet_cluster(3));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         double mine[2] = {r.id() * 10.0, r.id() * 10.0 + 1};
@@ -117,7 +111,7 @@ TEST(MpiCompat, AllgatherConcatenatesInRankOrder) {
 }
 
 TEST(MpiCompat, NonblockingWaitall) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         int me = r.id(), peer = 1 - me;
@@ -132,7 +126,7 @@ TEST(MpiCompat, NonblockingWaitall) {
 }
 
 TEST(MpiCompat, SendrecvAndWtime) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         double t0 = MPI_Wtime();
@@ -146,7 +140,7 @@ TEST(MpiCompat, SendrecvAndWtime) {
 }
 
 TEST(MpiCompat, BarrierSynchronizes) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(quiet_cluster(3));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         r.compute(0.1 * (r.id() + 1));
@@ -157,7 +151,7 @@ TEST(MpiCompat, BarrierSynchronizes) {
 }
 
 TEST(MpiCompat, UnsupportedCommRejected) {
-    msg::Machine m(cfg(1));
+    msg::Machine m(quiet_cluster(1));
     EXPECT_THROW(m.run([](msg::Rank& r) {
         MPI_Init(r);
         int x;
@@ -167,7 +161,7 @@ TEST(MpiCompat, UnsupportedCommRejected) {
 }
 
 TEST(MpiCompat, AnyTagAndAnySource) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         MPI_Init(r);
         if (r.id() == 0) {

@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 #include "support/error.hpp"
@@ -9,15 +10,8 @@
 namespace dynmpi::msg {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 TEST(P2P, PingPongDeliversPayload) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             std::vector<double> v(100);
@@ -35,7 +29,7 @@ TEST(P2P, PingPongDeliversPayload) {
 }
 
 TEST(P2P, MessagesMatchedByTag) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             int a = 111, b = 222;
@@ -50,7 +44,7 @@ TEST(P2P, MessagesMatchedByTag) {
 }
 
 TEST(P2P, MessagesMatchedBySource) {
-    Machine m(cfg(3));
+    Machine m(quiet_cluster(3));
     m.run([](Rank& r) {
         if (r.id() == 2) {
             EXPECT_EQ(r.recv_value<int>(1, 0), 1);
@@ -63,7 +57,7 @@ TEST(P2P, MessagesMatchedBySource) {
 }
 
 TEST(P2P, AnySourceReceivesFromEither) {
-    Machine m(cfg(3));
+    Machine m(quiet_cluster(3));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             int got_src_sum = 0;
@@ -82,7 +76,7 @@ TEST(P2P, AnySourceReceivesFromEither) {
 }
 
 TEST(P2P, AnyTagReportsActualTag) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             int v = 9;
@@ -97,7 +91,7 @@ TEST(P2P, AnyTagReportsActualTag) {
 }
 
 TEST(P2P, FifoPreservedPerSenderAndTag) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         const int kN = 50;
         if (r.id() == 0) {
@@ -109,7 +103,7 @@ TEST(P2P, FifoPreservedPerSenderAndTag) {
 }
 
 TEST(P2P, SendRecvCrossExchange) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         double mine = 100.0 + r.id(), theirs = -1;
         int peer = 1 - r.id();
@@ -120,7 +114,7 @@ TEST(P2P, SendRecvCrossExchange) {
 
 TEST(P2P, TransferTimeScalesWithMessageSize) {
     auto timed = [](std::size_t bytes) {
-        Machine m(cfg(2));
+        Machine m(quiet_cluster(2));
         double t = 0;
         m.run([&](Rank& r) {
             if (r.id() == 0) {
@@ -139,7 +133,7 @@ TEST(P2P, TransferTimeScalesWithMessageSize) {
 }
 
 TEST(P2P, RecvBufferTooSmallRejected) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     EXPECT_THROW(m.run([](Rank& r) {
         if (r.id() == 0) {
             double big[4] = {1, 2, 3, 4};
@@ -153,7 +147,7 @@ TEST(P2P, RecvBufferTooSmallRejected) {
 }
 
 TEST(P2P, ProbeSeesBufferedMessage) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             int v = 1;
@@ -170,7 +164,7 @@ TEST(P2P, ProbeSeesBufferedMessage) {
 }
 
 TEST(P2P, SelfSendAllowed) {
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     m.run([](Rank& r) {
         int v = 77;
         r.send_value(0, 0, v);
@@ -179,7 +173,7 @@ TEST(P2P, SelfSendAllowed) {
 }
 
 TEST(P2P, InvalidDestinationRejected) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     EXPECT_THROW(m.run([](Rank& r) {
         int v = 0;
         r.send_value(5, 0, v);
@@ -188,7 +182,7 @@ TEST(P2P, InvalidDestinationRejected) {
 }
 
 TEST(P2P, ZeroByteMessageWorks) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             r.send(1, 0, nullptr, 0);

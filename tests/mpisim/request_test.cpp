@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 #include "support/error.hpp"
@@ -7,15 +8,8 @@
 namespace dynmpi::msg {
 namespace {
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 TEST(Request, IsendCompletesImmediately) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             int v = 5;
@@ -29,7 +23,7 @@ TEST(Request, IsendCompletesImmediately) {
 }
 
 TEST(Request, IrecvWaitDeliversPayload) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             double v = 2.5;
@@ -48,7 +42,7 @@ TEST(Request, IrecvWaitDeliversPayload) {
 TEST(Request, PostAllReceivesThenWaitall) {
     // The classic MPI pattern: post every halo receive up front, send, then
     // wait for all of them.
-    Machine m(cfg(4));
+    Machine m(quiet_cluster(4));
     m.run([](Rank& r) {
         int left = (r.id() + r.size() - 1) % r.size();
         int right = (r.id() + 1) % r.size();
@@ -66,7 +60,7 @@ TEST(Request, PostAllReceivesThenWaitall) {
 }
 
 TEST(Request, TestPollsWithoutBlocking) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             r.sleep(1.0);
@@ -85,7 +79,7 @@ TEST(Request, TestPollsWithoutBlocking) {
 }
 
 TEST(Request, AnySourceIrecvReportsSender) {
-    Machine m(cfg(3));
+    Machine m(quiet_cluster(3));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             int buf = 0;
@@ -100,7 +94,7 @@ TEST(Request, AnySourceIrecvReportsSender) {
 }
 
 TEST(Request, WaitOnNullRequestRejected) {
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     EXPECT_THROW(m.run([](Rank& r) {
         Request req;
         r.wait(req);
@@ -109,7 +103,7 @@ TEST(Request, WaitOnNullRequestRejected) {
 }
 
 TEST(Request, IrecvBufferTooSmallRejected) {
-    Machine m(cfg(2));
+    Machine m(quiet_cluster(2));
     EXPECT_THROW(m.run([](Rank& r) {
         if (r.id() == 0) {
             double big[4] = {};

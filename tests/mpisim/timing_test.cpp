@@ -7,21 +7,15 @@
 #include <numeric>
 #include <ostream>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 
 namespace dynmpi::msg {
 namespace {
 
-sim::ClusterConfig cfg(int nodes, double jitter = 0.0) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = jitter;
-    return c;
-}
-
 TEST(Timing, HrtimeTracksVirtualClock) {
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     m.run([](Rank& r) {
         double t0 = r.hrtime();
         r.compute(0.5);
@@ -31,7 +25,7 @@ TEST(Timing, HrtimeTracksVirtualClock) {
 }
 
 TEST(Timing, ProcCpuTimeQuantizedToJiffy) {
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     m.run([](Rank& r) {
         r.compute(0.0153); // 15.3 ms of CPU
         EXPECT_NEAR(r.proc_cpu_time(), 0.010, 1e-9); // one whole jiffy
@@ -41,7 +35,7 @@ TEST(Timing, ProcCpuTimeQuantizedToJiffy) {
 
 TEST(Timing, ProcCpuExcludesCompetingProcessTime) {
     // /proc counts only the app's own CPU — the property the paper exploits.
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     m.cluster().add_load_interval(0, 0.0, -1.0, 3);
     m.run([](Rank& r) {
         r.compute(0.1);
@@ -52,7 +46,7 @@ TEST(Timing, ProcCpuExcludesCompetingProcessTime) {
 }
 
 TEST(Timing, ComputeRowsReturnsPerRowCosts) {
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     m.run([](Rank& r) {
         std::vector<double> rows{0.1, 0.2, 0.3};
         auto t = r.compute_rows(rows);
@@ -66,7 +60,7 @@ TEST(Timing, ComputeRowsReturnsPerRowCosts) {
 }
 
 TEST(Timing, LoadedNodeWallTimesInflatedCpuTimesNot) {
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     m.cluster().add_load_interval(0, 0.0, -1.0, 1);
     m.run([](Rank& r) {
         std::vector<double> rows(4, 0.05);
@@ -81,7 +75,7 @@ TEST(Timing, JitterMakesShortRowWallTimesNoisyButMinFilters) {
     // wall measurements are inflated, but the minimum over several phase
     // cycles approaches the true loaded time (paper: min over the grace
     // period removes context-switch spikes).
-    Machine m(cfg(1, /*jitter=*/1.0));
+    Machine m(quiet_cluster(1, /*jitter=*/1.0));
     m.cluster().add_load_interval(0, 0.0, -1.0, 1);
     m.run([](Rank& r) {
         const double true_loaded = 0.004; // 2ms * (1+1)
@@ -106,7 +100,7 @@ TEST(Timing, JitterMakesShortRowWallTimesNoisyButMinFilters) {
 }
 
 TEST(Timing, ComputeRowsConsistentWithTotalElapsed) {
-    Machine m(cfg(1));
+    Machine m(quiet_cluster(1));
     m.cluster().add_load_interval(0, 0.25, 0.75, 2);
     m.run([](Rank& r) {
         std::vector<double> rows(10, 0.1);
@@ -136,7 +130,7 @@ class ChargePaths : public ::testing::TestWithParam<ChargeCase> {};
 /// Virtual time, batches run and app CPU seconds after charging a fixed
 /// batch sequence through `by_rows` (compute_rows) or compute(sum).
 std::vector<double> charge_all(const ChargeCase& c, bool by_rows) {
-    Machine m(cfg(1, /*jitter=*/0.3));
+    Machine m(quiet_cluster(1, /*jitter=*/0.3));
     if (c.competitors > 0) {
         // A steady load plus one that arrives and leaves mid-batch.
         m.cluster().add_load_interval(0, 0.0, -1.0, c.competitors);

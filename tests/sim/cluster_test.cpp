@@ -2,26 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "support/error.hpp"
 
 namespace dynmpi::sim {
 namespace {
 
-ClusterConfig small_config(int nodes = 4) {
-    ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    return c;
-}
-
 TEST(Cluster, ConstructsRequestedNodes) {
-    Cluster c(small_config(8));
+    Cluster c(quiet_cluster(8));
     EXPECT_EQ(c.size(), 8);
     for (int i = 0; i < 8; ++i) EXPECT_EQ(c.node(i).id(), i);
 }
 
 TEST(Cluster, PerNodeSpeedsApplied) {
-    ClusterConfig cfg = small_config(2);
+    ClusterConfig cfg = quiet_cluster(2);
     cfg.speeds = {1.0, 2.0};
     Cluster c(cfg);
     EXPECT_DOUBLE_EQ(c.node(0).cpu().params().speed, 1.0);
@@ -29,13 +23,13 @@ TEST(Cluster, PerNodeSpeedsApplied) {
 }
 
 TEST(Cluster, SpeedsSizeMismatchRejected) {
-    ClusterConfig cfg = small_config(3);
+    ClusterConfig cfg = quiet_cluster(3);
     cfg.speeds = {1.0, 2.0};
     EXPECT_THROW(Cluster c(cfg), dynmpi::Error);
 }
 
 TEST(Cluster, LoadIntervalStartsAndStops) {
-    Cluster c(small_config());
+    Cluster c(quiet_cluster(4));
     c.add_load_interval(1, 2.0, 5.0);
     c.engine().run_until(from_seconds(3.0));
     EXPECT_EQ(c.node(1).active_competing(), 1);
@@ -45,14 +39,14 @@ TEST(Cluster, LoadIntervalStartsAndStops) {
 }
 
 TEST(Cluster, OpenEndedLoadIntervalPersists) {
-    Cluster c(small_config());
+    Cluster c(quiet_cluster(4));
     c.add_load_interval(2, 1.0, -1.0, 3);
     c.engine().run_until(from_seconds(100.0));
     EXPECT_EQ(c.node(2).active_competing(), 3);
 }
 
 TEST(Cluster, DaemonsObserveScriptedLoad) {
-    Cluster c(small_config());
+    Cluster c(quiet_cluster(4));
     c.add_load_interval(0, 0.0, -1.0, 2);
     c.engine().run_until(from_seconds(2.5));
     EXPECT_EQ(c.daemon(0).reported_load(), 3);
@@ -60,7 +54,7 @@ TEST(Cluster, DaemonsObserveScriptedLoad) {
 }
 
 TEST(Cluster, AtRunsCallbackAtRequestedTime) {
-    Cluster c(small_config());
+    Cluster c(quiet_cluster(4));
     double seen = -1.0;
     c.at(1.25, [&] { seen = to_seconds(c.engine().now()); });
     c.engine().run_until(from_seconds(2.0));
@@ -68,14 +62,14 @@ TEST(Cluster, AtRunsCallbackAtRequestedTime) {
 }
 
 TEST(Cluster, NodeIndexOutOfRangeRejected) {
-    Cluster c(small_config(2));
+    Cluster c(quiet_cluster(2));
     EXPECT_THROW(c.node(2), dynmpi::Error);
     EXPECT_THROW(c.node(-1), dynmpi::Error);
     EXPECT_THROW(c.daemon(7), dynmpi::Error);
 }
 
 TEST(Cluster, NodesHaveDecorrelatedSeeds) {
-    ClusterConfig cfg = small_config(2);
+    ClusterConfig cfg = quiet_cluster(2);
     cfg.cpu.jitter_frac = 1.0;
     Cluster c(cfg);
     c.node(0).spawn_competing("l");

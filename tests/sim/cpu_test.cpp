@@ -4,20 +4,15 @@
 
 #include <numeric>
 
+#include "common/cluster_fixture.hpp"
 #include "support/error.hpp"
 
 namespace dynmpi::sim {
 namespace {
 
-CpuParams no_jitter() {
-    CpuParams p;
-    p.jitter_frac = 0.0;
-    return p;
-}
-
 TEST(Cpu, UnloadedBatchTakesItsCost) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     bool done = false;
     cpu.start_batch(2.0, [&] { done = true; });
     e.run();
@@ -28,7 +23,7 @@ TEST(Cpu, UnloadedBatchTakesItsCost) {
 
 TEST(Cpu, SpeedScalesElapsedTime) {
     Engine e;
-    CpuParams p = no_jitter();
+    CpuParams p = quiet_cpu();
     p.speed = 2.0;
     Cpu cpu(e, 0, p, 1);
     cpu.start_batch(2.0, [] {});
@@ -38,7 +33,7 @@ TEST(Cpu, SpeedScalesElapsedTime) {
 
 TEST(Cpu, OneCompetitorDoublesElapsed) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     cpu.set_runnable_competitors(1);
     cpu.start_batch(3.0, [] {});
     e.run();
@@ -49,7 +44,7 @@ TEST(Cpu, OneCompetitorDoublesElapsed) {
 
 TEST(Cpu, MidBatchLoadChangeIntegratesPiecewise) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     // 4s of work; competitor arrives at t=1. First second does 1s of work,
     // remaining 3s run at half rate → 6s more → total 7s.
     cpu.start_batch(4.0, [] {});
@@ -61,7 +56,7 @@ TEST(Cpu, MidBatchLoadChangeIntegratesPiecewise) {
 
 TEST(Cpu, LoadRemovalSpeedsBackUp) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     cpu.set_runnable_competitors(3);
     cpu.start_batch(2.0, [] {});
     // At t=4 (1s of work done at 1/4 rate), all competitors leave.
@@ -72,7 +67,7 @@ TEST(Cpu, LoadRemovalSpeedsBackUp) {
 
 TEST(Cpu, SequentialBatchesAccumulateCpuTime) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     cpu.start_batch(1.0, [&] { cpu.start_batch(1.5, [] {}); });
     e.run();
     EXPECT_NEAR(cpu.app_cpu_seconds(), 2.5, 1e-6);
@@ -81,14 +76,14 @@ TEST(Cpu, SequentialBatchesAccumulateCpuTime) {
 
 TEST(Cpu, OverlappingBatchRejected) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     cpu.start_batch(1.0, [] {});
     EXPECT_THROW(cpu.start_batch(1.0, [] {}), dynmpi::Error);
 }
 
 TEST(Cpu, AppRunningCallbackBracketsBatch) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     std::vector<bool> transitions;
     cpu.set_app_running_cb([&](bool r) { transitions.push_back(r); });
     cpu.start_batch(1.0, [] {});
@@ -98,7 +93,7 @@ TEST(Cpu, AppRunningCallbackBracketsBatch) {
 
 TEST(Cpu, ReconstructRowsMatchesBatchTotalUnloaded) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     std::vector<double> rows(10, 0.05);
     double total = std::accumulate(rows.begin(), rows.end(), 0.0);
     SimTime t0 = e.now();
@@ -112,7 +107,7 @@ TEST(Cpu, ReconstructRowsMatchesBatchTotalUnloaded) {
 
 TEST(Cpu, ReconstructRowsSpansLoadChange) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     // Two rows of 1s each; a competitor arrives at t=1.5 (mid-row-2).
     std::vector<double> rows{1.0, 1.0};
     SimTime t0 = e.now();
@@ -171,7 +166,7 @@ TEST(Cpu, JitterIsDeterministic) {
 
 TEST(Cpu, ZeroWorkBatchCompletesImmediately) {
     Engine e;
-    Cpu cpu(e, 0, no_jitter(), 1);
+    Cpu cpu(e, 0, quiet_cpu(), 1);
     bool done = false;
     cpu.start_batch(0.0, [&] { done = true; });
     e.run();

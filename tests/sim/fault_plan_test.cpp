@@ -53,6 +53,7 @@ TEST(FaultPlanParse, ToStringRoundTrips) {
         "slow node=0 t=0.5 dur=1.5 factor=0.5\n"
         "net-delay t=3 extra=0.005\n"
         "lose-sends node=2 t=4 count=3\n"
+        "delay-reports node=3 t=4 dur=6 delay=2.5\n"
         "revive node=1 t=5\n");
     FaultPlan q = FaultPlan::parse(p.to_string());
     EXPECT_EQ(p.faults, q.faults);
@@ -202,6 +203,22 @@ TEST(FaultInjector, DelayedReportsTrailTheClockThenCatchUp) {
     for (std::size_t i = 0; i < h.size(); ++i)
         EXPECT_EQ(h[i].time, static_cast<SimTime>(i + 1) * c.daemon(1).period())
             << "sample " << i;
+}
+
+// A frozen daemon serves the load it had when the window opened (none),
+// even after a competing process lands at t = 1.5; when the window
+// closes at t = 3 it reports the process again.
+TEST(FaultInjector, FrozenReportsWindowEnds) {
+    Cluster c(small_config(2));
+    c.install_faults(FaultPlan::parse("freeze-reports node=1 t=1 dur=2\n"));
+    c.add_load_interval(1, 1.5, -1.0);
+    double frozen = -1.0;
+    c.engine().at(from_seconds(2.6),
+                  [&] { frozen = c.daemon(1).avg_competing(); });
+    c.engine().at(from_seconds(4.1), [] {});
+    c.engine().run();
+    EXPECT_DOUBLE_EQ(frozen, 0.0);
+    EXPECT_NEAR(c.daemon(1).avg_competing(), 1.0, 1e-9);
 }
 
 TEST(FaultInjector, ReviveRestartsNodeWithNewGeneration) {

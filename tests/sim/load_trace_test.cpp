@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "support/error.hpp"
 
 namespace dynmpi::sim {
@@ -58,10 +59,7 @@ TEST(LoadTrace, FormatRoundTrips) {
 }
 
 TEST(LoadTrace, AppliesToCluster) {
-    ClusterConfig cc;
-    cc.num_nodes = 4;
-    cc.cpu.jitter_frac = 0.0;
-    Cluster c(cc);
+    Cluster c(quiet_cluster(4));
     apply_load_trace(c, "node 1: 1.0 3.0 x2\nnode 2: 2.0 inf\n");
     c.engine().run_until(from_seconds(2.5));
     EXPECT_EQ(c.node(1).active_competing(), 2);

@@ -2,20 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "support/error.hpp"
 
 namespace dynmpi::sim {
 namespace {
 
-CpuParams quiet() {
-    CpuParams p;
-    p.jitter_frac = 0.0;
-    return p;
-}
-
 TEST(Node, StartsWithAppAndDaemonProcesses) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     EXPECT_EQ(n.procs().size(), 2u);
     EXPECT_EQ(n.procs().info(n.app_pid()).kind, ProcKind::App);
     EXPECT_EQ(n.active_competing(), 0);
@@ -23,7 +18,7 @@ TEST(Node, StartsWithAppAndDaemonProcesses) {
 
 TEST(Node, SpawnCompetingRaisesActiveCount) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     int pid = n.spawn_competing("loop");
     EXPECT_EQ(n.active_competing(), 1);
     EXPECT_EQ(n.cpu().runnable_competitors(), 1);
@@ -34,7 +29,7 @@ TEST(Node, SpawnCompetingRaisesActiveCount) {
 
 TEST(Node, CompetingSlowsAppWork) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     n.spawn_competing("loop");
     n.cpu().start_batch(1.0, [] {});
     e.run();
@@ -43,7 +38,7 @@ TEST(Node, CompetingSlowsAppWork) {
 
 TEST(Node, IntegralTracksConstantLoad) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     n.spawn_competing("loop");
     e.at(from_seconds(3.0), [] {});
     e.run();
@@ -52,7 +47,7 @@ TEST(Node, IntegralTracksConstantLoad) {
 
 TEST(Node, IntegralTracksLoadInterval) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     int pid = -1;
     e.at(from_seconds(1.0), [&] { pid = n.spawn_competing("loop"); });
     e.at(from_seconds(4.0), [&] { n.kill_competing(pid); });
@@ -63,7 +58,7 @@ TEST(Node, IntegralTracksLoadInterval) {
 
 TEST(Node, BurstyProcessIntegratesToDutyCycle) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     n.spawn_competing("bursty", BurstSpec{1.0, 0.25});
     e.at(from_seconds(8.0), [] {});
     e.run();
@@ -74,13 +69,13 @@ TEST(Node, BurstyProcessIntegratesToDutyCycle) {
 
 TEST(Node, KillUnknownPidRejected) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     EXPECT_THROW(n.kill_competing(12345), dynmpi::Error);
 }
 
 TEST(Node, BurstyKillMidBurstStopsToggles) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     int pid = n.spawn_competing("bursty", BurstSpec{1.0, 0.5});
     e.at(from_seconds(0.25), [&] { n.kill_competing(pid); });
     e.run();
@@ -90,7 +85,7 @@ TEST(Node, BurstyKillMidBurstStopsToggles) {
 
 TEST(Node, PsSnapshotIncludesAppCpuTime) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     n.cpu().start_batch(1.5, [] {});
     e.run();
     bool found = false;
@@ -104,7 +99,7 @@ TEST(Node, PsSnapshotIncludesAppCpuTime) {
 
 TEST(Node, AppStateReflectsComputing) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     EXPECT_EQ(n.procs().info(n.app_pid()).state, ProcState::Blocked);
     n.cpu().start_batch(1.0, [] {});
     EXPECT_EQ(n.procs().info(n.app_pid()).state, ProcState::Running);
@@ -114,7 +109,7 @@ TEST(Node, AppStateReflectsComputing) {
 
 TEST(Node, MultipleCompetingProcessesStack) {
     Engine e;
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     n.spawn_competing("a");
     n.spawn_competing("b");
     n.spawn_competing("c");

@@ -2,6 +2,7 @@
 // control-plane (daemon-band) traffic.
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 #include "sim/cpu.hpp"
@@ -115,12 +116,7 @@ TEST(OsNoise, BufferedRecvHasNoWakeDelay) {
 }
 
 TEST(OsNoise, ControlTrafficSkipsNicAndCpu) {
-    msg::Machine m([] {
-        ClusterConfig c;
-        c.num_nodes = 2;
-        c.cpu.jitter_frac = 0.0;
-        return c;
-    }());
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         const std::size_t big = 1 << 20; // 1 MiB
         std::vector<std::byte> buf(big);
@@ -144,12 +140,7 @@ TEST(OsNoise, ControlTrafficSkipsNicAndCpu) {
 }
 
 TEST(OsNoise, NonControlTrafficStillPaysFullCost) {
-    msg::Machine m([] {
-        ClusterConfig c;
-        c.num_nodes = 2;
-        c.cpu.jitter_frac = 0.0;
-        return c;
-    }());
+    msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {
         const std::size_t big = 1 << 20;
         std::vector<std::byte> buf(big);

@@ -2,21 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
+
 namespace dynmpi::sim {
 namespace {
-
-CpuParams quiet() {
-    CpuParams p;
-    p.jitter_frac = 0.0;
-    return p;
-}
 
 struct DaemonFixture : ::testing::Test {
     Engine e;
 };
 
 TEST_F(DaemonFixture, ReportsZeroOnIdleNode) {
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     PsDaemon d(e, n);
     e.run_until(from_seconds(3.5));
     EXPECT_DOUBLE_EQ(d.avg_competing(), 0.0);
@@ -25,7 +21,7 @@ TEST_F(DaemonFixture, ReportsZeroOnIdleNode) {
 }
 
 TEST_F(DaemonFixture, DetectsConstantCompetingLoad) {
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     PsDaemon d(e, n);
     n.spawn_competing("loop");
     e.run_until(from_seconds(2.5));
@@ -35,7 +31,7 @@ TEST_F(DaemonFixture, DetectsConstantCompetingLoad) {
 }
 
 TEST_F(DaemonFixture, MidWindowArrivalGivesFractionalAverage) {
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     PsDaemon d(e, n);
     // Competing process arrives at t=2.5; window [2,3) sees 0.5 on average.
     e.at(from_seconds(2.5), [&] { n.spawn_competing("loop"); });
@@ -44,7 +40,7 @@ TEST_F(DaemonFixture, MidWindowArrivalGivesFractionalAverage) {
 }
 
 TEST_F(DaemonFixture, BurstyLoadAveragesToDuty) {
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     PsDaemon d(e, n);
     n.spawn_competing("bursty", BurstSpec{0.1, 0.3});
     e.run_until(from_seconds(5.1));
@@ -56,7 +52,7 @@ TEST_F(DaemonFixture, BurstyLoadAveragesToDuty) {
 }
 
 TEST_F(DaemonFixture, HistoryAccumulatesOneSamplePerPeriod) {
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     PsDaemon d(e, n);
     e.run_until(from_seconds(4.5));
     EXPECT_EQ(d.history().size(), 4u);
@@ -64,7 +60,7 @@ TEST_F(DaemonFixture, HistoryAccumulatesOneSamplePerPeriod) {
 }
 
 TEST_F(DaemonFixture, CustomPeriodRespected) {
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     PsDaemon d(e, n, from_seconds(0.25));
     e.run_until(from_seconds(1.01));
     EXPECT_EQ(d.history().size(), 4u);
@@ -73,7 +69,7 @@ TEST_F(DaemonFixture, CustomPeriodRespected) {
 TEST_F(DaemonFixture, VmstatMissesBlockedAtReceiveApp) {
     // The monitored app is blocked at a receive; vmstat reports nothing even
     // though the app will need the CPU — dmpi_ps still counts it.
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     PsDaemon d(e, n);
     VmstatSampler v(n);
     e.run_until(from_seconds(1.5));
@@ -82,7 +78,7 @@ TEST_F(DaemonFixture, VmstatMissesBlockedAtReceiveApp) {
 }
 
 TEST_F(DaemonFixture, LoadDisappearanceReflectedNextWindow) {
-    Node n(e, 0, quiet(), 1);
+    Node n(e, 0, quiet_cpu(), 1);
     PsDaemon d(e, n);
     int pid = n.spawn_competing("loop");
     e.at(from_seconds(3.0), [&] { n.kill_competing(pid); });

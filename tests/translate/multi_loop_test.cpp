@@ -2,6 +2,7 @@
 // two) translate to one DMPI_init_phase per loop, with per-phase DRSDs.
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 #include "translate/translator.hpp"
 
@@ -48,11 +49,7 @@ TEST(MultiLoopTranslate, PhaseDrsdsCarryTheirPhaseIds) {
 }
 
 TEST(MultiLoopTranslate, TwoPhaseProgramExecutes) {
-    sim::ClusterConfig cc;
-    cc.num_nodes = 4;
-    cc.cpu.jitter_frac = 0.0;
-    cc.ps_period = sim::from_seconds(0.25);
-    msg::Machine m(cc);
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(3, 0.5, -1.0);
     TranslatedRunResult out;
     m.run([&](msg::Rank& r) {
@@ -93,10 +90,7 @@ TEST(MultiLoopTranslate, MixedPatternsPerPhase) {
 TEST(MultiLoopTranslate, SubSpanNearestNeighborExecutionRejected) {
     MpiProgram p = two_phase_program();
     p.loops[0].lo = 8; // sub-span stencil phase
-    sim::ClusterConfig cc;
-    cc.num_nodes = 2;
-    cc.cpu.jitter_frac = 0.0;
-    msg::Machine m(cc);
+    msg::Machine m(quiet_cluster(2));
     EXPECT_THROW(m.run([&](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;

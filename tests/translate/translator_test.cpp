@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
 
 namespace dynmpi::xlate {
@@ -137,16 +138,8 @@ TEST(Translator, EmitsSparseRegistration) {
 // Executable translation
 // ---------------------------------------------------------------------------
 
-sim::ClusterConfig cfg(int nodes) {
-    sim::ClusterConfig c;
-    c.num_nodes = nodes;
-    c.cpu.jitter_frac = 0.0;
-    c.ps_period = sim::from_seconds(0.25);
-    return c;
-}
-
 TEST(Translator, TranslatedProgramRunsAndAdapts) {
-    msg::Machine m(cfg(4));
+    msg::Machine m(fast_cluster(4));
     m.cluster().add_load_interval(1, 0.5, -1.0, 2);
     TranslatedRunResult out;
     m.run([&](msg::Rank& r) {
@@ -162,7 +155,7 @@ TEST(Translator, TranslatedProgramRunsAndAdapts) {
 }
 
 TEST(Translator, TranslatedCgShapeRuns) {
-    msg::Machine m(cfg(3));
+    msg::Machine m(fast_cluster(3));
     TranslatedRunResult out;
     m.run([&](msg::Rank& r) {
         RuntimeOptions o;
@@ -175,7 +168,7 @@ TEST(Translator, TranslatedCgShapeRuns) {
 }
 
 TEST(Translator, ConfiguredRuntimeMatchesManualSetup) {
-    msg::Machine m(cfg(2));
+    msg::Machine m(fast_cluster(2));
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;

@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 
-FLOOR = 97.7  # percent of src/ lines run by ctest (gcc 12: 97.74)
+FLOOR = 98.13  # percent of src/ lines run by ctest (gcc 12: 98.139)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src") + os.sep
