@@ -9,6 +9,7 @@
 // re-extent.
 #include <benchmark/benchmark.h>
 
+#include "bench/contiguous_dense_array.hpp"
 #include "dynmpi/dense_array.hpp"
 
 namespace dynmpi {

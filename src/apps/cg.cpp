@@ -365,16 +365,12 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
         auto expect = row_entries(config, i);
         std::sort(expect.begin(), expect.end());
         const auto& got = A.row(i);
-        if (got.size() != expect.size()) {
-            out.matrix_intact = false;
-            continue;
-        }
-        std::size_t k = 0;
-        for (const auto& e : got) {
-            if (e.col != expect[k].first || e.value != expect[k].second)
-                out.matrix_intact = false;
-            ++k;
-        }
+        out.matrix_intact =
+            out.matrix_intact &&
+            std::equal(got.begin(), got.end(), expect.begin(), expect.end(),
+                       [](const SparseEntry& e, const auto& x) {
+                           return e.col == x.first && e.value == x.second;
+                       });
     }
 
     out.residual_norm2 = rr;

@@ -21,9 +21,6 @@ std::pair<double, double> MachineModel::comm_for(int nodes) const {
 AdaptPolicy::AdaptPolicy(const RuntimeOptions& opts, int world)
     : opts_(opts) {
     DYNMPI_REQUIRE(opts_.grace_cycles > 0, "grace periods must be positive");
-    DYNMPI_REQUIRE(opts_.quarantine_bad_reports > 0 &&
-                       opts_.readmit_clean_cycles > 0,
-                   "quarantine thresholds must be positive");
     const auto W = static_cast<std::size_t>(world);
     // The initial even split assumes dedicated nodes, so any load that
     // already exists at startup registers as a change on cycle one.
@@ -236,8 +233,8 @@ double AdaptPolicy::scan_reports(const std::vector<NodeReport>& reports,
         n.clean = r.stale ? 0 : n.clean + 1;
         // Bad reports quarantine a node; clean ones readmit it.
         n.flip_due = quarantined_[w] != 0
-                         ? n.clean >= opts_.readmit_clean_cycles
-                         : n.bad >= opts_.quarantine_bad_reports;
+                         ? n.clean >= kReadmitCleanCycles
+                         : n.bad >= kQuarantineBadReports;
         flip_due = flip_due || n.flip_due;
         if (r.active) continue;
         // A removed node whose load cleared can be re-added, and a

@@ -63,16 +63,6 @@ struct RuntimeOptions {
     /// (Runtime::kPagingSlowdown x compute), so turning this off makes the
     /// cost visible.
     bool memory_aware = true;
-    // ---- runtime hardening (fault tolerance; see docs/FAULTS.md) ----
-    /// Load reports older than this fall back to the last-known value.  The
-    /// effective window is max(this, 2 x the dmpi_ps period), so slow
-    /// daemons are not misread as faulty ones.
-    double report_staleness_s = 3.0;
-    /// Consecutive stale/bad reports before a node is quarantined (logically
-    /// dropped from the candidate set).
-    int quarantine_bad_reports = 3;
-    /// Consecutive clean reports before a quarantined node may be readmitted.
-    int readmit_clean_cycles = 8;
     // ---- crash resilience: diskless buddy replication (docs/FAULTS.md) ----
     /// Shadow each node's owned rows of every registered array onto its
     /// replication buddy (the successor in the active ring) so a crashed
@@ -163,6 +153,11 @@ public:
     static constexpr double kMinCountChange = 0.1;
     /// Rows each logically dropped node keeps.
     static constexpr int kLogicalMinRows = 1;
+    /// Consecutive stale reports before a node is quarantined (logically
+    /// dropped from the candidate set; docs/FAULTS.md).
+    static constexpr int kQuarantineBadReports = 3;
+    /// Consecutive clean reports before a quarantined node is readmitted.
+    static constexpr int kReadmitCleanCycles = 8;
 
     /// The machine's progress.
     struct MonitorState {

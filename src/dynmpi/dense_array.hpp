@@ -17,11 +17,8 @@
 // Narrow rows (a CG vector's row is one double) would otherwise pay a
 // pointer and a malloc chunk per element; a block packs a page of them, so
 // a run of held rows inside one block is one array (span_ptr), and the
-// table still allocates only for blocks that change hands.
-//
-// ContiguousDenseArray is the baseline the paper argues against: one flat
-// allocation spanning the local block, where any change of extent reallocates
-// and copies everything.  It exists for the ablation bench.
+// table still allocates only for blocks that change hands.  The contiguous
+// baseline of Figure 3 is bench/contiguous_dense_array.hpp.
 #pragma once
 
 #include <cstdint>
@@ -208,48 +205,6 @@ private:
     /// One bit per row, set while the row is held: a row inside an
     /// allocated block need not be held.
     std::vector<std::uint64_t> held_bits_;
-};
-
-/// Baseline allocator: the local block lives in one contiguous buffer.
-/// Changing the held extent reallocates the whole buffer and copies the
-/// surviving data (the shaded cells of Figure 3).
-class ContiguousDenseArray final : public DistArray {
-public:
-    ContiguousDenseArray(std::string name, int global_rows, int row_elems,
-                         std::size_t elem_bytes);
-
-    std::size_t row_bytes() const {
-        return static_cast<std::size_t>(row_elems_) * elem_bytes_;
-    }
-
-    std::byte* row_data(int row);
-    const std::byte* row_data(int row) const;
-
-    template <typename T>
-    T& at(int row, int j) {
-        return reinterpret_cast<T*>(row_data(row))[j];
-    }
-
-    std::vector<std::byte> pack_rows(const RowSet& rows) const override;
-    RowSet unpack_rows(const std::vector<std::byte>& data) override;
-    void drop_rows(const RowSet& rows) override;
-    void ensure_rows(const RowSet& rows) override;
-    std::unique_ptr<DistArray> empty_like() const override {
-        return std::make_unique<ContiguousDenseArray>(name_, global_rows_,
-                                                      row_elems_, elem_bytes_);
-    }
-    std::size_t nominal_row_bytes() const override { return row_bytes(); }
-    std::size_t local_bytes() const override { return buffer_.size(); }
-
-private:
-    /// Re-extent the buffer to cover [lo, hi), copying surviving rows.
-    void reextent(int lo, int hi);
-
-    int row_elems_;
-    std::size_t elem_bytes_;
-    int base_ = 0; ///< first row covered by buffer_
-    int extent_ = 0;
-    std::vector<std::byte> buffer_;
 };
 
 }  // namespace dynmpi

@@ -52,38 +52,22 @@ void DistArray::retain_only(const RowSet& keep) {
 }
 
 RowSet DistArray::framed_rows(const std::vector<std::byte>& data,
-                              std::uint64_t unit, bool one_unit) const {
+                              std::uint64_t unit) const {
     RowSet rows;
-    const auto check_header = [&](int row, std::uint64_t nbytes) {
-        DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
-                       "unpacked row id out of range for " + name_);
-        DYNMPI_REQUIRE(one_unit ? nbytes == unit : nbytes % unit == 0,
-                       "row payload size does not fit " + name_);
-        rows.add_row(row);
-    };
-    if (one_unit) {
-        // Fixed-size records: the count fixes the length, so one check
-        // bounds every record and the headers are read in place.
-        std::uint32_t nrows = 0;
-        DYNMPI_REQUIRE(data.size() >= 4, "truncated wire message");
-        std::memcpy(&nrows, data.data(), 4);
-        const std::uint64_t body = data.size() - 4;
-        DYNMPI_REQUIRE(body % (12 + unit) == 0 && body / (12 + unit) == nrows,
-                       "row count does not match the length of " + name_);
-        for_each_unit_record(
-            data, unit, [&](int row, std::uint64_t nbytes, const std::byte*) {
-                check_header(row, nbytes);
-            });
-        return rows;
-    }
-    WireReader in(data);
-    for (std::uint32_t k = in.u32(); k > 0; --k) {
-        const int row = static_cast<int>(in.u32());
-        const std::uint64_t nbytes = in.u64();
-        check_header(row, nbytes);
-        check_payload(in.bytes(nbytes), nbytes);
-    }
-    in.finish();
+    std::uint32_t nrows = 0;
+    DYNMPI_REQUIRE(data.size() >= 4, "truncated wire message");
+    std::memcpy(&nrows, data.data(), 4);
+    const std::uint64_t body = data.size() - 4;
+    DYNMPI_REQUIRE(body % (12 + unit) == 0 && body / (12 + unit) == nrows,
+                   "row count does not match the length of " + name_);
+    for_each_unit_record(
+        data, unit, [&](int row, std::uint64_t nbytes, const std::byte*) {
+            DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
+                           "unpacked row id out of range for " + name_);
+            DYNMPI_REQUIRE(nbytes == unit,
+                           "row payload size does not fit " + name_);
+            rows.add_row(row);
+        });
     return rows;
 }
 

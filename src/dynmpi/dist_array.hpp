@@ -98,26 +98,19 @@ public:
     const Stats& stats() const { return stats_; }
 
 protected:
-    /// The validating first pass of every unpack_rows: row ids inside the
-    /// array, each payload a whole number of `unit`-byte entries (exactly
-    /// one entry when `one_unit`) and inside the buffer, and no bytes after
-    /// the last row.  With `one_unit` every record is 12 + unit bytes, so
-    /// the length is checked once and each header read at its fixed offset;
-    /// otherwise each payload also passes check_payload.  A malformed
-    /// buffer throws here, before the array changes.  Returns the rows the
-    /// buffer frames.
-    RowSet framed_rows(const std::vector<std::byte>& data, std::uint64_t unit,
-                       bool one_unit) const;
-
-    /// Vets the contents of one row's payload in framed_rows' variable-size
-    /// pass; throws on bad contents.  Accepts any by default.
-    virtual void check_payload(const std::byte* /*payload*/,
-                               std::uint64_t /*nbytes*/) const {}
+    /// The validating first pass of a fixed-size unpack_rows: row ids
+    /// inside the array, every record 12 + unit bytes (a payload of exactly
+    /// `unit` bytes), and no bytes after the last row.  The count fixes the
+    /// length, so it is checked once and each header read at its fixed
+    /// offset.  A malformed buffer throws here, before the array changes.
+    /// Returns the rows the buffer frames.
+    RowSet framed_rows(const std::vector<std::byte>& data,
+                       std::uint64_t unit) const;
 
     /// Calls f(row, payload_bytes, payload) for each record of a buffer
     /// whose records are all 12 + unit bytes, such as one framed_rows
-    /// accepted with `one_unit`.  `unit` may be a std::integral_constant,
-    /// which makes the stride a constant.
+    /// accepted.  `unit` may be a std::integral_constant, which makes the
+    /// stride a constant.
     template <typename Unit, typename F>
     static void for_each_unit_record(const std::vector<std::byte>& data,
                                      Unit unit, F&& f) {

@@ -54,7 +54,9 @@ Distribution Distribution::cyclic(int lo, int hi, int parties,
 int Distribution::owner_of(int iter) const {
     DYNMPI_REQUIRE(iter >= lo_ && iter < hi_, "iteration out of range");
     if (kind_ == Kind::Block) {
-        // Binary search over prefix sums.
+        // Binary search over prefix sums.  It ends with starts_[lo] <= iter
+        // < starts_[lo + 1], so party lo owns a row and zero-count parties
+        // that share its start are passed over.
         int lo = 0, hi = parties_;
         while (lo + 1 < hi) {
             int mid = (lo + hi) / 2;
@@ -62,12 +64,6 @@ int Distribution::owner_of(int iter) const {
                 lo = mid;
             else
                 hi = mid;
-        }
-        // Skip zero-count parties that share the same start.
-        while (counts_[static_cast<std::size_t>(lo)] == 0 ||
-               iter >= starts_[static_cast<std::size_t>(lo) + 1]) {
-            ++lo;
-            DYNMPI_CHECK(lo < parties_, "owner search overran parties");
         }
         return lo;
     }

@@ -25,8 +25,6 @@ Runtime::Runtime(msg::Rank& rank, int global_rows, RuntimeOptions opts)
       active_(world_),
       policy_(opts_, world_.size()) {
     DYNMPI_REQUIRE(global_rows_ > 0, "need at least one row");
-    DYNMPI_REQUIRE(opts_.report_staleness_s > 0.0,
-                   "staleness window must be positive");
     if (opts_.replicate && opts_.replica_refresh_s > 0.0) {
         double period = sim::to_seconds(rank_.ps_daemon().period());
         DYNMPI_REQUIRE(
@@ -348,7 +346,7 @@ void Runtime::read_reports() {
         // No completed window yet means nothing to be stale against.
         r.stale = d.last_sample_time() >= 0 &&
                   rank_.hrtime() - sim::to_seconds(d.last_sample_time()) >
-                      std::max(opts_.report_staleness_s,
+                      std::max(kReportStalenessS,
                                2.0 * sim::to_seconds(d.period()));
     }
 }

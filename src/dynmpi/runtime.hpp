@@ -99,6 +99,10 @@ class Runtime {
 public:
     /// Compute slowdown of a node whose local rows exceed its memory.
     static constexpr double kPagingSlowdown = 4.0;
+    /// Load reports older than this fall back to the last-known value.  The
+    /// effective window is max(this, 2 x the dmpi_ps period), so slow
+    /// daemons are not misread as faulty ones (docs/FAULTS.md).
+    static constexpr double kReportStalenessS = 3.0;
 
     /// `global_rows` is the size of the distributed dimension shared by all
     /// registered arrays (and the iteration space of phases).
@@ -139,8 +143,6 @@ public:
     bool participating() const;
     int rel_rank() const;
     int num_active() const { return active_.size(); }
-    /// Absolute rank of an active relative rank (for messaging).
-    int abs_of_rel(int rel) const { return active_.member(rel); }
 
     /// Inclusive iteration bounds of this node for a phase (paper-style);
     /// start > end when the node holds nothing.  Precondition: the phase's

@@ -157,24 +157,33 @@ std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
     return packed;
 }
 
-void SparseMatrix::check_payload(const std::byte* payload,
-                                 std::uint64_t nbytes) const {
-    int prev = -1;
-    for (std::uint64_t at = offsetof(SparseEntry, col); at < nbytes;
-         at += sizeof(SparseEntry)) {
-        int col;
-        std::memcpy(&col, payload + at, sizeof col);
-        DYNMPI_REQUIRE(col > prev && col < global_cols_,
-                       "unpacked column out of range or order for " + name_);
-        prev = col;
-    }
-}
-
 RowSet SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
     // Validate the whole buffer first (row ids, sizes and every column), so
-    // a malformed one changes nothing and the table is sized once.
-    const RowSet rows = framed_rows(data, sizeof(SparseEntry),
-                                    /*one_unit=*/false);
+    // a malformed one changes nothing and the table is sized once.  Every
+    // column must lie inside [0, global_cols) and ascend strictly.
+    RowSet rows;
+    WireReader check(data);
+    for (std::uint32_t k = check.u32(); k > 0; --k) {
+        const int row = static_cast<int>(check.u32());
+        const std::uint64_t nbytes = check.u64();
+        DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
+                       "unpacked row id out of range for " + name_);
+        DYNMPI_REQUIRE(nbytes % sizeof(SparseEntry) == 0,
+                       "row payload size does not fit " + name_);
+        rows.add_row(row);
+        const std::byte* payload = check.bytes(nbytes);
+        int prev = -1;
+        for (std::uint64_t at = offsetof(SparseEntry, col); at < nbytes;
+             at += sizeof(SparseEntry)) {
+            int col;
+            std::memcpy(&col, payload + at, sizeof col);
+            DYNMPI_REQUIRE(col > prev && col < global_cols_,
+                           "unpacked column out of range or order for " +
+                               name_);
+            prev = col;
+        }
+    }
+    check.finish();
     if (!rows.empty()) rows_.cover(held_, rows.first(), rows.last() + 1);
     WireReader in(data);
     for (std::uint32_t k = in.u32(); k > 0; --k) {

@@ -129,11 +129,6 @@ public:
         return static_cast<std::size_t>(nnz()) * sizeof(SparseEntry);
     }
 
-protected:
-    /// Every column inside [0, global_cols) and strictly ascending.
-    void check_payload(const std::byte* payload,
-                       std::uint64_t nbytes) const override;
-
 private:
     RowList& row_mut(int r) {
         RowList* entries = rows_.find(r);

@@ -259,9 +259,8 @@ int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
     std::vector<std::vector<std::byte>> chunks;
     if (me == root) {
         const auto* in = static_cast<const std::byte*>(sendbuf);
-        for (int r = 0; r < n; ++r)
-            chunks.emplace_back(in + static_cast<std::size_t>(r) * bytes,
-                                in + static_cast<std::size_t>(r + 1) * bytes);
+        for (int r = 0; r < n; ++r, in += bytes)
+            chunks.emplace_back(in, in + bytes);
     }
     auto mine =
         msg::scatter(bound(), msg::Group::world(bound()), root, chunks);
@@ -282,9 +281,8 @@ int MPI_Alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
     MPI_Comm_size(comm, &n);
     const auto* in = static_cast<const std::byte*>(sendbuf);
     std::vector<std::vector<std::byte>> outgoing;
-    for (int r = 0; r < n; ++r)
-        outgoing.emplace_back(in + static_cast<std::size_t>(r) * bytes,
-                              in + static_cast<std::size_t>(r + 1) * bytes);
+    for (int r = 0; r < n; ++r, in += bytes)
+        outgoing.emplace_back(in, in + bytes);
     auto incoming =
         msg::alltoall(bound(), msg::Group::world(bound()), outgoing);
     auto* out = static_cast<std::byte*>(recvbuf);

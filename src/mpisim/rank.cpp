@@ -9,8 +9,6 @@
 
 namespace dynmpi::msg {
 
-thread_local Rank* Rank::current_ = nullptr;
-
 double Rank::hrtime() const {
     return sim::to_seconds(machine_.cluster().engine().now());
 }

@@ -166,7 +166,6 @@ public:
         Rank& rank_;
         bool prev_;
     };
-    bool in_control_scope() const { return control_mode_; }
 
     // ---- failure handling ----
 
@@ -216,7 +215,10 @@ public:
 private:
     friend class Machine;
 
-    static thread_local Rank* current_;
+    // constinit, so no TLS init wrapper is emitted: at -O2, UBSan's null
+    // check on this variable's address took its flags from a test of that
+    // (absent) wrapper and reported a null store that never happened.
+    static inline constinit thread_local Rank* current_ = nullptr;
 
     static std::uint64_t wire_tag(int user_tag) {
         return make_tag(TagSpace::User, static_cast<std::uint64_t>(user_tag));

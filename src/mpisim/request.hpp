@@ -21,8 +21,6 @@ public:
     bool valid() const { return kind_ != Kind::Null; }
     bool completed() const { return complete_; }
 
-    /// Bytes delivered (valid for completed receives).
-    std::size_t byte_count() const { return received_; }
     /// Actual source rank (valid for completed receives).
     int source() const { return actual_src_; }
 

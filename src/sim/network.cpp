@@ -53,7 +53,6 @@ bool Network::transmit(Packet&& p) {
     if (crashed(p.src) || crashed(p.dst)) {
         // A dead peer looks like an unresponsive one: the packet vanishes
         // but the send itself "succeeds" from the caller's viewpoint.
-        ++dropped_crashed_;
         return true;
     }
     if (!p.control && fail_tokens_[static_cast<std::size_t>(p.src)] > 0) {
@@ -83,11 +82,7 @@ bool Network::transmit(Packet&& p) {
     auto boxed = std::make_shared<Packet>(std::move(p));
     engine_.at(deliver_at, [this, boxed] {
         // The destination may have crashed while the packet was in flight.
-        if (crashed(boxed->dst)) {
-            ++dropped_crashed_;
-            return;
-        }
-        deliver_(std::move(*boxed));
+        if (!crashed(boxed->dst)) deliver_(std::move(*boxed));
     });
     return true;
 }

@@ -100,7 +100,6 @@ public:
     std::uint64_t messages_sent() const { return messages_; }
     std::uint64_t bytes_sent() const { return bytes_; }
     std::uint64_t send_failures() const { return send_failures_; }
-    std::uint64_t dropped_crashed() const { return dropped_crashed_; }
 
 private:
     Engine& engine_;
@@ -113,7 +112,6 @@ private:
     std::vector<int> fail_tokens_; ///< per-node armed transient send failures
     double extra_latency_ = 0.0;   ///< injected cluster-wide latency spike
     std::uint64_t send_failures_ = 0;
-    std::uint64_t dropped_crashed_ = 0;
 };
 
 }  // namespace dynmpi::sim

@@ -24,7 +24,6 @@ void Node::crash() {
     competing_integral(); // fold the load integral up to the crash instant
     cpu_.halt(); // a pending batch completion must never resume a dead rank
     crashed_ = true;
-    crashed_at_ = engine_.now();
 }
 
 void Node::revive() {

@@ -48,8 +48,6 @@ public:
     /// message layer all consult crashed() to stop serving the node.
     void crash();
     bool crashed() const { return crashed_; }
-    /// Virtual time of the crash (valid only when crashed()).
-    SimTime crashed_at() const { return crashed_at_; }
 
     /// Bring a crashed node back: the crashed flag drops and the incarnation
     /// counter bumps.  The CPU is already clean idle (halt() cancelled any
@@ -72,9 +70,6 @@ public:
 
     /// Number of competing processes currently runnable.
     int active_competing() const { return active_competing_; }
-
-    /// Number of competing processes spawned and not yet killed.
-    int competing_count() const { return static_cast<int>(burst_.size()); }
 
     /// ∫ active_competing dt from simulation start to now, in process-seconds
     /// (basis for windowed load averages).
@@ -106,7 +101,6 @@ private:
     std::unordered_map<int, CompetingState> burst_; // dynmpi-lint: ok(unordered-lookup)
     int active_competing_ = 0;
     bool crashed_ = false;
-    SimTime crashed_at_ = 0;
     int generation_ = 0;
 
     mutable double integral_ = 0.0;

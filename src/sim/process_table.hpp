@@ -36,7 +36,6 @@ public:
     void remove(int pid);
 
     void set_state(int pid, ProcState s) { entry(pid).state = s; }
-    void add_cpu(int pid, double sec) { entry(pid).cpu_seconds += sec; }
 
     bool exists(int pid) const;
     const ProcessInfo& info(int pid) const;

@@ -24,7 +24,4 @@ constexpr double to_seconds(SimTime t) {
     return static_cast<double>(t) / static_cast<double>(kNsPerSec);
 }
 
-constexpr SimTime from_millis(double ms) { return from_seconds(ms * 1e-3); }
-constexpr SimTime from_micros(double us) { return from_seconds(us * 1e-6); }
-
 }  // namespace dynmpi::sim

@@ -259,45 +259,47 @@ std::vector<NodeReport> reports(bool stale2) {
 
 TEST(AdaptPolicy, QuarantineAfterBadStreakReadmitAfterCleanOne) {
     RuntimeOptions o;
-    o.quarantine_bad_reports = 3;
-    o.readmit_clean_cycles = 2;
     AdaptPolicy p(o, kWorld);
     std::vector<QuarantineFlip> flips;
-    // Two bad reports: no flip due, no forced delta.
-    EXPECT_EQ(p.scan_reports(reports(true), 0), 0.0);
-    EXPECT_EQ(p.scan_reports(reports(true), 1), 0.0);
-    // The third is due: it forces an adaptation round, and the snapshot
+    // A bad streak one short of the threshold: no flip due, no forced delta.
+    int cycle = 0;
+    for (; cycle < AdaptPolicy::kQuarantineBadReports - 1; ++cycle)
+        EXPECT_EQ(p.scan_reports(reports(true), cycle), 0.0);
+    // The next one is due: it forces an adaptation round, and the snapshot
     // applies it with the fallback load.
-    EXPECT_GT(p.scan_reports(reports(true), 2), o.load_change_eps);
+    EXPECT_GT(p.scan_reports(reports(true), cycle), o.load_change_eps);
     std::vector<NodeReport> r = reports(true);
     r[2].load = 7.0; // a stale report's value is not trusted
-    LoadSnapshot s = p.snapshot(r, 2, flips);
+    LoadSnapshot s = p.snapshot(r, cycle, flips);
     ASSERT_EQ(flips.size(), 1u);
     EXPECT_EQ(flips[0].node, 2);
     EXPECT_TRUE(flips[0].quarantined);
-    EXPECT_EQ(flips[0].streak, 3);
+    EXPECT_EQ(flips[0].streak, AdaptPolicy::kQuarantineBadReports);
     EXPECT_EQ(s.quarantined, (std::vector<char>{0, 0, 1, 0}));
     EXPECT_EQ(s.loads[2], 0.0); // the baseline
-    // Clean reports readmit it after readmit_clean_cycles.
+    // Clean reports readmit it after kReadmitCleanCycles.
     flips.clear();
-    EXPECT_EQ(p.scan_reports(reports(false), 3), 0.0);
-    EXPECT_GT(p.scan_reports(reports(false), 4), o.load_change_eps);
-    s = p.snapshot(reports(false), 4, flips);
+    for (int k = 1; k < AdaptPolicy::kReadmitCleanCycles; ++k)
+        EXPECT_EQ(p.scan_reports(reports(false), ++cycle), 0.0);
+    EXPECT_GT(p.scan_reports(reports(false), ++cycle), o.load_change_eps);
+    s = p.snapshot(reports(false), cycle, flips);
     ASSERT_EQ(flips.size(), 1u);
     EXPECT_FALSE(flips[0].quarantined);
-    EXPECT_EQ(flips[0].streak, 2);
+    EXPECT_EQ(flips[0].streak, AdaptPolicy::kReadmitCleanCycles);
     EXPECT_EQ(s.quarantined, (std::vector<char>{0, 0, 0, 0}));
 }
 
 TEST(AdaptPolicy, FlipOfANodeThatCrashedSinceTheScanIsNotApplied) {
     RuntimeOptions o;
-    o.quarantine_bad_reports = 1;
     AdaptPolicy p(o, kWorld);
-    EXPECT_GT(p.scan_reports(reports(true), 0), o.load_change_eps);
+    const int due = AdaptPolicy::kQuarantineBadReports - 1;
+    for (int cycle = 0; cycle < due; ++cycle)
+        p.scan_reports(reports(true), cycle);
+    EXPECT_GT(p.scan_reports(reports(true), due), o.load_change_eps);
     std::vector<NodeReport> r = reports(true);
     r[2].crashed = true;
     std::vector<QuarantineFlip> flips;
-    const LoadSnapshot s = p.snapshot(r, 0, flips);
+    const LoadSnapshot s = p.snapshot(r, due, flips);
     EXPECT_TRUE(flips.empty());
     EXPECT_EQ(s.quarantined[2], 0);
     EXPECT_EQ(s.joinable[2], 0);
@@ -380,9 +382,6 @@ TEST(AdaptPolicy, DecisionWithoutSnapshotIsAnError) {
 TEST(AdaptPolicy, RejectsNonPositiveWindows) {
     RuntimeOptions o;
     o.grace_cycles = 0;
-    EXPECT_THROW(AdaptPolicy(o, kWorld), Error);
-    o = RuntimeOptions{};
-    o.readmit_clean_cycles = 0;
     EXPECT_THROW(AdaptPolicy(o, kWorld), Error);
 }
 

@@ -53,6 +53,13 @@ TEST(SuccessiveShares, AllUnloadedSplitsEvenly) {
     for (double x : s) EXPECT_NEAR(x, 1.0 / 3.0, 1e-9);
 }
 
+TEST(SuccessiveShares, ZeroCostsSplitEvenly) {
+    // No cost information: even shares, loaded node or not.
+    auto in = make_input({{1, 0}, {1, 1}, {1, 0}}, 12, 0.002);
+    in.row_costs.assign(12, 0.0);
+    for (double x : successive_shares(in)) EXPECT_EQ(x, 1.0 / 3);
+}
+
 TEST(SuccessiveShares, CommCostShiftsWorkOffLoadedNode) {
     // The §4.3 effect: with a CPU cost of communication, the loaded node
     // should get *less* than its naive relative-power share.
@@ -141,6 +148,10 @@ TEST(BlocksFromShares, ZeroCostFallbackUsesShares) {
         blocks_from_shares(std::vector<double>(8, 0.0), {0.5, 0.25, 0.25});
     EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0), 8);
     EXPECT_EQ(counts[0], 4);
+    // Flooring leaves a row over, which the top-up hands out in turn.
+    EXPECT_EQ(blocks_from_shares(std::vector<double>(10, 0.0),
+                                 {1.0 / 3, 1.0 / 3, 1.0 / 3}),
+              (std::vector<int>{4, 3, 3}));
 }
 
 TEST(BlocksFromShares, ZeroCostFallbackHonorsMinRows) {

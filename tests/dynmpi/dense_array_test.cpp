@@ -7,7 +7,7 @@
 namespace dynmpi {
 namespace {
 
-DenseArray make(int rows = 16, int cols = 4) {
+DenseArray make_dense(int rows = 16, int cols = 4) {
     return DenseArray("A", rows, cols, sizeof(double));
 }
 
@@ -22,7 +22,7 @@ void expect_filled(const DenseArray& a, int row) {
 }
 
 TEST(DenseArray, EnsureAllocatesZeroedRows) {
-    auto a = make();
+    auto a = make_dense();
     a.ensure_rows(RowSet(2, 5));
     EXPECT_EQ(a.held(), RowSet(2, 5));
     for (int r = 2; r < 5; ++r)
@@ -31,7 +31,7 @@ TEST(DenseArray, EnsureAllocatesZeroedRows) {
 }
 
 TEST(DenseArray, EnsureIsIdempotent) {
-    auto a = make();
+    auto a = make_dense();
     a.ensure_rows(RowSet(0, 4));
     fill(a, 1);
     a.ensure_rows(RowSet(0, 4)); // must not wipe existing data
@@ -40,14 +40,14 @@ TEST(DenseArray, EnsureIsIdempotent) {
 }
 
 TEST(DenseArray, AccessToMissingRowRejected) {
-    auto a = make();
+    auto a = make_dense();
     a.ensure_rows(RowSet(0, 2));
     EXPECT_THROW(a.at<double>(5, 0), Error);
     EXPECT_THROW(a.row_data(2), Error);
 }
 
 TEST(DenseArray, RowPtrChecksTypeAndHeldRow) {
-    auto a = make();
+    auto a = make_dense();
     a.ensure_rows(RowSet(0, 2));
     EXPECT_THROW(a.row_ptr<float>(0), Error);
     EXPECT_THROW(a.row_ptr<double>(5), Error);
@@ -60,7 +60,7 @@ TEST(DenseArray, RowPtrChecksTypeAndHeldRow) {
 }
 
 TEST(DenseArray, RowPtrMarksOnlyItsRowDirty) {
-    auto a = make();
+    auto a = make_dense();
     const RowSet all(0, 16);
     a.ensure_rows(all);
     a.clear_dirty(all);
@@ -76,7 +76,7 @@ TEST(DenseArray, RowPtrMarksOnlyItsRowDirty) {
 }
 
 TEST(DenseArray, DropReleasesRows) {
-    auto a = make();
+    auto a = make_dense();
     a.ensure_rows(RowSet(0, 8));
     a.drop_rows(RowSet(2, 4));
     EXPECT_FALSE(a.has_row(2));
@@ -86,11 +86,11 @@ TEST(DenseArray, DropReleasesRows) {
 }
 
 TEST(DenseArray, PackUnpackRoundTripsData) {
-    auto src = make();
+    auto src = make_dense();
     src.ensure_rows(RowSet(3, 7));
     for (int r = 3; r < 7; ++r) fill(src, r);
 
-    auto dst = make();
+    auto dst = make_dense();
     dst.unpack_rows(src.pack_rows(RowSet(4, 6)));
     EXPECT_EQ(dst.held(), RowSet(4, 6));
     expect_filled(dst, 4);
@@ -98,7 +98,7 @@ TEST(DenseArray, PackUnpackRoundTripsData) {
 }
 
 TEST(DenseArray, UnpackOverwritesExistingRows) {
-    auto src = make(), dst = make();
+    auto src = make_dense(), dst = make_dense();
     src.ensure_rows(RowSet(0, 1));
     fill(src, 0);
     dst.ensure_rows(RowSet(0, 1)); // zeroed
@@ -108,7 +108,7 @@ TEST(DenseArray, UnpackOverwritesExistingRows) {
 }
 
 TEST(DenseArray, PackNonContiguousRows) {
-    auto src = make(), dst = make();
+    auto src = make_dense(), dst = make_dense();
     RowSet rows;
     rows.add(1, 2);
     rows.add(9, 11);
@@ -122,7 +122,7 @@ TEST(DenseArray, PackNonContiguousRows) {
 }
 
 TEST(DenseArray, RetainOnlyKeepsRequestedRows) {
-    auto a = make();
+    auto a = make_dense();
     a.ensure_rows(RowSet(0, 10));
     fill(a, 4);
     a.retain_only(RowSet(4, 6));
@@ -131,65 +131,19 @@ TEST(DenseArray, RetainOnlyKeepsRequestedRows) {
 }
 
 TEST(DenseArray, EnsureOutOfRangeRejected) {
-    auto a = make(8);
+    auto a = make_dense(8);
     EXPECT_THROW(a.ensure_rows(RowSet(6, 10)), Error);
 }
 
 TEST(DenseArray, ProjectionDoesNotCopyOnGrowth) {
     // The headline property of §4.1.1: growing the held set never touches
     // existing rows.
-    auto a = make(1000, 64);
+    auto a = make_dense(1000, 64);
     a.ensure_rows(RowSet(0, 100));
     const std::byte* before = a.row_data(50);
     a.ensure_rows(RowSet(100, 900));
     EXPECT_EQ(a.row_data(50), before);
     EXPECT_EQ(a.stats().bytes_copied, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Contiguous baseline
-// ---------------------------------------------------------------------------
-
-TEST(ContiguousDenseArray, GrowthCopiesSurvivors) {
-    ContiguousDenseArray a("A", 1000, 64, sizeof(double));
-    a.ensure_rows(RowSet(0, 100));
-    a.at<double>(10, 3) = 42.0;
-    a.ensure_rows(RowSet(100, 900)); // re-extent to [0,900): full copy
-    EXPECT_GT(a.stats().bytes_copied, 0u);
-    EXPECT_DOUBLE_EQ(a.at<double>(10, 3), 42.0);
-    EXPECT_GE(a.stats().reallocations, 2u);
-}
-
-TEST(ContiguousDenseArray, ShiftOnFrontExtension) {
-    ContiguousDenseArray a("A", 100, 2, sizeof(double));
-    a.ensure_rows(RowSet(50, 60));
-    a.at<double>(55, 0) = 7.0;
-    std::uint64_t copied_before = a.stats().bytes_copied;
-    a.ensure_rows(RowSet(40, 50)); // extend at the front: everything shifts
-    EXPECT_GT(a.stats().bytes_copied, copied_before);
-    EXPECT_DOUBLE_EQ(a.at<double>(55, 0), 7.0);
-}
-
-TEST(ContiguousDenseArray, PackUnpackCompatibleWithProjection) {
-    // Both implementations share the wire format.
-    DenseArray src("A", 16, 4, sizeof(double));
-    src.ensure_rows(RowSet(2, 6));
-    for (int r = 2; r < 6; ++r)
-        for (int j = 0; j < 4; ++j) src.at<double>(r, j) = r + 0.25 * j;
-
-    ContiguousDenseArray dst("A", 16, 4, sizeof(double));
-    dst.unpack_rows(src.pack_rows(RowSet(2, 6)));
-    EXPECT_DOUBLE_EQ(dst.at<double>(3, 2), 3.5);
-}
-
-TEST(ContiguousDenseArray, DropShrinksToHeldSpan) {
-    ContiguousDenseArray a("A", 100, 2, sizeof(double));
-    a.ensure_rows(RowSet(0, 50));
-    a.at<double>(30, 1) = 9.0;
-    a.drop_rows(RowSet(0, 20));
-    EXPECT_EQ(a.held(), RowSet(20, 50));
-    EXPECT_DOUBLE_EQ(a.at<double>(30, 1), 9.0);
-    EXPECT_THROW(a.row_data(5), Error);
 }
 
 }  // namespace

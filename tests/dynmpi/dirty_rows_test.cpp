@@ -27,7 +27,7 @@ RowSet model_rows(const std::vector<bool>& model, const RowSet& scope) {
 
 /// One to three random intervals inside [0, n); ends land often on a
 /// multiple of eight (the rows one flag load covers) and near the array end.
-RowSet random_rows(Rng& rng, int n) {
+RowSet random_intervals(Rng& rng, int n) {
     const auto pick = [&]() -> int {
         switch (rng.next_below(4)) {
         case 0: return 8 * static_cast<int>(rng.next_below(
@@ -65,21 +65,21 @@ TEST(DirtyRows, RandomCallsMatchVectorModel) {
                 break;
             }
             case 1: {
-                const RowSet rows = random_rows(rng, n);
+                const RowSet rows = random_intervals(rng, n);
                 a.mark_rows_dirty(rows);
                 for (int r : rows.to_vector())
                     model[static_cast<std::size_t>(r)] = true;
                 break;
             }
             case 2: {
-                const RowSet rows = random_rows(rng, n);
+                const RowSet rows = random_intervals(rng, n);
                 a.clear_dirty(rows);
                 for (int r : rows.to_vector())
                     model[static_cast<std::size_t>(r)] = false;
                 break;
             }
             default: {
-                const RowSet scope = random_rows(rng, n);
+                const RowSet scope = random_intervals(rng, n);
                 ASSERT_EQ(a.dirty_rows(scope), model_rows(model, scope))
                     << "step " << step;
             }

@@ -495,8 +495,6 @@ TEST(FaultRecovery, StaleReportsFallBack) {
     fp.cycles = 80;
     fp.row_cost = 8e-3;
     fp.script = "drop-reports node=1 t=1\n";
-    fp.opts.report_staleness_s = 0.6;
-    fp.opts.quarantine_bad_reports = 1000; // isolate staleness from quarantine
     FaultOutcome out = run_with_faults(fp);
     EXPECT_TRUE(out.data_ok);
     EXPECT_GT(out.stale_fallbacks, 0);
@@ -513,8 +511,6 @@ TEST(FaultRecovery, StaleReportsAreTraced) {
     fp.cycles = 80;
     fp.row_cost = 8e-3;
     fp.script = "drop-reports node=1 t=1\n";
-    fp.opts.report_staleness_s = 0.6;
-    fp.opts.quarantine_bad_reports = 1000; // isolate staleness from quarantine
     support::trace().enable();
     FaultOutcome out = run_with_faults(fp);
     const auto evs = support::trace().sorted_events();
@@ -529,7 +525,7 @@ TEST(FaultRecovery, StaleReportsAreTraced) {
         EXPECT_EQ(e.args[1].key, "node");
         EXPECT_EQ(e.args[1].value, "1");
         EXPECT_EQ(e.args[2].key, "age_s");
-        EXPECT_GT(std::stod(e.args[2].value), fp.opts.report_staleness_s);
+        EXPECT_GT(std::stod(e.args[2].value), Runtime::kReportStalenessS);
     }
     EXPECT_GT(stale, 0);
     EXPECT_EQ(stale, out.stale_fallbacks);
@@ -543,10 +539,9 @@ TEST(FaultRecovery, QuarantineAndReadmit) {
     fp.rows = 48;
     fp.cycles = 140;
     fp.row_cost = 8e-3;
-    fp.script = "drop-reports node=1 t=1 dur=4\n";
-    fp.opts.report_staleness_s = 0.6;
-    fp.opts.quarantine_bad_reports = 2;
-    fp.opts.readmit_clean_cycles = 8;
+    // Reports go stale Runtime::kReportStalenessS into the 6 s gap, which
+    // leaves far more than AdaptPolicy::kQuarantineBadReports stale cycles.
+    fp.script = "drop-reports node=1 t=1 dur=6\n";
     fp.opts.grace_cycles = 3;
     FaultOutcome out = run_with_faults(fp);
     EXPECT_TRUE(out.data_ok);

@@ -12,67 +12,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstddef>
-#include <cstring>
 #include <map>
 #include <vector>
 
-#include "dynmpi/dense_array.hpp"
+#include "array_kinds.hpp"
 #include "dynmpi/replica.hpp"
-#include "dynmpi/sparse_matrix.hpp"
 #include "support/rng.hpp"
 #include "support/wire.hpp"
 
 namespace dynmpi {
 namespace {
 
-constexpr int kRows = 64;
+/// The row ids the tests draw from: the kinds' arrays have more rows.
+constexpr int kDrawRows = 64;
 constexpr int kElems = 3;
-constexpr int kCols = 16;
 
-using Bytes = std::vector<std::byte>;
-
-Bytes random_bytes(Rng& rng, std::size_t n) {
-    Bytes out(n);
-    for (auto& b : out) b = static_cast<std::byte>(rng.next_below(256));
-    return out;
-}
-
-/// `n` sparse entries of random bytes, padding included, with their column
-/// ids then set strictly ascending inside [0, kCols), as unpack requires.
-Bytes random_sparse_payload(Rng& rng, std::size_t n) {
-    Bytes out = random_bytes(rng, n * sizeof(SparseEntry));
-    int col = -1;
-    for (std::size_t k = 0; k < n; ++k) {
-        col += 1 + static_cast<int>(rng.next_below(3));
-        std::memcpy(out.data() + k * sizeof(SparseEntry) +
-                        offsetof(SparseEntry, col),
-                    &col, sizeof col);
-    }
-    return out;
-}
-
-struct Dense {
-    static DenseArray make() {
-        return DenseArray("d", kRows, kElems, sizeof(double));
-    }
-    static Bytes payload(Rng& rng) {
-        return random_bytes(rng, kElems * sizeof(double));
-    }
-};
-
-struct Sparse {
-    static SparseMatrix make() { return SparseMatrix("s", kRows, kCols); }
-    static Bytes payload(Rng& rng) {
-        return random_sparse_payload(rng, rng.next_below(5));
-    }
-};
-
-/// Up to 12 distinct rows drawn from [0, kRows), ascending.
+/// Up to 12 distinct rows drawn from [0, kDrawRows), ascending.
 std::vector<int> random_rows(Rng& rng) {
     std::vector<int> rows;
     for (std::uint64_t k = rng.next_below(13); k > 0; --k)
-        rows.push_back(static_cast<int>(rng.next_below(kRows)));
+        rows.push_back(static_cast<int>(rng.next_below(kDrawRows)));
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     return rows;
@@ -84,7 +43,7 @@ RowSet as_set(const std::vector<int>& rows) {
     return s;
 }
 
-using Model = std::map<int, Bytes>;
+using StoreModel = std::map<int, Bytes>;
 
 /// Pack-format framing of `rows` with the given payloads.
 Bytes frame(const std::vector<int>& rows, const std::vector<Bytes>& payloads) {
@@ -99,7 +58,7 @@ Bytes frame(const std::vector<int>& rows, const std::vector<Bytes>& payloads) {
 }
 
 /// The model's extract: the present rows of `rows`, ascending.
-Bytes model_extract(const Model& model, const RowSet& rows) {
+Bytes model_extract(const StoreModel& model, const RowSet& rows) {
     std::vector<int> present;
     std::vector<Bytes> payloads;
     for (const auto& [r, payload] : model)
@@ -119,9 +78,9 @@ TYPED_TEST(ReplicaModel, RandomSequencesMatchMapModel) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         SCOPED_TRACE(seed);
         Rng rng(seed * 7919);
-        const auto like = TypeParam::make();
+        const auto like = TypeParam::make("r");
         ReplicaStore store({&like});
-        Model model;
+        StoreModel model;
         for (int step = 0; step < 200; ++step) {
             const std::uint64_t op = rng.next_below(10);
             if (op < 6) {
@@ -146,9 +105,9 @@ TYPED_TEST(ReplicaModel, RandomSequencesMatchMapModel) {
             } else if (op < 9) {
                 // Extract a random range: rows the store never saw, or has
                 // dropped, are skipped.
-                const int lo = static_cast<int>(rng.next_below(kRows));
+                const int lo = static_cast<int>(rng.next_below(kDrawRows));
                 const int hi =
-                    lo + static_cast<int>(rng.next_below(kRows - lo + 1));
+                    lo + static_cast<int>(rng.next_below(kDrawRows - lo + 1));
                 RowSet rows(lo, hi);
                 if (rng.next_below(2) == 0) rows = as_set(random_rows(rng));
                 ASSERT_EQ(store.extract(0, rows), model_extract(model, rows))
@@ -158,8 +117,8 @@ TYPED_TEST(ReplicaModel, RandomSequencesMatchMapModel) {
                 model.clear();
             }
         }
-        EXPECT_EQ(store.extract(0, RowSet(0, kRows)),
-                  model_extract(model, RowSet(0, kRows)));
+        EXPECT_EQ(store.extract(0, RowSet(0, kDrawRows)),
+                  model_extract(model, RowSet(0, kDrawRows)));
     }
 }
 
@@ -167,7 +126,7 @@ TYPED_TEST(ReplicaModel, RandomSequencesMatchMapModel) {
 // what the buddy re-packed and gets the rows the owner shipped.
 TYPED_TEST(ReplicaModel, ExtractRestoresThroughUnpack) {
     Rng rng(4242);
-    const auto like = TypeParam::make();
+    const auto like = TypeParam::make("r");
     ReplicaStore store({&like});
     const std::vector<int> rows = {3, 4, 5, 9, 20, 21};
     std::vector<Bytes> payloads;
@@ -176,8 +135,8 @@ TYPED_TEST(ReplicaModel, ExtractRestoresThroughUnpack) {
     const Bytes blob = frame(rows, payloads);
     store.store_blob(0, blob);
 
-    auto adopter = TypeParam::make();
-    const Bytes restored = store.extract(0, RowSet(0, kRows));
+    auto adopter = TypeParam::make("r");
+    const Bytes restored = store.extract(0, RowSet(0, kDrawRows));
     EXPECT_EQ(restored, blob);
     EXPECT_EQ(adopter.unpack_rows(restored), as_set(rows));
     EXPECT_EQ(adopter.held(), as_set(rows));
@@ -185,8 +144,8 @@ TYPED_TEST(ReplicaModel, ExtractRestoresThroughUnpack) {
 }
 
 TEST(ReplicaStore, ShadowsEveryArrayInOrder) {
-    DenseArray d("d", kRows, kElems, sizeof(double));
-    SparseMatrix s("s", kRows, kCols);
+    DenseArray d("d", kDrawRows, kElems, sizeof(double));
+    SparseMatrix s("s", kDrawRows, kCols);
     ReplicaStore store({&d, &s});
     Rng rng(99);
     const Bytes dense_blob = frame({1, 2}, {random_bytes(rng, 24),
@@ -197,11 +156,11 @@ TEST(ReplicaStore, ShadowsEveryArrayInOrder) {
     // A dense payload of the wrong size does not fit array 0's shape.
     EXPECT_THROW(store.store_blob(0, sparse_blob), Error);
     EXPECT_THROW(store.store_blob(2, dense_blob), Error);
-    EXPECT_EQ(store.extract(0, RowSet(0, kRows)), dense_blob);
-    EXPECT_EQ(store.extract(1, RowSet(0, kRows)), sparse_blob);
+    EXPECT_EQ(store.extract(0, RowSet(0, kDrawRows)), dense_blob);
+    EXPECT_EQ(store.extract(1, RowSet(0, kDrawRows)), sparse_blob);
     store.clear();
-    EXPECT_EQ(store.extract(0, RowSet(0, kRows)), frame({}, {}));
-    EXPECT_EQ(store.extract(1, RowSet(0, kRows)), frame({}, {}));
+    EXPECT_EQ(store.extract(0, RowSet(0, kDrawRows)), frame({}, {}));
+    EXPECT_EQ(store.extract(1, RowSet(0, kDrawRows)), frame({}, {}));
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 namespace dynmpi {
 namespace {
 
-SparseMatrix make(int rows = 10, int cols = 10) {
+SparseMatrix make_sparse(int rows = 10, int cols = 10) {
     return SparseMatrix("S", rows, cols);
 }
 
@@ -29,7 +29,7 @@ void put64(std::vector<std::byte>& out, std::uint64_t v) {
 }
 
 TEST(SparseMatrix, SetAndGet) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 3));
     m.set(1, 4, 2.5);
     EXPECT_DOUBLE_EQ(m.get(1, 4), 2.5);
@@ -38,7 +38,7 @@ TEST(SparseMatrix, SetAndGet) {
 }
 
 TEST(SparseMatrix, SetOverwritesInPlace) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 1));
     m.set(0, 2, 1.0);
     m.set(0, 2, 3.0);
@@ -47,7 +47,7 @@ TEST(SparseMatrix, SetOverwritesInPlace) {
 }
 
 TEST(SparseMatrix, RowsKeptSortedByColumn) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 1));
     m.set(0, 7, 7.0);
     m.set(0, 2, 2.0);
@@ -58,7 +58,7 @@ TEST(SparseMatrix, RowsKeptSortedByColumn) {
 }
 
 TEST(SparseMatrix, EraseRemovesElement) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 1));
     m.set(0, 3, 1.0);
     EXPECT_TRUE(m.erase(0, 3));
@@ -67,28 +67,28 @@ TEST(SparseMatrix, EraseRemovesElement) {
 }
 
 TEST(SparseMatrix, AccessToMissingRowRejected) {
-    auto m = make();
+    auto m = make_sparse();
     EXPECT_THROW(m.set(0, 0, 1.0), Error);
     EXPECT_THROW(m.row(0), Error);
     EXPECT_THROW(m.get(0, 0), Error);
 }
 
 TEST(SparseMatrix, ColumnBoundsChecked) {
-    auto m = make(4, 4);
+    auto m = make_sparse(4, 4);
     m.ensure_rows(RowSet(0, 1));
     EXPECT_THROW(m.set(0, 4, 1.0), Error);
     EXPECT_THROW(m.set(0, -1, 1.0), Error);
 }
 
 TEST(SparseMatrix, PackUnpackRoundTripsDataAndMetadata) {
-    auto src = make();
+    auto src = make_sparse();
     src.ensure_rows(RowSet(0, 5));
     src.set(1, 3, 1.5);
     src.set(1, 7, 2.5);
     src.set(4, 0, -1.0);
     // Row 2 stays empty — empty rows must survive the trip too.
 
-    auto dst = make();
+    auto dst = make_sparse();
     dst.unpack_rows(src.pack_rows(RowSet(1, 5)));
     EXPECT_EQ(dst.held(), RowSet(1, 5));
     EXPECT_DOUBLE_EQ(dst.get(1, 3), 1.5);
@@ -99,12 +99,12 @@ TEST(SparseMatrix, PackUnpackRoundTripsDataAndMetadata) {
 }
 
 TEST(SparseMatrix, UnpackPreservesColumnOrder) {
-    auto src = make();
+    auto src = make_sparse();
     src.ensure_rows(RowSet(0, 1));
     src.set(0, 9, 9.0);
     src.set(0, 1, 1.0);
     src.set(0, 5, 5.0);
-    auto dst = make();
+    auto dst = make_sparse();
     dst.unpack_rows(src.pack_rows(RowSet(0, 1)));
     std::vector<int> cols;
     for (const auto& e : dst.row(0)) cols.push_back(e.col);
@@ -119,7 +119,7 @@ TEST(SparseMatrix, UnpackRejectsRowBeyondGlobalRows) {
     src.ensure_rows(RowSet(12, 13));
     src.set(12, 3, 1.0);
     auto blob = src.pack_rows(RowSet(12, 13));
-    auto dst = make(10, 10);
+    auto dst = make_sparse(10, 10);
     EXPECT_THROW(dst.unpack_rows(blob), Error);
     EXPECT_TRUE(dst.held().empty());
     EXPECT_FALSE(dst.has_row(12));
@@ -131,13 +131,13 @@ TEST(SparseMatrix, UnpackRejectsNegativeRowId) {
     put32(blob, 1);           // nrows
     put32(blob, 0xFFFFFFFFu); // row id -1
     put64(blob, 0);           // empty payload
-    auto dst = make();
+    auto dst = make_sparse();
     EXPECT_THROW(dst.unpack_rows(blob), Error);
     EXPECT_TRUE(dst.held().empty());
 }
 
 TEST(SparseMatrix, DropFreesRows) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 4));
     m.set(2, 2, 1.0);
     m.drop_rows(RowSet(2, 3));
@@ -151,7 +151,7 @@ TEST(SparseMatrix, DropFreesRows) {
 // ---------------------------------------------------------------------------
 
 TEST(SparseCursor, VisitsElementsInRowColumnOrder) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 4));
     m.set(0, 1, 0.1);
     m.set(2, 0, 2.0);
@@ -169,7 +169,7 @@ TEST(SparseCursor, VisitsElementsInRowColumnOrder) {
 }
 
 TEST(SparseCursor, SkipsEmptyRows) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 5)); // all empty
     m.set(4, 4, 1.0);
     auto c = m.cursor();
@@ -180,7 +180,7 @@ TEST(SparseCursor, SkipsEmptyRows) {
 }
 
 TEST(SparseCursor, SetNextUpdatesValues) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 1));
     m.set(0, 0, 1.0);
     m.set(0, 1, 2.0);
@@ -193,7 +193,7 @@ TEST(SparseCursor, SetNextUpdatesValues) {
 }
 
 TEST(SparseCursor, AdvanceRowSkipsRest) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 2));
     m.set(0, 0, 1.0);
     m.set(0, 1, 2.0);
@@ -206,7 +206,7 @@ TEST(SparseCursor, AdvanceRowSkipsRest) {
 }
 
 TEST(SparseCursor, MoveFirstRestarts) {
-    auto m = make();
+    auto m = make_sparse();
     m.ensure_rows(RowSet(0, 1));
     m.set(0, 0, 1.0);
     auto c = m.cursor();
@@ -218,7 +218,7 @@ TEST(SparseCursor, MoveFirstRestarts) {
 }
 
 TEST(SparseCursor, EmptyMatrixStartsAtEnd) {
-    auto m = make();
+    auto m = make_sparse();
     auto c = m.cursor();
     EXPECT_TRUE(c.at_end());
     EXPECT_THROW(c.next(), Error);

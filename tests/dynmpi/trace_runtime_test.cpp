@@ -203,18 +203,32 @@ TEST(TraceRuntime, ReaddsCountOnTheRejoiningRank) {
     EXPECT_EQ(mx.counter(CounterId::RuntimeDropsPhysical).value(), 1u);
 }
 
+// Buddy replication meters the bytes it ships and, after a crash, the rows
+// it restores: node 2's 12 rows, all refilled from its live buddy.
+TEST(TraceRuntime, ReplicationMetersBytesAndRestoredRows) {
+    Observed guard;
+    RuntimeOptions o;
+    o.replicate = true;
+    const RuntimeStats s =
+        run_metered("", "crash node=2 t=1.5\n", o, 40, /*reporter=*/0);
+    EXPECT_EQ(s.crash_repairs, 1);
+    auto& mx = support::metrics();
+    using support::CounterId;
+    EXPECT_GE(mx.counter(CounterId::RuntimeReplicaBytes).value(),
+              s.replica_bytes);
+    EXPECT_GT(s.replica_bytes, 0u);
+    EXPECT_EQ(mx.counter(CounterId::RuntimeRestoredRows).value(), 12u);
+}
+
 // Run-level metrics and quarantine decisions count on the leader, also
 // when the leader is not world rank 0 (node 0 crashed first, so node 1
 // leads): every cycle and the crash are counted once.
 TEST(TraceRuntime, QuarantinesCountOnTheLeader) {
     Observed guard;
     RuntimeOptions o;
-    o.report_staleness_s = 0.6;
-    o.quarantine_bad_reports = 2;
-    o.readmit_clean_cycles = 8;
     o.grace_cycles = 3;
     const RuntimeStats s = run_metered(
-        "", "crash node=0 t=0.5\ndrop-reports node=2 t=1 dur=4\n", o, 140,
+        "", "crash node=0 t=0.5\ndrop-reports node=2 t=1 dur=6\n", o, 140,
         /*reporter=*/1);
     EXPECT_GE(s.quarantines, 1);
     EXPECT_GE(s.quarantine_readmits, 1);

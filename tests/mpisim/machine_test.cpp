@@ -317,7 +317,34 @@ TEST(Machine, TwentyCrashReviveCyclesUnwindEveryIncarnation) {
     EXPECT_EQ(m.cluster().node_generation(1), 20);
 }
 
+TEST(Machine, ReviveOfARankThatFailedKeepsItsErrorForRun) {
+    // Rank 1's first incarnation fails before its node crashes; the revive
+    // must not replace that state with a fresh incarnation (which would
+    // run cleanly), so run() still rethrows the error.
+    Machine m(quiet_cluster(2));
+    m.cluster().install_faults(
+        sim::FaultPlan::parse("crash node=1 t=0.5\nrevive node=1 t=1\n"));
+    int started = 0;
+    EXPECT_THROW(m.run([&](Rank& r) {
+        if (r.id() == 0) {
+            r.sleep(2.0);
+            return;
+        }
+        ++started;
+        if (r.node().generation() == 0) throw std::runtime_error("rank boom");
+    }),
+                 std::runtime_error);
+    EXPECT_EQ(started, 1);
+}
+
 // ---- explicit revocation and peer failure ----
+
+TEST(Machine, FailureExceptionsNameThemselves) {
+    EXPECT_STREQ(MachineAborted{}.what(), "simulation machine aborted");
+    EXPECT_STREQ(NodeCrashed{}.what(), "node crashed");
+    EXPECT_STREQ(PeerFailure{3}.what(), "peer rank failed");
+    EXPECT_STREQ(EpochRevoked{}.what(), "control epoch revoked");
+}
 
 TEST(Machine, RevokeControlWakesOnlyControlPlaneRecvs) {
     // Ranks 1 and 2 wait in a control-plane recv, rank 3 in a user-plane

@@ -160,6 +160,21 @@ TEST(MpiCompat, UnsupportedCommRejected) {
                  Error);
 }
 
+TEST(MpiCompat, UnsupportedDatatypeOrOpRejected) {
+    EXPECT_THROW(mpi_type_size(99), Error);
+    msg::Machine m(quiet_cluster(1));
+    m.run([](msg::Rank& r) {
+        MPI_Init(r);
+        int in = 1, out = 0;
+        EXPECT_THROW(
+            MPI_Allreduce(&in, &out, 1, MPI_BYTE, MPI_SUM, MPI_COMM_WORLD),
+            Error);
+        EXPECT_THROW(MPI_Allreduce(&in, &out, 1, MPI_INT, 99, MPI_COMM_WORLD),
+                     Error);
+        MPI_Finalize();
+    });
+}
+
 TEST(MpiCompat, AnyTagAndAnySource) {
     msg::Machine m(quiet_cluster(2));
     m.run([](msg::Rank& r) {

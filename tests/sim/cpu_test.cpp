@@ -36,7 +36,10 @@ TEST(Cpu, OneCompetitorDoublesElapsed) {
     Cpu cpu(e, 0, quiet_cpu(), 1);
     cpu.set_runnable_competitors(1);
     cpu.start_batch(3.0, [] {});
+    double mid = -1.0; // read mid-batch: half of the 2 s of wall time so far
+    e.at(from_seconds(2.0), [&] { mid = cpu.app_cpu_seconds(); });
     e.run();
+    EXPECT_NEAR(mid, 1.0, 1e-6);
     EXPECT_NEAR(to_seconds(e.now()), 6.0, 1e-6);
     // CPU time consumed is still the unloaded cost.
     EXPECT_NEAR(cpu.app_cpu_seconds(), 3.0, 1e-6);

@@ -107,6 +107,9 @@ TEST(FaultPlanValidate, RejectsOutOfRangeAndNonsense) {
     EXPECT_THROW(FaultPlan::parse("lose-sends node=0 t=1\n").validate(4),
                  Error);
     EXPECT_THROW(FaultPlan::parse("net-delay t=1\n").validate(4), Error);
+    EXPECT_THROW(
+        FaultPlan::parse("delay-reports node=0 t=1 delay=0\n").validate(4),
+        Error);
     EXPECT_THROW(FaultPlan::parse("crash node=0 t=-1\n").validate(4), Error);
 }
 

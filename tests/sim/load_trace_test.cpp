@@ -48,6 +48,8 @@ TEST(LoadTrace, RejectsGarbage) {
     EXPECT_THROW(parse_load_trace("node 1: 1.0 inf x0\n"), Error);
     EXPECT_THROW(parse_load_trace("node 1: 1.0 wat\n"), Error);
     EXPECT_THROW(parse_load_trace("node 1: 1.0 inf bursty(0.1)\n"), Error);
+    EXPECT_THROW(parse_load_trace("node 1: 1.0 .\n"), Error); // bad end time
+    EXPECT_THROW(parse_load_trace("node 1: 1.0 inf xab\n"), Error); // count
 }
 
 TEST(LoadTrace, FormatRoundTrips) {

@@ -54,6 +54,15 @@ TEST_F(NetFixture, PayloadArrivesIntact) {
     EXPECT_EQ(delivered[0].payload.size(), 16u);
 }
 
+TEST_F(NetFixture, DestinationCrashedInFlightDropsThePacket) {
+    auto net = make();
+    EXPECT_TRUE(net->transmit(make_packet(0, 1, 125000))); // lands at ~10 ms
+    e.at(from_seconds(0.005), [&] { net->mark_crashed(1); });
+    e.run();
+    EXPECT_TRUE(delivered.empty());
+    EXPECT_EQ(net->messages_sent(), 1u);
+}
+
 TEST_F(NetFixture, SenderNicSerializesBackToBackMessages) {
     auto net = make();
     net->transmit(make_packet(0, 1, 125000));

@@ -104,12 +104,15 @@ TEST(Metrics, CsvHasHeaderAndKinds) {
     r.counter(CounterId::BalancerCalls).add(5);
     r.gauge(GaugeId::MachineElapsedS).set(1.5);
     r.histogram(HistogramId::RedistWallS).record(2.0);
+    r.histogram(HistogramId::BalancerRounds); // created, never recorded
     std::string csv = r.csv();
     EXPECT_EQ(csv.substr(0, csv.find('\n')),
               "name,kind,value,count,sum,min,max,mean,p50,p90,p99");
     EXPECT_NE(csv.find("balancer.calls,counter,5,"), std::string::npos);
     EXPECT_NE(csv.find("machine.elapsed_s,gauge,1.5,"), std::string::npos);
     EXPECT_NE(csv.find("redist.wall_s,histogram,,1,2,2,2,2,2,2,2"),
+              std::string::npos);
+    EXPECT_NE(csv.find("balancer.rounds,histogram,,0,,,,,,,\n"),
               std::string::npos);
 }
 

@@ -122,6 +122,7 @@ TEST(Trace, JsonEscape) {
     EXPECT_EQ(json_escape("plain"), "plain");
     EXPECT_EQ(json_escape("q\"b\\s"), "q\\\"b\\\\s");
     EXPECT_EQ(json_escape("tab\tnl\n"), "tab\\tnl\\n");
+    EXPECT_EQ(json_escape("cr\r"), "cr\\r");
     EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
 }
 

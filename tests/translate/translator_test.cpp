@@ -85,6 +85,7 @@ TEST(Translator, InfersNoneWithoutCrossIterationRefs) {
     p.loops[0].refs = {ArrayRef{"A", AccessMode::Write, false, 1, 0}};
     auto plan = translate(p);
     EXPECT_EQ(plan.phases[0].comm.pattern, CommPattern::None);
+    EXPECT_NE(emit_source(plan).find("DMPI_NONE"), std::string::npos);
 }
 
 TEST(Translator, GlobalizeConvertsLocalView) {
