@@ -9,9 +9,11 @@
 //
 // Algorithms are the classic binomial-tree (bcast, reduce) and linear-gather
 // variants; with an eager, buffered message layer they are deadlock-free for
-// any group size, including singletons.  bcast is the only broadcast tree:
-// allgather is a linear gather at member 0 plus two bcasts, and it hands
-// back one flat buffer rather than a vector per member.
+// any group size, including singletons.  bcast_payload is the only broadcast
+// tree: every member forwards the payload it received to its children
+// without copying it.  bcast is a typed wrapper over it, and allgather is a
+// linear gather at member 0 plus two broadcasts; it hands back the one
+// broadcast buffer, read in place, rather than a vector per member.
 #pragma once
 
 #include <algorithm>
@@ -94,16 +96,17 @@ inline std::uint64_t coll_tag(const Group& g, std::uint64_t seq) {
     return make_tag(TagSpace::Collective, hash_combine(g.hash(), seq));
 }
 
-/// A received payload as elements of T; a byte payload moves through.
+/// A received payload as elements of T.  A byte payload moves out when
+/// nothing else shares it; any other is copied in one range copy (the
+/// buffer comes from operator new, so it is aligned for T).
 template <typename T>
-std::vector<T> bytes_to_vector(std::vector<std::byte>&& raw) {
+std::vector<T> bytes_to_vector(sim::Payload&& raw) {
     static_assert(std::is_trivially_copyable_v<T>);
     if constexpr (std::is_same_v<T, std::byte>) {
-        return std::move(raw);
+        return std::move(raw).take();
     } else {
-        std::vector<T> v(raw.size() / sizeof(T));
-        if (!raw.empty()) std::memcpy(v.data(), raw.data(), raw.size());
-        return v;
+        const auto* first = reinterpret_cast<const T*>(raw.data());
+        return std::vector<T>(first, first + raw.size() / sizeof(T));
     }
 }
 
@@ -124,23 +127,25 @@ struct OpMax {
 };
 
 /// Broadcast `data` from the member with relative rank `root` to all members
-/// (binomial tree).  Non-roots receive into (and resize) `data`.
-template <typename T>
-void bcast(Rank& rank, const Group& g, int root, std::vector<T>& data) {
-    static_assert(std::is_trivially_copyable_v<T>);
+/// (binomial tree) and return the bytes: `data` itself on the root, the
+/// payload received from the parent elsewhere.  Each member forwards that
+/// one buffer to its children, so no hop copies it.  Non-roots' `data` is
+/// ignored.
+inline sim::Payload bcast_payload(Rank& rank, const Group& g, int root,
+                                  sim::Payload data) {
     const int n = g.size();
     const int rel = g.index_of(rank.id());
     DYNMPI_REQUIRE(rel >= 0, "bcast by non-member");
     DYNMPI_REQUIRE(root >= 0 && root < n, "bcast root out of range");
     std::uint64_t tag = detail::coll_tag(g, rank.next_group_seq(g.hash()));
-    if (n == 1) return;
+    if (n == 1) return data;
 
     const int vrank = (rel - root + n) % n;
     int mask = 1;
     while (mask < n) {
         if (vrank & mask) {
             int parent = g.member(((vrank - mask) + root) % n);
-            data = detail::bytes_to_vector<T>(rank.recv_wire(parent, tag));
+            data = rank.recv_payload(parent, tag);
             break;
         }
         mask <<= 1;
@@ -149,10 +154,27 @@ void bcast(Rank& rank, const Group& g, int root, std::vector<T>& data) {
     while (mask > 0) {
         if (vrank + mask < n) {
             int child = g.member((vrank + mask + root) % n);
-            rank.send_wire(child, tag, data.data(), data.size() * sizeof(T));
+            rank.send_wire(child, tag, data);
         }
         mask >>= 1;
     }
+    return data;
+}
+
+/// Broadcast `data` from the member with relative rank `root` to all members.
+/// The root copies `data` once; non-roots receive into (and resize) it.
+template <typename T>
+void bcast(Rank& rank, const Group& g, int root, std::vector<T>& data) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    // A singleton root sends nothing, so it needs no copy.
+    if (g.index_of(rank.id()) == root) {
+        bcast_payload(rank, g, root,
+                      g.size() == 1 ? sim::Payload()
+                                    : sim::Payload(data.data(),
+                                                   data.size() * sizeof(T)));
+        return;
+    }
+    data = detail::bytes_to_vector<T>(bcast_payload(rank, g, root, {}));
 }
 
 /// Reduce element-wise into the root's copy (binomial tree, commutative op).
@@ -174,7 +196,8 @@ std::vector<T> reduce(Rank& rank, const Group& g, int root, std::vector<T> data,
             int src_v = vrank | mask;
             if (src_v < n) {
                 int src = g.member((src_v + root) % n);
-                auto part = detail::bytes_to_vector<T>(rank.recv_wire(src, tag));
+                auto part =
+                    detail::bytes_to_vector<T>(rank.recv_payload(src, tag));
                 DYNMPI_CHECK(part.size() == data.size(),
                              "reduce length mismatch");
                 for (std::size_t i = 0; i < data.size(); ++i)
@@ -230,8 +253,8 @@ std::vector<std::vector<T>> gather(Rank& rank, const Group& g, int root,
         out[static_cast<std::size_t>(rel)].assign(mine, mine + count);
         for (int r = 0; r < n; ++r) {
             if (r == root) continue;
-            out[static_cast<std::size_t>(r)] =
-                detail::bytes_to_vector<T>(rank.recv_wire(g.member(r), tag));
+            out[static_cast<std::size_t>(r)] = detail::bytes_to_vector<T>(
+                rank.recv_payload(g.member(r), tag));
         }
     } else {
         rank.send_wire(g.member(root), tag, mine, count * sizeof(T));
@@ -246,14 +269,15 @@ std::vector<std::vector<T>> gather(Rank& rank, const Group& g, int root,
 }
 
 /// Every member's elements, flat in member order, as allgather delivers
-/// them.  The elements stay in the byte buffer that arrived and are read as
-/// `const T*` (the pattern DenseArray::row_ptr uses for rows).
+/// them.  The elements stay in the broadcast buffer, shared with the packets
+/// that carried it, and are read as `const T*` (the pattern
+/// DenseArray::row_ptr uses for rows).
 template <typename T>
 class Gathered {
 public:
     /// `lengths` holds each member's element count; they must add up to
     /// the elements in `bytes`.
-    Gathered(std::vector<std::byte> bytes, std::vector<std::uint64_t> lengths)
+    Gathered(sim::Payload bytes, std::vector<std::uint64_t> lengths)
         : bytes_(std::move(bytes)), starts_(std::move(lengths)) {
         static_assert(std::is_trivially_copyable_v<T>);
         // data() reads the bytes as T, so operator new's alignment must do.
@@ -279,16 +303,18 @@ public:
     }
 
 private:
-    std::vector<std::byte> bytes_;
+    sim::Payload bytes_;
     std::vector<std::uint64_t> starts_;  ///< per member
 };
 
 /// Allgather: every member ends with every member's elements, flat in member
 /// order.  Member 0 gathers the payloads (through gather) and appends them to
 /// one buffer, then broadcasts the per-member lengths and that buffer.  Every
-/// other member keeps the broadcast payload it received as the result.
+/// member's result reads that one buffer: member 0's own, and elsewhere the
+/// broadcast payload it received and forwarded.
 template <typename T>
-Gathered<T> allgather(Rank& rank, const Group& g, const std::vector<T>& mine) {
+Gathered<T> allgather(Rank& rank, const Group& g, const T* mine,
+                      std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
     const int rel = g.index_of(rank.id());
     DYNMPI_REQUIRE(rel >= 0, "allgather by non-member");
@@ -296,8 +322,8 @@ Gathered<T> allgather(Rank& rank, const Group& g, const std::vector<T>& mine) {
     // Every member's payload as bytes at member 0 (moved out of the
     // packets), appended into one buffer reserved once.
     std::vector<std::vector<std::byte>> got =
-        gather(rank, g, 0, reinterpret_cast<const std::byte*>(mine.data()),
-               mine.size() * sizeof(T));
+        gather(rank, g, 0, reinterpret_cast<const std::byte*>(mine),
+               count * sizeof(T));
     std::vector<std::uint64_t> lengths;
     std::vector<std::byte> flat;
     if (rel == 0) {
@@ -315,8 +341,13 @@ Gathered<T> allgather(Rank& rank, const Group& g, const std::vector<T>& mine) {
         }
     }
     bcast(rank, g, 0, lengths);
-    bcast(rank, g, 0, flat);
-    return Gathered<T>(std::move(flat), std::move(lengths));
+    return Gathered<T>(bcast_payload(rank, g, 0, std::move(flat)),
+                       std::move(lengths));
+}
+
+template <typename T>
+Gathered<T> allgather(Rank& rank, const Group& g, const std::vector<T>& mine) {
+    return allgather(rank, g, mine.data(), mine.size());
 }
 
 /// Scalar allgather convenience: returns one value per member, in relative
@@ -349,7 +380,7 @@ std::vector<T> scatter(Rank& rank, const Group& g, int root,
         }
         return chunks[static_cast<std::size_t>(root)];
     }
-    return detail::bytes_to_vector<T>(rank.recv_wire(g.member(root), tag));
+    return detail::bytes_to_vector<T>(rank.recv_payload(g.member(root), tag));
 }
 
 /// Inclusive prefix reduction: member j returns op(v_0, ..., v_j),
@@ -362,8 +393,8 @@ std::vector<T> scan(Rank& rank, const Group& g, std::vector<T> data, Op op) {
     DYNMPI_REQUIRE(rel >= 0, "scan by non-member");
     std::uint64_t tag = detail::coll_tag(g, rank.next_group_seq(g.hash()));
     if (rel > 0) {
-        auto prefix =
-            detail::bytes_to_vector<T>(rank.recv_wire(g.member(rel - 1), tag));
+        auto prefix = detail::bytes_to_vector<T>(
+            rank.recv_payload(g.member(rel - 1), tag));
         DYNMPI_CHECK(prefix.size() == data.size(), "scan length mismatch");
         for (std::size_t i = 0; i < data.size(); ++i)
             data[i] = op(prefix[i], data[i]);
@@ -387,7 +418,7 @@ std::vector<T> ring_shift(Rank& rank, const Group& g,
     int dst = ((rel + distance) % n + n) % n;
     int src = ((rel - distance) % n + n) % n;
     rank.send_wire(g.member(dst), tag, mine.data(), mine.size() * sizeof(T));
-    return detail::bytes_to_vector<T>(rank.recv_wire(g.member(src), tag));
+    return detail::bytes_to_vector<T>(rank.recv_payload(g.member(src), tag));
 }
 
 /// All-to-all of per-destination vectors.  outgoing[j] goes to relative rank
@@ -416,7 +447,8 @@ std::vector<std::vector<T>> alltoall(Rank& rank, const Group& g,
     for (int s = 1; s < n; ++s) {
         int src_rel = (rel - s + n) % n;
         incoming[static_cast<std::size_t>(src_rel)] =
-            detail::bytes_to_vector<T>(rank.recv_wire(g.member(src_rel), tag));
+            detail::bytes_to_vector<T>(
+                rank.recv_payload(g.member(src_rel), tag));
     }
     return incoming;
 }

@@ -168,11 +168,12 @@ int MPI_Bcast(void* buf, int count, MPI_Datatype type, int root,
               MPI_Comm comm) {
     check_comm(comm);
     std::size_t bytes = static_cast<std::size_t>(count) * mpi_type_size(type);
-    std::vector<std::byte> v(bytes);
-    std::memcpy(v.data(), buf, bytes);
-    msg::bcast(bound(), msg::Group::world(bound()), root, v);
-    DYNMPI_REQUIRE(v.size() == bytes, "bcast size mismatch");
-    std::memcpy(buf, v.data(), bytes);
+    const bool at_root = bound().id() == root;
+    const sim::Payload got =
+        msg::bcast_payload(bound(), msg::Group::world(bound()), root,
+                           at_root ? sim::Payload(buf, bytes) : sim::Payload());
+    DYNMPI_REQUIRE(got.size() == bytes, "bcast size mismatch");
+    if (!at_root && bytes > 0) std::memcpy(buf, got.data(), bytes);
     return MPI_SUCCESS;
 }
 
@@ -213,9 +214,9 @@ int MPI_Allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
                    "MPI_Allgather requires matching send/recv signatures");
     std::size_t bytes =
         static_cast<std::size_t>(sendcount) * mpi_type_size(sendtype);
-    std::vector<std::byte> mine(bytes);
-    std::memcpy(mine.data(), sendbuf, bytes);
-    const auto all = msg::allgather(bound(), msg::Group::world(bound()), mine);
+    const auto all = msg::allgather(bound(), msg::Group::world(bound()),
+                                    static_cast<const std::byte*>(sendbuf),
+                                    bytes);
     for (int r = 0; r < all.members(); ++r)
         DYNMPI_REQUIRE(all.length(r) == bytes, "allgather size mismatch");
     if (all.size() > 0) std::memcpy(recvbuf, all.data(), all.size());
@@ -230,9 +231,8 @@ int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
                    "MPI_Gather requires matching send/recv signatures");
     std::size_t bytes =
         static_cast<std::size_t>(sendcount) * mpi_type_size(sendtype);
-    std::vector<std::byte> mine(bytes);
-    std::memcpy(mine.data(), sendbuf, bytes);
-    auto all = msg::gather(bound(), msg::Group::world(bound()), root, mine);
+    auto all = msg::gather(bound(), msg::Group::world(bound()), root,
+                           static_cast<const std::byte*>(sendbuf), bytes);
     int me;
     MPI_Comm_rank(comm, &me);
     if (me == root) {

@@ -1,6 +1,7 @@
 #include "mpisim/rank.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "support/error.hpp"
@@ -75,18 +76,16 @@ void Rank::send_wire(int dst, std::uint64_t wire_tag, const void* data,
     // Charge first: the compute yields, and the copy must not live across
     // it.
     charge_send_cost(dst, bytes);
-    const auto* first = static_cast<const std::byte*>(data);
-    transmit_wire(dst, wire_tag, std::vector<std::byte>(first, first + bytes));
+    transmit_wire(dst, wire_tag, sim::Payload(data, bytes));
 }
 
-void Rank::send_wire(int dst, std::uint64_t wire_tag,
-                     std::vector<std::byte> payload) {
+void Rank::send_wire(int dst, std::uint64_t wire_tag, sim::Payload payload) {
     charge_send_cost(dst, payload.size());
     transmit_wire(dst, wire_tag, std::move(payload));
 }
 
 void Rank::transmit_wire(int dst, std::uint64_t wire_tag,
-                         std::vector<std::byte> payload) {
+                         sim::Payload payload) {
     sim::Packet p;
     p.src = id_;
     p.dst = dst;
@@ -264,10 +263,14 @@ void Rank::waitall(std::vector<Request>& reqs) {
     for (auto& r : reqs) wait(r);
 }
 
-std::vector<std::byte> Rank::recv_wire(int src, std::uint64_t wire_tag) {
+sim::Payload Rank::recv_payload(int src, std::uint64_t wire_tag) {
     sim::Packet p = recv_packet(src, wire_tag, false);
     charge_recv_cost(p.payload.size());
     return std::move(p.payload);
+}
+
+std::vector<std::byte> Rank::recv_wire(int src, std::uint64_t wire_tag) {
+    return recv_payload(src, wire_tag).take();
 }
 
 void Rank::sync_revocations() {

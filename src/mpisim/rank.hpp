@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <utility>
@@ -103,9 +102,9 @@ public:
         static_assert(std::is_trivially_copyable_v<T>);
         sim::Packet p = recv_packet(src, wire_tag(tag), false);
         charge_recv_cost(p.payload.size());
-        std::vector<T> v(p.payload.size() / sizeof(T));
-        std::memcpy(v.data(), p.payload.data(), p.payload.size());
-        return v;
+        // The payload buffer comes from operator new, so it is aligned for T.
+        const auto* first = reinterpret_cast<const T*>(p.payload.data());
+        return std::vector<T>(first, first + p.payload.size() / sizeof(T));
     }
 
     /// Exchange with two peers in one call (halo exchange helper).
@@ -140,9 +139,13 @@ public:
     /// Charges the send's CPU cost, then copies `data` into the packet.
     void send_wire(int dst, std::uint64_t wire_tag, const void* data,
                    std::size_t bytes);
-    /// Same wire effect, but the packet takes `payload` without a copy.
-    void send_wire(int dst, std::uint64_t wire_tag,
-                   std::vector<std::byte> payload);
+    /// Same wire effect, but the packet shares `payload` (or takes a
+    /// vector) without a copy.
+    void send_wire(int dst, std::uint64_t wire_tag, sim::Payload payload);
+    /// The received bytes, shared with every packet that still holds them.
+    sim::Payload recv_payload(int src, std::uint64_t wire_tag);
+    /// The received bytes as an owned vector: moved out of the packet when
+    /// nothing else shares them, copied otherwise.
     std::vector<std::byte> recv_wire(int src, std::uint64_t wire_tag);
 
     // ---- control plane (daemon-band traffic) ----
@@ -230,8 +233,7 @@ private:
     /// The CPU component of a send (data plane only).
     void charge_send_cost(int dst, std::size_t bytes);
     /// Hand `payload` to the network, retrying transient failures.
-    void transmit_wire(int dst, std::uint64_t wire_tag,
-                       std::vector<std::byte> payload);
+    void transmit_wire(int dst, std::uint64_t wire_tag, sim::Payload payload);
 
     Machine& machine_;
     int id_;

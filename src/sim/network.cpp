@@ -1,11 +1,17 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "support/error.hpp"
 
 namespace dynmpi::sim {
+
+std::vector<std::byte> Payload::take() && {
+    std::shared_ptr<std::vector<std::byte>> mine = std::move(bytes_);
+    if (!mine) return {};
+    if (mine.use_count() == 1) return std::move(*mine);
+    return *mine;
+}
 
 Network::Network(Engine& engine, NetParams params, int num_nodes)
     : engine_(engine), params_(params) {
@@ -79,10 +85,11 @@ bool Network::transmit(Packet&& p) {
             start + xfer + from_seconds(params_.latency_s + extra_latency_);
     }
 
-    auto boxed = std::make_shared<Packet>(std::move(p));
-    engine_.at(deliver_at, [this, boxed] {
+    // The event owns the packet: copying it (as std::function may) shares
+    // the payload.
+    engine_.at(deliver_at, [this, p = std::move(p)]() mutable {
         // The destination may have crashed while the packet was in flight.
-        if (!crashed(boxed->dst)) deliver_(std::move(*boxed));
+        if (!crashed(p.dst)) deliver_(std::move(p));
     });
     return true;
 }

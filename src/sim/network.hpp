@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -36,7 +37,41 @@ struct NetParams {
     }
 };
 
-/// A message in flight.  Tag semantics belong to the message layer.
+/// A packet's bytes: immutable once built and shared by reference count,
+/// so copying a packet copies no bytes and a broadcast forwards the buffer
+/// it received to every child.  An empty payload holds no buffer.
+class Payload {
+public:
+    Payload() = default;
+    /// Takes the bytes without a copy (implicit: an encoded blob is sent as
+    /// is).
+    Payload(std::vector<std::byte> bytes)
+        : bytes_(bytes.empty() ? nullptr
+                               : std::make_shared<std::vector<std::byte>>(
+                                     std::move(bytes))) {}
+    /// Copies `size` bytes from `data`.
+    Payload(const void* data, std::size_t size)
+        : bytes_(size == 0 ? nullptr
+                           : std::make_shared<std::vector<std::byte>>(
+                                 static_cast<const std::byte*>(data),
+                                 static_cast<const std::byte*>(data) + size)) {}
+
+    const std::byte* data() const { return bytes_ ? bytes_->data() : nullptr; }
+    std::size_t size() const { return bytes_ ? bytes_->size() : 0; }
+    bool empty() const { return size() == 0; }
+
+    /// The bytes as an owned vector, leaving this payload empty: moved out
+    /// when this is the only reference, copied otherwise.
+    std::vector<std::byte> take() &&;
+
+private:
+    // Never written through once built: every packet holding it reads the
+    // same bytes.
+    std::shared_ptr<std::vector<std::byte>> bytes_;
+};
+
+/// A message in flight.  Tag semantics belong to the message layer.  A copy
+/// shares the payload.
 struct Packet {
     int src = -1;
     int dst = -1;
@@ -45,7 +80,7 @@ struct Packet {
     /// not charged to the application CPU — the dmpi_ps daemons gossip load
     /// and coordination data out-of-band (paper §4.2).
     bool control = false;
-    std::vector<std::byte> payload;
+    Payload payload;
 };
 
 class Network {

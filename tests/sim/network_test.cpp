@@ -12,7 +12,7 @@ Packet make_packet(int src, int dst, std::size_t bytes, std::uint64_t tag = 0) {
     p.src = src;
     p.dst = dst;
     p.tag = tag;
-    p.payload.assign(bytes, std::byte{0xAB});
+    p.payload = std::vector<std::byte>(bytes, std::byte{0xAB});
     return p;
 }
 
@@ -42,16 +42,51 @@ TEST_F(NetFixture, DeliveryTimeIsLatencyPlusSerialization) {
 
 TEST_F(NetFixture, PayloadArrivesIntact) {
     auto net = make();
-    Packet p = make_packet(2, 3, 16, 77);
-    p.payload[5] = std::byte{0x42};
+    Packet p = make_packet(2, 3, 0, 77);
+    std::vector<std::byte> bytes(16, std::byte{0xAB});
+    bytes[5] = std::byte{0x42};
+    p.payload = std::move(bytes);
     net->transmit(std::move(p));
     e.run();
     ASSERT_EQ(delivered.size(), 1u);
     EXPECT_EQ(delivered[0].tag, 77u);
     EXPECT_EQ(delivered[0].src, 2);
     EXPECT_EQ(delivered[0].dst, 3);
-    EXPECT_EQ(delivered[0].payload[5], std::byte{0x42});
+    EXPECT_EQ(delivered[0].payload.data()[5], std::byte{0x42});
     EXPECT_EQ(delivered[0].payload.size(), 16u);
+}
+
+TEST_F(NetFixture, CopiedPacketsShareOnePayload) {
+    auto net = make();
+    Packet p = make_packet(0, 1, 64);
+    Packet q = p;
+    q.dst = 2;
+    const std::byte* buffer = p.payload.data();
+    net->transmit(std::move(p));
+    net->transmit(std::move(q));
+    e.run();
+    ASSERT_EQ(delivered.size(), 2u);
+    EXPECT_EQ(delivered[0].payload.data(), buffer);
+    EXPECT_EQ(delivered[1].payload.data(), buffer);
+    EXPECT_EQ(net->bytes_sent(), 128u); // each packet still counts its bytes
+}
+
+TEST(Payload, TakeMovesTheOnlyReferenceAndCopiesASharedOne) {
+    Payload only(std::vector<std::byte>(32, std::byte{7}));
+    const std::byte* buffer = only.data();
+    std::vector<std::byte> moved = std::move(only).take();
+    EXPECT_EQ(moved.data(), buffer);
+    EXPECT_TRUE(only.empty());
+
+    Payload shared(moved.data(), moved.size());
+    const Payload other = shared;
+    std::vector<std::byte> copied = std::move(shared).take();
+    EXPECT_NE(copied.data(), other.data());
+    EXPECT_EQ(copied, moved);
+    EXPECT_EQ(other.size(), 32u);
+
+    EXPECT_TRUE(std::move(Payload()).take().empty());
+    EXPECT_EQ(Payload(std::vector<std::byte>{}).data(), nullptr);
 }
 
 TEST_F(NetFixture, DestinationCrashedInFlightDropsThePacket) {
