@@ -334,14 +334,11 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
                 rr = rr_new;
                 update_p(mine, beta, R, P);
                 rt.end_cycle();
-            } catch (const msg::PeerFailure&) {
-                // A peer died mid-cycle.  Wake every rank stranded in the
-                // abandoned collective, then join the survivors in
+            } catch (const msg::EpochRevoked&) {
+                // A peer died mid-cycle, and its crash woke every rank out
+                // of the abandoned collective.  Join the survivors in
                 // end_cycle: its monitoring pass repairs the active set and
                 // restores the dead node's rows from the buddy.
-                rank.revoke_control();
-                rt.end_cycle();
-            } catch (const msg::EpochRevoked&) {
                 rt.end_cycle();
             }
             if (rt.stats().crash_repairs == repairs_seen) break;

@@ -18,22 +18,10 @@ RowSet owned_rows(const msg::Group& active, const Distribution& dist,
     return dist.iters_of(rel);
 }
 
-RowSet needed_rows(const msg::Group& active, const Distribution& dist,
-                   int abs_rank, const std::vector<Drsd>& accesses,
-                   int global_rows) {
-    int rel = active.index_of(abs_rank);
-    if (rel < 0) return {};
-    RowSet iters = dist.iters_of(rel);
-    RowSet need = iters.clip(0, global_rows);
-    need.add(rows_needed(accesses, iters, global_rows));
-    return need;
-}
-
 namespace {
 
-/// need ∪= rows the DRSDs touch over `iters`, clipped to [0, rows) —
-/// the ghost half of needed_rows, but accumulated straight into `need`
-/// with no temporary RowSet per descriptor for unit-stride references.
+/// need ∪= rows the DRSDs touch over `iters`, clipped to [0, rows), with
+/// no temporary RowSet per descriptor for unit-stride references.
 void add_ghost_rows(RowSet& need, const std::vector<Drsd>& accesses,
                     const RowSet& iters, int rows) {
     for (const Drsd& d : accesses) {
@@ -48,6 +36,17 @@ void add_ghost_rows(RowSet& need, const std::vector<Drsd>& accesses,
 }
 
 }  // namespace
+
+RowSet needed_rows(const msg::Group& active, const Distribution& dist,
+                   int abs_rank, const std::vector<Drsd>& accesses,
+                   int global_rows) {
+    int rel = active.index_of(abs_rank);
+    if (rel < 0) return {};
+    RowSet iters = dist.iters_of(rel);
+    RowSet need = iters.clip(0, global_rows);
+    add_ghost_rows(need, accesses, iters, global_rows);
+    return need;
+}
 
 RedistPlan build_redist_plan(const RedistContext& ctx,
                              const std::vector<ArrayInfo>& arrays, int me) {
@@ -200,12 +199,6 @@ RedistStats execute_redistribution(msg::Rank& rank, const RedistContext& ctx,
     }
 
     if (observed) {
-        const double t_end = rank.hrtime();
-        stats.plan_s = t_planned - t_start;
-        stats.pack_s = t_packed - t_planned;
-        stats.unpack_s = t_unpacked - t_packed;
-        stats.sync_s = t_synced - t_unpacked;
-        stats.cleanup_s = t_end - t_synced;
         if (support::metrics().enabled()) {
             using support::CounterId;
             using support::HistogramId;
@@ -213,10 +206,12 @@ RedistStats execute_redistribution(msg::Rank& rank, const RedistContext& ctx,
             mx.counter(CounterId::RedistRowsMoved).add(stats.rows_moved);
             mx.counter(CounterId::RedistBytes).add(stats.bytes);
             mx.counter(CounterId::RedistMessages).add(stats.messages);
-            mx.histogram(HistogramId::RedistPlanS).record(stats.plan_s);
-            mx.histogram(HistogramId::RedistPackS).record(stats.pack_s);
-            mx.histogram(HistogramId::RedistUnpackS).record(stats.unpack_s);
-            mx.histogram(HistogramId::RedistSyncS).record(stats.sync_s);
+            mx.histogram(HistogramId::RedistPlanS).record(t_planned - t_start);
+            mx.histogram(HistogramId::RedistPackS).record(t_packed - t_planned);
+            mx.histogram(HistogramId::RedistUnpackS)
+                .record(t_unpacked - t_packed);
+            mx.histogram(HistogramId::RedistSyncS)
+                .record(t_synced - t_unpacked);
         }
         if (support::trace().enabled()) {
             using support::SpanId;
@@ -232,7 +227,7 @@ RedistStats execute_redistribution(msg::Rank& rank, const RedistContext& ctx,
                     {targ("seq", redist_seq)});
             tr.span(t_unpacked, t_synced, me, SpanId::RedistSync,
                     {targ("seq", redist_seq)});
-            tr.span(t_synced, t_end, me, SpanId::RedistCleanup,
+            tr.span(t_synced, rank.hrtime(), me, SpanId::RedistCleanup,
                     {targ("seq", redist_seq)});
         }
     }

@@ -96,14 +96,6 @@ struct RedistStats {
         std::uint64_t rows_moved = 0;
     };
     std::vector<ArrayTransfer> per_array;
-
-    /// Phase timings on this rank (sim seconds): transfer planning,
-    /// pack+send, recv+unpack, the closing barrier, and storage cleanup.
-    double plan_s = 0.0;
-    double pack_s = 0.0;
-    double unpack_s = 0.0;
-    double sync_s = 0.0;
-    double cleanup_s = 0.0;
 };
 
 /// Execute the full plan for all arrays on the calling rank.  Collective

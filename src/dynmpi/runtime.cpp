@@ -295,7 +295,6 @@ void Runtime::bootstrap_rejoin() {
             blob = rank_.recv_wire(msg::kAnySource, tag);
             break;
         } catch (const msg::EpochRevoked&) {
-        } catch (const msg::PeerFailure&) {
         }
     }
     Bootstrap b = decode_bootstrap(blob, world_.size());
@@ -446,12 +445,8 @@ void Runtime::run_monitoring(CycleRecord& rec, double wall) {
                 removed_cycle_follow();
             }
             return;
-        } catch (const msg::PeerFailure&) {
-            // A peer died mid-round: revoke so every rank stranded in the
-            // abandoned round wakes up, then retry on the new epoch.
-            rank_.revoke_control();
         } catch (const msg::EpochRevoked&) {
-            // Someone else started a new epoch; just retry on it.
+            // A crash (or a revoke) started a new epoch: retry on it.
         }
         policy_.restore(snap);
         redist_seq_ = seq_snap;

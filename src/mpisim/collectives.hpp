@@ -96,20 +96,6 @@ inline std::uint64_t coll_tag(const Group& g, std::uint64_t seq) {
     return make_tag(TagSpace::Collective, hash_combine(g.hash(), seq));
 }
 
-/// A received payload as elements of T.  A byte payload moves out when
-/// nothing else shares it; any other is copied in one range copy (the
-/// buffer comes from operator new, so it is aligned for T).
-template <typename T>
-std::vector<T> bytes_to_vector(sim::Payload&& raw) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if constexpr (std::is_same_v<T, std::byte>) {
-        return std::move(raw).take();
-    } else {
-        const auto* first = reinterpret_cast<const T*>(raw.data());
-        return std::vector<T>(first, first + raw.size() / sizeof(T));
-    }
-}
-
 }  // namespace detail
 
 /// Reduction functors for allreduce/reduce.

@@ -225,7 +225,7 @@ struct Machine::Fiber {
 Machine::Machine(sim::ClusterConfig config) : cluster_(std::move(config)) {
     cluster_.network().set_delivery_handler(
         [this](sim::Packet&& p) { on_delivery(std::move(p)); });
-    cluster_.set_crash_handler([this](int node) { on_node_crash(node); });
+    cluster_.set_crash_handler([this](int node) { revoke(node); });
     cluster_.set_revive_handler([this](int node) { on_node_revive(node); });
 }
 
@@ -452,8 +452,9 @@ void Machine::abort_blocked_ranks() {
     }
 }
 
-void Machine::on_node_crash(int node) {
-    // Engine context: no rank is running, so rank states are quiescent.
+void Machine::revoke(int crashed) {
+    // No rank but the caller (if any) is running, so rank states are
+    // quiescent.
     if (ranks_.empty()) return; // cluster faults without a running program
     sim::Engine& eng = cluster_.engine();
     // Every crash starts a new revocation epoch: survivors stranded in a
@@ -463,42 +464,18 @@ void Machine::on_node_crash(int node) {
     for (int r = 0; r < static_cast<int>(ranks_.size()); ++r) {
         RankState& rs = state(r);
         if (rs.phase != RankPhase::Blocked) continue;
-        if (r == node) {
-            // Wake the dying rank so it can unwind via NodeCrashed — whether
-            // it was blocked in a recv, a compute, or a sleep.
-            rs.recv_waiting = false;
-            eng.at(eng.now(), [this, r] { resume_rank(r); });
-        } else if (rs.recv_waiting &&
-                   rs.recv_space !=
-                       static_cast<std::int64_t>(TagSpace::User)) {
-            // Control-plane recv: revoke so the recovery loop retries on an
-            // epoch-salted group.
-            rs.recv_waiting = false;
-            rs.revoked = true;
-            eng.at(eng.now(), [this, r] { resume_rank(r); });
-        } else if (rs.recv_waiting && rs.recv_src == node) {
-            // A survivor waiting specifically on the dead node gets a local
-            // failure notification instead of hanging forever.
-            rs.recv_waiting = false;
-            rs.peer_failed = true;
-            rs.failed_peer = node;
-            eng.at(eng.now(), [this, r] { resume_rank(r); });
+        // The dying rank wakes to unwind via NodeCrashed, whether it was
+        // blocked in a recv, a compute, or a sleep.
+        if (r != crashed) {
+            if (!rs.recv) continue;
+            if (tag_space(rs.recv->tag) != TagSpace::User)
+                rs.wake = RecvWake::Revoked; // user traffic is never revoked
+            else if (crashed >= 0 && rs.recv->src == crashed)
+                rs.wake = RecvWake::PeerFailed; // would wait forever
+            else
+                continue;
         }
-    }
-}
-
-void Machine::revoke_control_recvs() {
-    // Rank context: the caller is the running fiber, every other rank is
-    // parked.
-    ++revoke_epoch_;
-    sim::Engine& eng = cluster_.engine();
-    for (int r = 0; r < static_cast<int>(ranks_.size()); ++r) {
-        RankState& rs = state(r);
-        if (rs.phase != RankPhase::Blocked || !rs.recv_waiting) continue;
-        if (rs.recv_space == static_cast<std::int64_t>(TagSpace::User))
-            continue; // user-plane traffic is never revoked
-        rs.recv_waiting = false;
-        rs.revoked = true;
+        rs.recv.reset();
         eng.at(eng.now(), [this, r] { resume_rank(r); });
     }
 }
@@ -515,32 +492,23 @@ void Machine::on_delivery(sim::Packet&& p) {
         traffic_.bytes[space] += p.payload.size();
     }
     RankState& rs = state(dst);
-    if (rs.recv_waiting) {
-        bool src_ok = rs.recv_src == kAnySource || rs.recv_src == p.src;
-        bool tag_ok =
-            rs.recv_any_tag
-                ? (rs.recv_space < 0 ||
-                   static_cast<std::int64_t>(tag_space(p.tag)) ==
-                       rs.recv_space)
-                : p.tag == rs.recv_tag;
-        if (src_ok && tag_ok) {
-            rs.recv_waiting = false;
-            rs.recv_result = std::move(p);
-            // A blocked process that becomes runnable on a loaded node waits
-            // for the scheduler (wake-up latency).
-            double delay = cluster_.node(dst).cpu().next_wake_delay();
-            if (delay > 0.0) {
-                std::uint64_t inc = incarnation(dst);
-                cluster_.engine().after(
-                    sim::from_seconds(delay),
-                    [this, dst, inc] { resume_rank_inc(dst, inc); });
-            } else {
-                resume_rank(dst);
-            }
-            return;
-        }
+    if (!rs.recv || !rs.recv->matches(p)) {
+        rs.mailbox.push_back(std::move(p));
+        return;
     }
-    rs.mailbox.push_back(std::move(p));
+    rs.recv.reset();
+    rs.recv_result = std::move(p);
+    // A blocked process that becomes runnable on a loaded node waits for the
+    // scheduler (wake-up latency).
+    double delay = cluster_.node(dst).cpu().next_wake_delay();
+    if (delay > 0.0) {
+        std::uint64_t inc = incarnation(dst);
+        cluster_.engine().after(
+            sim::from_seconds(delay),
+            [this, dst, inc] { resume_rank_inc(dst, inc); });
+    } else {
+        resume_rank(dst);
+    }
 }
 
 }  // namespace dynmpi::msg

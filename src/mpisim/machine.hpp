@@ -39,6 +39,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,9 +70,9 @@ public:
 };
 
 /// Thrown from a receive that targets (or is woken by the crash of) a failed
-/// peer — ULFM-style local error semantics.  Recovery code catches this,
-/// revokes in-flight control-plane traffic, and retries on an epoch-salted
-/// protocol group.
+/// peer — ULFM-style local error semantics.  A user-tag receive sees it; a
+/// collective or runtime receive meets EpochRevoked first, because every
+/// crash starts a revocation epoch.
 class PeerFailure : public std::exception {
 public:
     explicit PeerFailure(int peer) : peer_(peer) {}
@@ -138,6 +139,9 @@ private:
     friend class Rank;
 
     enum class RankPhase { Idle, Running, Blocked, Done };
+    /// Why a blocked receive returned: a packet matched it, a revocation
+    /// ended it (EpochRevoked), or its source crashed (PeerFailure).
+    enum class RecvWake { Matched, Revoked, PeerFailed };
 
     /// A saved stack pointer plus, for ranks, its mmap'd stack (defined in
     /// machine.cpp).
@@ -152,18 +156,11 @@ private:
         // Mailbox of delivered-but-unmatched packets.
         std::deque<sim::Packet> mailbox;
 
-        // Pending blocking receive, if any.
-        bool recv_waiting = false;
-        int recv_src = kAnySource;
-        std::int64_t recv_space = -1; ///< required TagSpace, or -1 for any
-        std::uint64_t recv_tag = 0;
-        bool recv_any_tag = false;
+        // Pending blocking receive, if any, and what ended it: the matched
+        // packet, or a reason set before a forced resume.
+        std::optional<RecvMatch> recv;
         sim::Packet recv_result;
-
-        // Failure-delivery flags, set by the engine before a forced resume.
-        bool peer_failed = false; ///< woken because recv_src crashed
-        int failed_peer = -1;
-        bool revoked = false; ///< woken by revoke_control_recvs
+        RecvWake wake = RecvWake::Matched;
         std::uint64_t seen_revoke = 0; ///< last revocation epoch observed
     };
 
@@ -179,7 +176,6 @@ private:
         return incarnation_[static_cast<std::size_t>(r)];
     }
     void on_delivery(sim::Packet&& p); ///< network upcall (engine context)
-    void on_node_crash(int node);      ///< cluster crash handler
     void on_node_revive(int node);     ///< cluster revive handler: restart the
                                        ///< rank with a fresh incarnation
     void switch_into(int r); ///< engine → rank r's fiber, and back
@@ -194,10 +190,12 @@ private:
 
     /// Start a new control revocation epoch: every rank blocked in a
     /// collective- or runtime-tag receive is woken with EpochRevoked so
-    /// recovery protocols can restart on an epoch-salted group.  Called from
-    /// rank context (the caller is the running fiber) by
-    /// Rank::revoke_control.
-    void revoke_control_recvs();
+    /// recovery protocols can restart on an epoch-salted group.  On the crash
+    /// of node `crashed` (the cluster's crash handler, engine context) the
+    /// dying rank is woken to unwind, and a survivor blocked in a user-tag
+    /// receive from it with PeerFailure.  Rank::revoke_control passes -1
+    /// (rank context: the caller is the running fiber).
+    void revoke(int crashed);
 
     sim::Cluster cluster_;
     std::vector<std::unique_ptr<RankState>> ranks_;

@@ -147,6 +147,7 @@ int MPI_Wait(MPI_Request* request, MPI_Status* status) {
     std::size_t n = bound().wait(request->inner);
     if (status) {
         status->MPI_SOURCE = request->inner.source();
+        status->MPI_TAG = request->inner.tag();
         status->bytes = static_cast<int>(n);
     }
     return MPI_SUCCESS;
@@ -296,11 +297,12 @@ int MPI_Alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
 int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag,
                MPI_Status* status) {
     check_comm(comm);
-    bool present = bound().probe(source, tag);
+    int src = -1, got_tag = -1;
+    bool present = bound().probe(source, tag, &src, &got_tag);
     *flag = present ? 1 : 0;
     if (present && status) {
-        status->MPI_SOURCE = source;
-        status->MPI_TAG = tag;
+        status->MPI_SOURCE = src;
+        status->MPI_TAG = got_tag;
     }
     return MPI_SUCCESS;
 }

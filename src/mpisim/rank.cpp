@@ -1,8 +1,10 @@
 #include "mpisim/rank.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/metrics.hpp"
@@ -117,73 +119,88 @@ void Rank::transmit_wire(int dst, std::uint64_t wire_tag,
 
 void Rank::send(int dst, int tag, const void* data, std::size_t bytes) {
     DYNMPI_REQUIRE(tag >= 0, "user tags must be non-negative");
-    send_wire(dst, wire_tag(tag), data, bytes);
+    send_wire(dst, make_tag(TagSpace::User, static_cast<std::uint64_t>(tag)),
+              data, bytes);
+}
+
+RecvMatch Rank::user_match(int src, int tag) const {
+    DYNMPI_REQUIRE(src == kAnySource || (src >= 0 && src < size()),
+                   "recv from invalid rank");
+    DYNMPI_REQUIRE(tag >= 0 || tag == kAnyTag,
+                   "user tags must be non-negative");
+    const bool any_tag = tag == kAnyTag;
+    return RecvMatch{
+        src,
+        make_tag(TagSpace::User, any_tag ? 0 : static_cast<std::uint64_t>(tag)),
+        any_tag};
+}
+
+const sim::Packet* Rank::buffered(const RecvMatch& m) const {
+    for (const sim::Packet& p : machine_.state(id_).mailbox)
+        if (m.matches(p)) return &p;
+    return nullptr;
 }
 
 namespace {
-bool packet_matches(const sim::Packet& p, int src, std::uint64_t tag,
-                    bool any_tag) {
-    bool src_ok = src == kAnySource || src == p.src;
-    bool tag_ok = any_tag ? tag_space(p.tag) == tag_space(tag) : p.tag == tag;
-    return src_ok && tag_ok;
+void report(const sim::Packet& p, int* out_src, int* out_tag) {
+    if (out_src) *out_src = p.src;
+    if (out_tag) *out_tag = static_cast<int>(tag_value(p.tag));
 }
 }  // namespace
 
-sim::Packet Rank::recv_packet(int src, std::uint64_t tag, bool any_tag) {
-    DYNMPI_REQUIRE(src == kAnySource || (src >= 0 && src < size()),
-                   "recv from invalid rank");
+sim::Packet Rank::recv_packet(const RecvMatch& m) {
     auto& rs = machine_.state(id_);
-    if (tag_space(tag) != TagSpace::User &&
+    if (tag_space(m.tag) != TagSpace::User &&
         rs.seen_revoke < machine_.revoke_epoch()) {
         // A revocation epoch started since this rank last checked: abandon
         // the protocol round before entering a doomed control-plane recv.
         rs.seen_revoke = machine_.revoke_epoch();
         throw EpochRevoked{};
     }
-    for (auto it = rs.mailbox.begin(); it != rs.mailbox.end(); ++it) {
-        if (packet_matches(*it, src, tag, any_tag)) {
-            sim::Packet p = std::move(*it);
-            rs.mailbox.erase(it);
-            return p;
-        }
+    auto& box = rs.mailbox;
+    const auto it = std::find_if(box.begin(), box.end(),
+                                 [&m](const auto& p) { return m.matches(p); });
+    if (it != box.end()) {
+        sim::Packet p = std::move(*it);
+        box.erase(it);
+        return p;
     }
-    if (src != kAnySource && machine_.cluster().node_crashed(src))
-        throw PeerFailure{src}; // would block forever: fail locally instead
-    rs.recv_waiting = true;
-    rs.recv_src = src;
-    rs.recv_tag = tag;
-    rs.recv_any_tag = any_tag;
-    rs.recv_space = static_cast<std::int64_t>(tag_space(tag));
+    if (m.src != kAnySource && machine_.cluster().node_crashed(m.src))
+        throw PeerFailure{m.src}; // would block forever: fail locally instead
+    rs.recv = m;
     machine_.yield_from_rank(id_);
-    if (rs.revoked) {
-        rs.revoked = false;
+    const auto wake = std::exchange(rs.wake, Machine::RecvWake::Matched);
+    if (wake == Machine::RecvWake::Revoked) {
         rs.seen_revoke = machine_.revoke_epoch();
         throw EpochRevoked{};
     }
-    if (rs.peer_failed) {
-        rs.peer_failed = false;
-        int peer = rs.failed_peer;
-        rs.failed_peer = -1;
-        throw PeerFailure{peer};
-    }
-    DYNMPI_CHECK(!rs.recv_waiting, "woke from recv without a message");
+    if (wake == Machine::RecvWake::PeerFailed) throw PeerFailure{m.src};
+    DYNMPI_CHECK(!rs.recv, "woke from recv without a message");
     return std::move(rs.recv_result);
 }
 
-std::size_t Rank::recv(int src, int tag, void* data, std::size_t capacity,
-                       int* out_src, int* out_tag) {
-    bool any_tag = tag == kAnyTag;
-    std::uint64_t wt = any_tag ? make_tag(TagSpace::User, 0)
-                               : wire_tag(tag);
-    sim::Packet p = recv_packet(src, wt, any_tag);
+sim::Payload Rank::recv_charged(const RecvMatch& m) {
+    sim::Packet p = recv_packet(m);
+    charge_recv_cost(p.payload.size());
+    return std::move(p.payload);
+}
+
+std::size_t Rank::recv_into(const RecvMatch& m, void* data,
+                            std::size_t capacity, int* out_src,
+                            int* out_tag) {
+    sim::Packet p = recv_packet(m);
     DYNMPI_REQUIRE(p.payload.size() <= capacity,
                    "recv buffer too small for message");
     charge_recv_cost(p.payload.size());
     if (!p.payload.empty())
         std::memcpy(data, p.payload.data(), p.payload.size());
-    if (out_src) *out_src = p.src;
-    if (out_tag) *out_tag = static_cast<int>(tag_value(p.tag));
+    report(p, out_src, out_tag);
     return p.payload.size();
+}
+
+std::size_t Rank::recv(int src, int tag, void* data, std::size_t capacity,
+                       int* out_src, int* out_tag) {
+    return recv_into(user_match(src, tag), data, capacity, out_src, out_tag);
 }
 
 void Rank::sendrecv(int dst, int send_tag, const void* send_data,
@@ -193,32 +210,24 @@ void Rank::sendrecv(int dst, int send_tag, const void* send_data,
     recv(src, recv_tag, recv_data, recv_capacity);
 }
 
-bool Rank::probe(int src, int tag) const {
-    const auto& rs = machine_.state(id_);
-    bool any_tag = tag == kAnyTag;
-    std::uint64_t wt = any_tag ? make_tag(TagSpace::User, 0) : wire_tag(tag);
-    for (const auto& p : rs.mailbox)
-        if (packet_matches(p, src, wt, any_tag)) return true;
-    return false;
+bool Rank::probe(int src, int tag, int* out_src, int* out_tag) const {
+    const sim::Packet* p = buffered(user_match(src, tag));
+    if (p) report(*p, out_src, out_tag);
+    return p != nullptr;
 }
 
 Request Rank::isend(int dst, int tag, const void* data, std::size_t bytes) {
     send(dst, tag, data, bytes);
     Request r;
     r.kind_ = Request::Kind::Send;
-    r.peer_ = dst;
     r.complete_ = true;
     return r;
 }
 
 Request Rank::irecv(int src, int tag, void* data, std::size_t capacity) {
-    DYNMPI_REQUIRE(src == kAnySource || (src >= 0 && src < size()),
-                   "irecv from invalid rank");
     Request r;
     r.kind_ = Request::Kind::Recv;
-    r.peer_ = src;
-    r.any_tag_ = tag == kAnyTag;
-    r.wire_tag_ = r.any_tag_ ? make_tag(TagSpace::User, 0) : wire_tag(tag);
+    r.match_ = user_match(src, tag);
     r.buffer_ = data;
     r.capacity_ = capacity;
     return r;
@@ -229,34 +238,18 @@ std::size_t Rank::wait(Request& req) {
     if (req.complete_) return req.received_;
     DYNMPI_CHECK(req.kind_ == Request::Kind::Recv,
                  "incomplete non-receive request");
-    sim::Packet p = recv_packet(req.peer_, req.wire_tag_, req.any_tag_);
-    DYNMPI_REQUIRE(p.payload.size() <= req.capacity_,
-                   "irecv buffer too small for message");
-    charge_recv_cost(p.payload.size());
-    if (!p.payload.empty())
-        std::memcpy(req.buffer_, p.payload.data(), p.payload.size());
-    req.received_ = p.payload.size();
-    req.actual_src_ = p.src;
+    req.received_ = recv_into(req.match_, req.buffer_, req.capacity_,
+                              &req.src_, &req.tag_);
     req.complete_ = true;
     return req.received_;
 }
 
 bool Rank::test(Request& req) {
     DYNMPI_REQUIRE(req.valid(), "test on null request");
-    if (req.complete_) return true;
-    // A buffered match can be consumed without blocking.
-    const auto& rs = machine_.state(id_);
-    for (const auto& p : rs.mailbox) {
-        bool src_ok = req.peer_ == kAnySource || req.peer_ == p.src;
-        bool tag_ok = req.any_tag_
-                          ? tag_space(p.tag) == tag_space(req.wire_tag_)
-                          : p.tag == req.wire_tag_;
-        if (src_ok && tag_ok) {
-            wait(req); // completes immediately from the mailbox
-            return true;
-        }
-    }
-    return false;
+    // A buffered match completes without blocking.
+    if (!req.complete_ && buffered(req.match_) == nullptr) return false;
+    wait(req);
+    return true;
 }
 
 void Rank::waitall(std::vector<Request>& reqs) {
@@ -264,9 +257,9 @@ void Rank::waitall(std::vector<Request>& reqs) {
 }
 
 sim::Payload Rank::recv_payload(int src, std::uint64_t wire_tag) {
-    sim::Packet p = recv_packet(src, wire_tag, false);
-    charge_recv_cost(p.payload.size());
-    return std::move(p.payload);
+    DYNMPI_REQUIRE(src == kAnySource || (src >= 0 && src < size()),
+                   "recv from invalid rank");
+    return recv_charged(RecvMatch{src, wire_tag, false});
 }
 
 std::vector<std::byte> Rank::recv_wire(int src, std::uint64_t wire_tag) {
@@ -278,7 +271,7 @@ void Rank::sync_revocations() {
 }
 
 void Rank::revoke_control() {
-    machine_.revoke_control_recvs();
+    machine_.revoke(/*crashed=*/-1);
     sync_revocations();
 }
 

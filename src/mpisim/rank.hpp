@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,24 @@
 #include "sim/ps_daemon.hpp"
 
 namespace dynmpi::msg {
+
+namespace detail {
+
+/// A received payload as elements of T.  A byte payload moves out when
+/// nothing else shares it; any other is copied in one range copy (the
+/// buffer comes from operator new, so it is aligned for T).
+template <typename T>
+std::vector<T> bytes_to_vector(sim::Payload&& raw) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if constexpr (std::is_same_v<T, std::byte>) {
+        return std::move(raw).take();
+    } else {
+        const auto* first = reinterpret_cast<const T*>(raw.data());
+        return std::vector<T>(first, first + raw.size() / sizeof(T));
+    }
+}
+
+}  // namespace detail
 
 /// Per-row measured timings from a compute batch (see Cpu::reconstruct_rows).
 struct RowTimings {
@@ -99,12 +118,7 @@ public:
     }
     template <typename T>
     std::vector<T> recv_vector(int src, int tag) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        sim::Packet p = recv_packet(src, wire_tag(tag), false);
-        charge_recv_cost(p.payload.size());
-        // The payload buffer comes from operator new, so it is aligned for T.
-        const auto* first = reinterpret_cast<const T*>(p.payload.data());
-        return std::vector<T>(first, first + p.payload.size() / sizeof(T));
+        return detail::bytes_to_vector<T>(recv_charged(user_match(src, tag)));
     }
 
     /// Exchange with two peers in one call (halo exchange helper).
@@ -122,7 +136,7 @@ public:
     Request irecv(int src, int tag, void* data, std::size_t capacity);
 
     /// Block until the request completes; returns bytes received (0 for
-    /// sends).
+    /// sends).  A receive records the matched source and tag in `req`.
     std::size_t wait(Request& req);
 
     /// Complete the request if possible without blocking.
@@ -131,8 +145,10 @@ public:
     /// Wait for every request in the span.
     void waitall(std::vector<Request>& reqs);
 
-    /// True if a matching message is already buffered (non-blocking probe).
-    bool probe(int src, int tag) const;
+    /// True if a matching message is already buffered (non-blocking probe);
+    /// reports the oldest such message's source and tag, like recv.
+    bool probe(int src, int tag, int* out_src = nullptr,
+               int* out_tag = nullptr) const;
 
     // ---- internal-tagged traffic (collectives / Dyn-MPI runtime) ----
 
@@ -223,12 +239,17 @@ private:
     // (absent) wrapper and reported a null store that never happened.
     static inline constinit thread_local Rank* current_ = nullptr;
 
-    static std::uint64_t wire_tag(int user_tag) {
-        return make_tag(TagSpace::User, static_cast<std::uint64_t>(user_tag));
-    }
-
-    /// Core blocking receive on the wire-tag level.
-    sim::Packet recv_packet(int src, std::uint64_t tag, bool any_tag);
+    /// The match for a user-level (src, tag), either of them a wildcard.
+    RecvMatch user_match(int src, int tag) const;
+    /// The oldest buffered packet `m` accepts, or nullptr.
+    const sim::Packet* buffered(const RecvMatch& m) const;
+    /// Core blocking receive: the oldest packet `m` accepts.
+    sim::Packet recv_packet(const RecvMatch& m);
+    /// recv_packet, then the receive's CPU cost; returns the payload.
+    sim::Payload recv_charged(const RecvMatch& m);
+    /// Blocking receive into a caller's buffer (recv and wait).
+    std::size_t recv_into(const RecvMatch& m, void* data,
+                          std::size_t capacity, int* out_src, int* out_tag);
     void charge_recv_cost(std::size_t bytes);
     /// The CPU component of a send (data plane only).
     void charge_send_cost(int dst, std::size_t bytes);

@@ -8,7 +8,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+
+#include "mpisim/tags.hpp"
 
 namespace dynmpi::msg {
 
@@ -21,8 +22,9 @@ public:
     bool valid() const { return kind_ != Kind::Null; }
     bool completed() const { return complete_; }
 
-    /// Actual source rank (valid for completed receives).
-    int source() const { return actual_src_; }
+    /// Actual source rank and user tag (valid for completed receives).
+    int source() const { return src_; }
+    int tag() const { return tag_; }
 
 private:
     friend class Rank;
@@ -30,14 +32,13 @@ private:
     enum class Kind { Null, Send, Recv };
 
     Kind kind_ = Kind::Null;
-    int peer_ = -1;
-    std::uint64_t wire_tag_ = 0;
-    bool any_tag_ = false;
+    RecvMatch match_;
     void* buffer_ = nullptr;
     std::size_t capacity_ = 0;
     bool complete_ = false;
     std::size_t received_ = 0;
-    int actual_src_ = -1;
+    int src_ = -1;
+    int tag_ = -1;
 };
 
 }  // namespace dynmpi::msg

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "sim/network.hpp"
+
 namespace dynmpi::msg {
 
 /// Wildcards accepted by Rank::recv.
@@ -31,5 +33,19 @@ constexpr TagSpace tag_space(std::uint64_t wire_tag) {
 constexpr std::uint64_t tag_value(std::uint64_t wire_tag) {
     return wire_tag & ((1ULL << 62) - 1);
 }
+
+/// What a receive accepts: one source or kAnySource, and either one wire
+/// tag or, with `any_tag`, every tag in `tag`'s space.  This is the message
+/// layer's only match rule; a wildcard never crosses tag spaces.
+struct RecvMatch {
+    int src = kAnySource;
+    std::uint64_t tag = 0;
+    bool any_tag = false;
+
+    bool matches(const sim::Packet& p) const {
+        return (src == kAnySource || src == p.src) &&
+               (any_tag ? tag_space(p.tag) == tag_space(tag) : p.tag == tag);
+    }
+};
 
 }  // namespace dynmpi::msg

@@ -70,6 +70,13 @@ TEST(MpiCompatExtra, IprobeAndGetCount) {
             EXPECT_EQ(flag, 1);
             EXPECT_EQ(st.MPI_SOURCE, 0);
             EXPECT_EQ(st.MPI_TAG, 9);
+            // A wildcard probe reports the message's source and tag.
+            MPI_Status any;
+            MPI_Iprobe(MPI_ANY_SOURCE, MPI_ANY_TAG, MPI_COMM_WORLD, &flag,
+                       &any);
+            EXPECT_EQ(flag, 1);
+            EXPECT_EQ(any.MPI_SOURCE, 0);
+            EXPECT_EQ(any.MPI_TAG, 9);
             double v[3];
             MPI_Recv(v, 3, MPI_DOUBLE, 0, 9, MPI_COMM_WORLD, &st);
             int count = 0;
@@ -100,11 +107,13 @@ TEST(MpiCompatExtra, WaitFillsStatusForLongAndByte) {
             MPI_Irecv(l, 2, MPI_LONG, 0, 4, MPI_COMM_WORLD, &req);
             MPI_Wait(&req, &st);
             EXPECT_EQ(st.MPI_SOURCE, 0);
+            EXPECT_EQ(st.MPI_TAG, 4);
             MPI_Get_count(&st, MPI_LONG, &count);
             EXPECT_EQ(count, 2);
             EXPECT_EQ(l[1], -8);
             MPI_Irecv(b, 5, MPI_BYTE, 0, 6, MPI_COMM_WORLD, &req);
             MPI_Wait(&req, &st);
+            EXPECT_EQ(st.MPI_TAG, 6);
             EXPECT_EQ(st.bytes, 5);
             EXPECT_EQ(std::string(b, 5), "hello");
         }

@@ -90,6 +90,33 @@ TEST(P2P, AnyTagReportsActualTag) {
     });
 }
 
+TEST(P2P, BlockedAnyTagRecvSkipsOtherTagSpaces) {
+    // Rank 1 blocks in a full-wildcard receive before anything arrives.  A
+    // collective- and a runtime-tag packet land first and must stay in the
+    // mailbox; the user packet sent a second later is the one it takes.
+    Machine m(quiet_cluster(2));
+    m.run([](Rank& r) {
+        const auto coll = make_tag(TagSpace::Collective, 3);
+        const auto rt = make_tag(TagSpace::Runtime, 3);
+        if (r.id() == 0) {
+            const int internal = 7;
+            r.send_wire(1, coll, &internal, sizeof internal);
+            r.send_wire(1, rt, &internal, sizeof internal);
+            r.sleep(1.0);
+            r.send_value(1, 5, 42);
+            return;
+        }
+        int v = 0, src = -1, tag = -1;
+        r.recv(kAnySource, kAnyTag, &v, sizeof v, &src, &tag);
+        EXPECT_GT(r.hrtime(), 1.0);
+        EXPECT_EQ(v, 42);
+        EXPECT_EQ(src, 0);
+        EXPECT_EQ(tag, 5);
+        EXPECT_EQ(r.recv_wire(0, coll).size(), sizeof(int));
+        EXPECT_EQ(r.recv_wire(0, rt).size(), sizeof(int));
+    });
+}
+
 TEST(P2P, FifoPreservedPerSenderAndTag) {
     Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
