@@ -84,9 +84,7 @@ std::vector<std::byte> ContiguousDenseArray::pack_rows(
             out.bytes(data, row_bytes());
         }
     }
-    std::vector<std::byte> packed = out.take();
-    stats_.bytes_packed += packed.size();
-    return packed;
+    return out.take();
 }
 
 RowSet ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
@@ -109,7 +107,6 @@ RowSet ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
         });
     mark_rows_dirty(incoming);
     held_.add(incoming);
-    stats_.bytes_unpacked += data.size();
     return incoming;
 }
 

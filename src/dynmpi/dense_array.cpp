@@ -95,7 +95,6 @@ std::vector<std::byte> DenseArray::pack_rows(const RowSet& rows) const {
             }
         });
     });
-    stats_.bytes_packed += out.size();
     return out;
 }
 
@@ -127,7 +126,6 @@ RowSet DenseArray::unpack_rows(const std::vector<std::byte>& data) {
             static_cast<std::uint64_t>(set_held(iv.lo, iv.hi, true));
     mark_rows_dirty(rows);
     held_.add(rows);
-    stats_.bytes_unpacked += data.size();
     return rows;
 }
 

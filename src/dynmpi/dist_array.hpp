@@ -31,8 +31,6 @@ public:
     struct Stats {
         std::uint64_t rows_allocated = 0;
         std::uint64_t rows_freed = 0;
-        std::uint64_t bytes_packed = 0;
-        std::uint64_t bytes_unpacked = 0;
         std::uint64_t bytes_copied = 0; ///< data moved by (re)allocation
         std::uint64_t reallocations = 0;
     };
@@ -134,7 +132,7 @@ protected:
     /// Per-row modified-since-refresh flags, 0 or 1, then eight bytes of
     /// clear padding so a word load at any row stays inside.
     std::vector<char> dirty_;
-    mutable Stats stats_;
+    Stats stats_;
 };
 
 }  // namespace dynmpi

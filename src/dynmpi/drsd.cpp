@@ -24,14 +24,4 @@ RowSet rows_touched(const Drsd& d, const RowSet& iters, int global_rows) {
     return out;
 }
 
-RowSet rows_needed(const std::vector<Drsd>& descriptors, const RowSet& iters,
-                   int global_rows, const AccessMode* only_mode) {
-    RowSet out;
-    for (const auto& d : descriptors) {
-        if (only_mode && d.mode != *only_mode) continue;
-        out.add(rows_touched(d, iters, global_rows));
-    }
-    return out;
-}
-
 }  // namespace dynmpi

@@ -30,9 +30,4 @@ struct Drsd {
 /// Requires a != 0; results are clipped to [0, global_rows).
 RowSet rows_touched(const Drsd& d, const RowSet& iters, int global_rows);
 
-/// Union of rows touched by all descriptors (optionally restricted to one
-/// access mode; pass nullptr for "any").
-RowSet rows_needed(const std::vector<Drsd>& descriptors, const RowSet& iters,
-                   int global_rows, const AccessMode* only_mode = nullptr);
-
 }  // namespace dynmpi

@@ -446,7 +446,7 @@ void Runtime::run_monitoring(CycleRecord& rec, double wall) {
             }
             return;
         } catch (const msg::EpochRevoked&) {
-            // A crash (or a revoke) started a new epoch: retry on it.
+            // A crash started a new epoch: retry on it.
         }
         policy_.restore(snap);
         redist_seq_ = seq_snap;
@@ -732,9 +732,9 @@ void Runtime::removed_cycle_follow() {
 
 void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
     const msg::Group active_before = active_;
-    // Protocol rounds run on the epoch-salted group: after a crash or an
-    // explicit revocation, retried rounds use fresh tags that can never
-    // match packets from an abandoned round.
+    // Protocol rounds run on the epoch-salted group: after a crash, retried
+    // rounds use fresh tags that can never match packets from an abandoned
+    // round.
     const msg::Group pg = protocol_group();
 
     // Load-change detection: each active node contributes its own dmpi_ps

@@ -236,9 +236,9 @@ private:
 
     // ---- failure recovery internals ----
 
-    /// Salt for protocol groups: changes whenever a crash or an explicit
-    /// revocation starts a new recovery epoch, so retried rounds can never
-    /// match messages from abandoned ones.  0 (hash-neutral) until the
+    /// Salt for protocol groups: changes whenever a crash starts a new
+    /// recovery epoch, so retried rounds can never match messages from
+    /// abandoned ones.  0 (hash-neutral) until the
     /// first fault.
     msg::Group protocol_group() const;
 

@@ -152,9 +152,7 @@ std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
             out.bytes(entries.data(), nbytes);
         }
     }
-    std::vector<std::byte> packed = out.take();
-    stats_.bytes_packed += packed.size();
-    return packed;
+    return out.take();
 }
 
 RowSet SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
@@ -201,7 +199,6 @@ RowSet SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
         mark_row_dirty(r);
     }
     held_.add(rows);
-    stats_.bytes_unpacked += data.size();
     return rows;
 }
 

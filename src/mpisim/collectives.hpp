@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -80,8 +81,6 @@ public:
     const std::vector<int>& members() const { return members_; }
     std::uint64_t hash() const { return hash_; }
 
-    bool operator==(const Group& o) const { return members_ == o.members_; }
-
 private:
     std::vector<int> members_;
     std::uint64_t hash_ = 0;
@@ -91,6 +90,20 @@ private:
 };
 
 namespace detail {
+
+/// A received payload as elements of T.  A byte payload moves out when
+/// nothing else shares it; any other is copied in one range copy (the
+/// buffer comes from operator new, so it is aligned for T).
+template <typename T>
+std::vector<T> bytes_to_vector(sim::Payload&& raw) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if constexpr (std::is_same_v<T, std::byte>) {
+        return std::move(raw).take();
+    } else {
+        const auto* first = reinterpret_cast<const T*>(raw.data());
+        return std::vector<T>(first, first + raw.size() / sizeof(T));
+    }
+}
 
 inline std::uint64_t coll_tag(const Group& g, std::uint64_t seq) {
     return make_tag(TagSpace::Collective, hash_combine(g.hash(), seq));
@@ -248,12 +261,6 @@ std::vector<std::vector<T>> gather(Rank& rank, const Group& g, int root,
     return out;
 }
 
-template <typename T>
-std::vector<std::vector<T>> gather(Rank& rank, const Group& g, int root,
-                                   const std::vector<T>& mine) {
-    return gather(rank, g, root, mine.data(), mine.size());
-}
-
 /// Every member's elements, flat in member order, as allgather delivers
 /// them.  The elements stay in the broadcast buffer, shared with the packets
 /// that carried it, and are read as `const T*` (the pattern
@@ -344,99 +351,6 @@ std::vector<T> allgather_scalar(Rank& rank, const Group& g, T value) {
     for (int r = 0; r < all.members(); ++r)
         DYNMPI_CHECK(all.length(r) == 1, "scalar allgather length mismatch");
     return std::vector<T>(all.data(), all.data() + all.size());
-}
-
-/// Scatter: the root distributes chunks[j] to relative rank j; every member
-/// returns its own chunk.
-template <typename T>
-std::vector<T> scatter(Rank& rank, const Group& g, int root,
-                       const std::vector<std::vector<T>>& chunks) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int n = g.size();
-    const int rel = g.index_of(rank.id());
-    DYNMPI_REQUIRE(rel >= 0, "scatter by non-member");
-    std::uint64_t tag = detail::coll_tag(g, rank.next_group_seq(g.hash()));
-    if (rel == root) {
-        DYNMPI_REQUIRE(static_cast<int>(chunks.size()) == n,
-                       "scatter needs one chunk per member");
-        for (int r = 0; r < n; ++r) {
-            if (r == root) continue;
-            rank.send_wire(g.member(r), tag, chunks[(std::size_t)r].data(),
-                           chunks[(std::size_t)r].size() * sizeof(T));
-        }
-        return chunks[static_cast<std::size_t>(root)];
-    }
-    return detail::bytes_to_vector<T>(rank.recv_payload(g.member(root), tag));
-}
-
-/// Inclusive prefix reduction: member j returns op(v_0, ..., v_j),
-/// element-wise (linear chain — prefix order matters, op need not commute).
-template <typename T, typename Op>
-std::vector<T> scan(Rank& rank, const Group& g, std::vector<T> data, Op op) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int n = g.size();
-    const int rel = g.index_of(rank.id());
-    DYNMPI_REQUIRE(rel >= 0, "scan by non-member");
-    std::uint64_t tag = detail::coll_tag(g, rank.next_group_seq(g.hash()));
-    if (rel > 0) {
-        auto prefix = detail::bytes_to_vector<T>(
-            rank.recv_payload(g.member(rel - 1), tag));
-        DYNMPI_CHECK(prefix.size() == data.size(), "scan length mismatch");
-        for (std::size_t i = 0; i < data.size(); ++i)
-            data[i] = op(prefix[i], data[i]);
-    }
-    if (rel < n - 1)
-        rank.send_wire(g.member(rel + 1), tag, data.data(),
-                       data.size() * sizeof(T));
-    return data;
-}
-
-/// Ring shift: every member sends its vector `distance` positions up the
-/// relative ring and receives from `distance` below.
-template <typename T>
-std::vector<T> ring_shift(Rank& rank, const Group& g,
-                          const std::vector<T>& mine, int distance = 1) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int n = g.size();
-    const int rel = g.index_of(rank.id());
-    DYNMPI_REQUIRE(rel >= 0, "ring_shift by non-member");
-    std::uint64_t tag = detail::coll_tag(g, rank.next_group_seq(g.hash()));
-    int dst = ((rel + distance) % n + n) % n;
-    int src = ((rel - distance) % n + n) % n;
-    rank.send_wire(g.member(dst), tag, mine.data(), mine.size() * sizeof(T));
-    return detail::bytes_to_vector<T>(rank.recv_payload(g.member(src), tag));
-}
-
-/// All-to-all of per-destination vectors.  outgoing[j] goes to relative rank
-/// j; returns incoming[i] from relative rank i.
-template <typename T>
-std::vector<std::vector<T>> alltoall(Rank& rank, const Group& g,
-                                     const std::vector<std::vector<T>>& outgoing) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int n = g.size();
-    const int rel = g.index_of(rank.id());
-    DYNMPI_REQUIRE(rel >= 0, "alltoall by non-member");
-    DYNMPI_REQUIRE(static_cast<int>(outgoing.size()) == n,
-                   "alltoall needs one outgoing vector per member");
-    std::uint64_t tag = detail::coll_tag(g, rank.next_group_seq(g.hash()));
-
-    std::vector<std::vector<T>> incoming(static_cast<std::size_t>(n));
-    incoming[static_cast<std::size_t>(rel)] =
-        outgoing[static_cast<std::size_t>(rel)];
-    // Shifted schedule spreads NIC load; eager buffering makes it safe.
-    for (int s = 1; s < n; ++s) {
-        int dst_rel = (rel + s) % n;
-        const auto& out = outgoing[static_cast<std::size_t>(dst_rel)];
-        rank.send_wire(g.member(dst_rel), tag, out.data(),
-                       out.size() * sizeof(T));
-    }
-    for (int s = 1; s < n; ++s) {
-        int src_rel = (rel - s + n) % n;
-        incoming[static_cast<std::size_t>(src_rel)] =
-            detail::bytes_to_vector<T>(
-                rank.recv_payload(g.member(src_rel), tag));
-    }
-    return incoming;
 }
 
 }  // namespace dynmpi::msg

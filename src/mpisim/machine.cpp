@@ -225,7 +225,7 @@ struct Machine::Fiber {
 Machine::Machine(sim::ClusterConfig config) : cluster_(std::move(config)) {
     cluster_.network().set_delivery_handler(
         [this](sim::Packet&& p) { on_delivery(std::move(p)); });
-    cluster_.set_crash_handler([this](int node) { revoke(node); });
+    cluster_.set_crash_handler([this](int node) { on_node_crash(node); });
     cluster_.set_revive_handler([this](int node) { on_node_revive(node); });
 }
 
@@ -452,9 +452,8 @@ void Machine::abort_blocked_ranks() {
     }
 }
 
-void Machine::revoke(int crashed) {
-    // No rank but the caller (if any) is running, so rank states are
-    // quiescent.
+void Machine::on_node_crash(int node) {
+    // Engine context: no rank is running, so rank states are quiescent.
     if (ranks_.empty()) return; // cluster faults without a running program
     sim::Engine& eng = cluster_.engine();
     // Every crash starts a new revocation epoch: survivors stranded in a
@@ -466,11 +465,11 @@ void Machine::revoke(int crashed) {
         if (rs.phase != RankPhase::Blocked) continue;
         // The dying rank wakes to unwind via NodeCrashed, whether it was
         // blocked in a recv, a compute, or a sleep.
-        if (r != crashed) {
+        if (r != node) {
             if (!rs.recv) continue;
             if (tag_space(rs.recv->tag) != TagSpace::User)
                 rs.wake = RecvWake::Revoked; // user traffic is never revoked
-            else if (crashed >= 0 && rs.recv->src == crashed)
+            else if (rs.recv->src == node)
                 rs.wake = RecvWake::PeerFailed; // would wait forever
             else
                 continue;

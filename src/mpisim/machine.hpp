@@ -130,9 +130,9 @@ public:
     };
     const TrafficStats& traffic() const { return traffic_; }
 
-    /// Count of control revocations so far (bumped by node crashes and by
-    /// Rank::revoke_control).  Failure-recovery protocols salt their groups
-    /// with this so abandoned rounds can never be confused with retries.
+    /// Count of control revocations so far (one per node crash).
+    /// Failure-recovery protocols salt their groups with this so abandoned
+    /// rounds can never be confused with retries.
     std::uint64_t revoke_epoch() const { return revoke_epoch_; }
 
 private:
@@ -178,6 +178,12 @@ private:
     void on_delivery(sim::Packet&& p); ///< network upcall (engine context)
     void on_node_revive(int node);     ///< cluster revive handler: restart the
                                        ///< rank with a fresh incarnation
+    /// Cluster crash handler: start a new control revocation epoch.  Every
+    /// rank blocked in a collective- or runtime-tag receive is woken with
+    /// EpochRevoked so recovery protocols can restart on an epoch-salted
+    /// group, a survivor blocked in a user-tag receive from `node` with
+    /// PeerFailure, and the dying rank to unwind.
+    void on_node_crash(int node);
     void switch_into(int r); ///< engine → rank r's fiber, and back
     void abort_blocked_ranks();
 
@@ -187,15 +193,6 @@ private:
     static void fiber_entry(Machine* m) noexcept;
     void fiber_main(); ///< body of every rank fiber (runs program_)
     RankState& state(int r);
-
-    /// Start a new control revocation epoch: every rank blocked in a
-    /// collective- or runtime-tag receive is woken with EpochRevoked so
-    /// recovery protocols can restart on an epoch-salted group.  On the crash
-    /// of node `crashed` (the cluster's crash handler, engine context) the
-    /// dying rank is woken to unwind, and a survivor blocked in a user-tag
-    /// receive from it with PeerFailure.  Rank::revoke_control passes -1
-    /// (rank context: the caller is the running fiber).
-    void revoke(int crashed);
 
     sim::Cluster cluster_;
     std::vector<std::unique_ptr<RankState>> ranks_;

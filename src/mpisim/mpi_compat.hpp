@@ -3,19 +3,18 @@
 // The paper's starting point (Figure 1) is an ordinary MPI program; the
 // translation story of §2.3 maps such programs onto Dyn-MPI.  This shim lets
 // the "before" programs be written verbatim — MPI_Init/Comm_rank/Send/Recv/
-// collectives — against the simulator, so tests can run the original and the
-// translated program side by side.
+// Allreduce — against the simulator, so the original and the translated
+// program run side by side (examples/mpi_vs_dynmpi.cpp).
 //
-// Scope: the dozen-or-so calls real codes use (the standard's own
-// observation).  One communicator (MPI_COMM_WORLD), three datatypes, three
-// reduction ops, blocking + nonblocking p2p, the common collectives.
-// Everything returns MPI_SUCCESS or throws dynmpi::Error on misuse.
+// Scope: the calls those programs make, and no more.  One communicator
+// (MPI_COMM_WORLD), four datatypes, three reduction ops, blocking
+// point-to-point and MPI_Allreduce.  Everything returns MPI_SUCCESS or
+// throws dynmpi::Error on misuse.
 #pragma once
 
 #include <cstddef>
 
 #include "mpisim/rank.hpp"
-#include "mpisim/request.hpp"
 
 namespace dynmpi::mpi {
 
@@ -40,13 +39,8 @@ inline constexpr int MPI_SUCCESS = 0;
 struct MPI_Status {
     int MPI_SOURCE = -1;
     int MPI_TAG = -1;
-    int bytes = 0;
 };
 inline MPI_Status* const MPI_STATUS_IGNORE = nullptr;
-
-struct MPI_Request {
-    msg::Request inner;
-};
 
 /// Size in bytes of one element of a datatype.
 std::size_t mpi_type_size(MPI_Datatype t);
@@ -64,44 +58,11 @@ int MPI_Send(const void* buf, int count, MPI_Datatype type, int dest,
              int tag, MPI_Comm comm);
 int MPI_Recv(void* buf, int count, MPI_Datatype type, int source, int tag,
              MPI_Comm comm, MPI_Status* status);
-int MPI_Sendrecv(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
-                 int dest, int sendtag, void* recvbuf, int recvcount,
-                 MPI_Datatype recvtype, int source, int recvtag,
-                 MPI_Comm comm, MPI_Status* status);
-
-int MPI_Isend(const void* buf, int count, MPI_Datatype type, int dest,
-              int tag, MPI_Comm comm, MPI_Request* request);
-int MPI_Irecv(void* buf, int count, MPI_Datatype type, int source, int tag,
-              MPI_Comm comm, MPI_Request* request);
-int MPI_Wait(MPI_Request* request, MPI_Status* status);
-int MPI_Waitall(int count, MPI_Request* requests, MPI_Status* statuses);
-
-int MPI_Barrier(MPI_Comm comm);
-int MPI_Bcast(void* buf, int count, MPI_Datatype type, int root,
-              MPI_Comm comm);
-int MPI_Reduce(const void* sendbuf, void* recvbuf, int count,
-               MPI_Datatype type, MPI_Op op, int root, MPI_Comm comm);
 int MPI_Allreduce(const void* sendbuf, void* recvbuf, int count,
                   MPI_Datatype type, MPI_Op op, MPI_Comm comm);
-int MPI_Allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
-                  void* recvbuf, int recvcount, MPI_Datatype recvtype,
-                  MPI_Comm comm);
-int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
-               void* recvbuf, int recvcount, MPI_Datatype recvtype, int root,
-               MPI_Comm comm);
-int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
-                void* recvbuf, int recvcount, MPI_Datatype recvtype,
-                int root, MPI_Comm comm);
-int MPI_Alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
-                 void* recvbuf, int recvcount, MPI_Datatype recvtype,
-                 MPI_Comm comm);
-int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag,
-               MPI_Status* status);
-int MPI_Get_count(const MPI_Status* status, MPI_Datatype type, int* count);
 
-double MPI_Wtime();
-
-/// The bound rank (for tests and mixed-mode code).
+/// The bound rank, for mixed-mode code (the examples charge their compute
+/// through it).
 msg::Rank& mpi_rank();
 
 }  // namespace dynmpi::mpi

@@ -16,10 +16,6 @@ double Rank::hrtime() const {
     return sim::to_seconds(machine_.cluster().engine().now());
 }
 
-double Rank::exact_cpu_time() const {
-    return machine_.cluster().node(id_).cpu().app_cpu_seconds();
-}
-
 double Rank::proc_cpu_time() const {
     const double cpu = machine_.cluster().node(id_).cpu().app_cpu_seconds();
     return std::floor(cpu / sim::kJiffyS) * sim::kJiffyS;
@@ -123,32 +119,9 @@ void Rank::send(int dst, int tag, const void* data, std::size_t bytes) {
               data, bytes);
 }
 
-RecvMatch Rank::user_match(int src, int tag) const {
-    DYNMPI_REQUIRE(src == kAnySource || (src >= 0 && src < size()),
-                   "recv from invalid rank");
-    DYNMPI_REQUIRE(tag >= 0 || tag == kAnyTag,
-                   "user tags must be non-negative");
-    const bool any_tag = tag == kAnyTag;
-    return RecvMatch{
-        src,
-        make_tag(TagSpace::User, any_tag ? 0 : static_cast<std::uint64_t>(tag)),
-        any_tag};
-}
-
-const sim::Packet* Rank::buffered(const RecvMatch& m) const {
-    for (const sim::Packet& p : machine_.state(id_).mailbox)
-        if (m.matches(p)) return &p;
-    return nullptr;
-}
-
-namespace {
-void report(const sim::Packet& p, int* out_src, int* out_tag) {
-    if (out_src) *out_src = p.src;
-    if (out_tag) *out_tag = static_cast<int>(tag_value(p.tag));
-}
-}  // namespace
-
 sim::Packet Rank::recv_packet(const RecvMatch& m) {
+    DYNMPI_REQUIRE(m.src == kAnySource || (m.src >= 0 && m.src < size()),
+                   "recv from invalid rank");
     auto& rs = machine_.state(id_);
     if (tag_space(m.tag) != TagSpace::User &&
         rs.seen_revoke < machine_.revoke_epoch()) {
@@ -179,87 +152,29 @@ sim::Packet Rank::recv_packet(const RecvMatch& m) {
     return std::move(rs.recv_result);
 }
 
-sim::Payload Rank::recv_charged(const RecvMatch& m) {
-    sim::Packet p = recv_packet(m);
-    charge_recv_cost(p.payload.size());
-    return std::move(p.payload);
-}
-
-std::size_t Rank::recv_into(const RecvMatch& m, void* data,
-                            std::size_t capacity, int* out_src,
-                            int* out_tag) {
-    sim::Packet p = recv_packet(m);
+std::size_t Rank::recv(int src, int tag, void* data, std::size_t capacity,
+                       int* out_src, int* out_tag) {
+    DYNMPI_REQUIRE(tag >= 0 || tag == kAnyTag,
+                   "user tags must be non-negative");
+    const bool any_tag = tag == kAnyTag;
+    sim::Packet p = recv_packet(RecvMatch{
+        src,
+        make_tag(TagSpace::User, any_tag ? 0 : static_cast<std::uint64_t>(tag)),
+        any_tag});
     DYNMPI_REQUIRE(p.payload.size() <= capacity,
                    "recv buffer too small for message");
     charge_recv_cost(p.payload.size());
     if (!p.payload.empty())
         std::memcpy(data, p.payload.data(), p.payload.size());
-    report(p, out_src, out_tag);
+    if (out_src) *out_src = p.src;
+    if (out_tag) *out_tag = static_cast<int>(tag_value(p.tag));
     return p.payload.size();
 }
 
-std::size_t Rank::recv(int src, int tag, void* data, std::size_t capacity,
-                       int* out_src, int* out_tag) {
-    return recv_into(user_match(src, tag), data, capacity, out_src, out_tag);
-}
-
-void Rank::sendrecv(int dst, int send_tag, const void* send_data,
-                    std::size_t send_bytes, int src, int recv_tag,
-                    void* recv_data, std::size_t recv_capacity) {
-    send(dst, send_tag, send_data, send_bytes);
-    recv(src, recv_tag, recv_data, recv_capacity);
-}
-
-bool Rank::probe(int src, int tag, int* out_src, int* out_tag) const {
-    const sim::Packet* p = buffered(user_match(src, tag));
-    if (p) report(*p, out_src, out_tag);
-    return p != nullptr;
-}
-
-Request Rank::isend(int dst, int tag, const void* data, std::size_t bytes) {
-    send(dst, tag, data, bytes);
-    Request r;
-    r.kind_ = Request::Kind::Send;
-    r.complete_ = true;
-    return r;
-}
-
-Request Rank::irecv(int src, int tag, void* data, std::size_t capacity) {
-    Request r;
-    r.kind_ = Request::Kind::Recv;
-    r.match_ = user_match(src, tag);
-    r.buffer_ = data;
-    r.capacity_ = capacity;
-    return r;
-}
-
-std::size_t Rank::wait(Request& req) {
-    DYNMPI_REQUIRE(req.valid(), "wait on null request");
-    if (req.complete_) return req.received_;
-    DYNMPI_CHECK(req.kind_ == Request::Kind::Recv,
-                 "incomplete non-receive request");
-    req.received_ = recv_into(req.match_, req.buffer_, req.capacity_,
-                              &req.src_, &req.tag_);
-    req.complete_ = true;
-    return req.received_;
-}
-
-bool Rank::test(Request& req) {
-    DYNMPI_REQUIRE(req.valid(), "test on null request");
-    // A buffered match completes without blocking.
-    if (!req.complete_ && buffered(req.match_) == nullptr) return false;
-    wait(req);
-    return true;
-}
-
-void Rank::waitall(std::vector<Request>& reqs) {
-    for (auto& r : reqs) wait(r);
-}
-
 sim::Payload Rank::recv_payload(int src, std::uint64_t wire_tag) {
-    DYNMPI_REQUIRE(src == kAnySource || (src >= 0 && src < size()),
-                   "recv from invalid rank");
-    return recv_charged(RecvMatch{src, wire_tag, false});
+    sim::Packet p = recv_packet(RecvMatch{src, wire_tag, false});
+    charge_recv_cost(p.payload.size());
+    return std::move(p.payload);
 }
 
 std::vector<std::byte> Rank::recv_wire(int src, std::uint64_t wire_tag) {
@@ -268,11 +183,6 @@ std::vector<std::byte> Rank::recv_wire(int src, std::uint64_t wire_tag) {
 
 void Rank::sync_revocations() {
     machine_.state(id_).seen_revoke = machine_.revoke_epoch();
-}
-
-void Rank::revoke_control() {
-    machine_.revoke(/*crashed=*/-1);
-    sync_revocations();
 }
 
 }  // namespace dynmpi::msg

@@ -10,34 +10,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "mpisim/machine.hpp"
-#include "mpisim/request.hpp"
 #include "mpisim/tags.hpp"
 #include "sim/ps_daemon.hpp"
 
 namespace dynmpi::msg {
-
-namespace detail {
-
-/// A received payload as elements of T.  A byte payload moves out when
-/// nothing else shares it; any other is copied in one range copy (the
-/// buffer comes from operator new, so it is aligned for T).
-template <typename T>
-std::vector<T> bytes_to_vector(sim::Payload&& raw) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if constexpr (std::is_same_v<T, std::byte>) {
-        return std::move(raw).take();
-    } else {
-        const auto* first = reinterpret_cast<const T*>(raw.data());
-        return std::vector<T>(first, first + raw.size() / sizeof(T));
-    }
-}
-
-}  // namespace detail
 
 /// Per-row measured timings from a compute batch (see Cpu::reconstruct_rows).
 struct RowTimings {
@@ -70,10 +50,6 @@ public:
     /// /proc equivalent: this process's CPU seconds, quantized to the jiffy.
     double proc_cpu_time() const;
 
-    /// Exact (un-quantized) CPU seconds — for tests only, not available to a
-    /// real program.
-    double exact_cpu_time() const;
-
     // ---- compute ----
 
     /// Burn `ref_sec` reference-CPU seconds of work (blocking).
@@ -96,59 +72,6 @@ public:
     /// Returns actual byte count; throws if the buffer is too small.
     std::size_t recv(int src, int tag, void* data, std::size_t capacity,
                      int* out_src = nullptr, int* out_tag = nullptr);
-
-    /// Convenience typed send/recv for trivially copyable values.
-    template <typename T>
-    void send_value(int dst, int tag, const T& v) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        send(dst, tag, &v, sizeof(T));
-    }
-    template <typename T>
-    T recv_value(int src, int tag) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        T v{};
-        recv(src, tag, &v, sizeof(T));
-        return v;
-    }
-
-    template <typename T>
-    void send_vector(int dst, int tag, const std::vector<T>& v) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        send(dst, tag, v.data(), v.size() * sizeof(T));
-    }
-    template <typename T>
-    std::vector<T> recv_vector(int src, int tag) {
-        return detail::bytes_to_vector<T>(recv_charged(user_match(src, tag)));
-    }
-
-    /// Exchange with two peers in one call (halo exchange helper).
-    void sendrecv(int dst, int send_tag, const void* send_data,
-                  std::size_t send_bytes, int src, int recv_tag,
-                  void* recv_data, std::size_t recv_capacity);
-
-    // ---- nonblocking operations (see request.hpp) ----
-
-    /// Nonblocking send: the local CPU cost is charged now; the returned
-    /// request is already complete (eager buffered protocol).
-    Request isend(int dst, int tag, const void* data, std::size_t bytes);
-
-    /// Post a receive intent; satisfied at wait()/test() time.
-    Request irecv(int src, int tag, void* data, std::size_t capacity);
-
-    /// Block until the request completes; returns bytes received (0 for
-    /// sends).  A receive records the matched source and tag in `req`.
-    std::size_t wait(Request& req);
-
-    /// Complete the request if possible without blocking.
-    bool test(Request& req);
-
-    /// Wait for every request in the span.
-    void waitall(std::vector<Request>& reqs);
-
-    /// True if a matching message is already buffered (non-blocking probe);
-    /// reports the oldest such message's source and tag, like recv.
-    bool probe(int src, int tag, int* out_src = nullptr,
-               int* out_tag = nullptr) const;
 
     // ---- internal-tagged traffic (collectives / Dyn-MPI runtime) ----
 
@@ -194,11 +117,6 @@ public:
     /// retry attempt.
     void sync_revocations();
 
-    /// Start a new control revocation epoch: wake every rank blocked in a
-    /// collective-/runtime-tag receive with EpochRevoked.  The caller is
-    /// implicitly synced to the new epoch.
-    void revoke_control();
-
     // ---- per-group collective sequence counters (see collectives.hpp) ----
     // Counters are keyed by group hash so that ranks outside a group (e.g.
     // nodes removed from the active set) do not fall out of step.
@@ -239,17 +157,9 @@ private:
     // (absent) wrapper and reported a null store that never happened.
     static inline constinit thread_local Rank* current_ = nullptr;
 
-    /// The match for a user-level (src, tag), either of them a wildcard.
-    RecvMatch user_match(int src, int tag) const;
-    /// The oldest buffered packet `m` accepts, or nullptr.
-    const sim::Packet* buffered(const RecvMatch& m) const;
-    /// Core blocking receive: the oldest packet `m` accepts.
+    /// Core blocking receive: the oldest packet `m` accepts (recv and
+    /// recv_payload add the CPU cost).
     sim::Packet recv_packet(const RecvMatch& m);
-    /// recv_packet, then the receive's CPU cost; returns the payload.
-    sim::Payload recv_charged(const RecvMatch& m);
-    /// Blocking receive into a caller's buffer (recv and wait).
-    std::size_t recv_into(const RecvMatch& m, void* data,
-                          std::size_t capacity, int* out_src, int* out_tag);
     void charge_recv_cost(std::size_t bytes);
     /// The CPU component of a send (data plane only).
     void charge_send_cost(int dst, std::size_t bytes);

@@ -18,10 +18,10 @@ TEST(StridedDrsd, RedBlackColoringNeedsBothColors) {
         Drsd{"U", AccessMode::Write, 0, 2, 1},
     };
     RowSet iters(0, 8); // 8 iterations
-    RowSet rows = rows_needed(acc, iters, 16);
+    RowSet rows = rows_touched(acc[0], iters, 16);
+    rows.add(rows_touched(acc[1], iters, 16));
     EXPECT_EQ(rows, RowSet(0, 16)); // every row touched
-    AccessMode w = AccessMode::Write;
-    RowSet writes = rows_needed(acc, iters, 16, &w);
+    RowSet writes = rows_touched(acc[1], iters, 16);
     EXPECT_EQ(writes.to_vector(),
               (std::vector<int>{1, 3, 5, 7, 9, 11, 13, 15}));
 }

@@ -47,7 +47,8 @@ TEST(Drsd, RowsNeededUnionsDescriptors) {
         {"B", AccessMode::Read, 0, 1, +1},
     };
     RowSet iters(10, 20);
-    RowSet need = rows_needed(ds, iters, 100);
+    RowSet need;
+    for (const Drsd& d : ds) need.add(rows_touched(d, iters, 100));
     EXPECT_EQ(need, RowSet(9, 21)); // halo of one row on each side
 }
 
@@ -57,10 +58,14 @@ TEST(Drsd, RowsNeededFiltersByMode) {
         {"A", AccessMode::Read, 0, 1, -1},
     };
     RowSet iters(10, 20);
-    AccessMode w = AccessMode::Write;
-    EXPECT_EQ(rows_needed(ds, iters, 100, &w), RowSet(10, 20));
-    AccessMode r = AccessMode::Read;
-    EXPECT_EQ(rows_needed(ds, iters, 100, &r), RowSet(9, 19));
+    auto rows_of = [&](AccessMode mode) {
+        RowSet out;
+        for (const Drsd& d : ds)
+            if (d.mode == mode) out.add(rows_touched(d, iters, 100));
+        return out;
+    };
+    EXPECT_EQ(rows_of(AccessMode::Write), RowSet(10, 20));
+    EXPECT_EQ(rows_of(AccessMode::Read), RowSet(9, 19));
 }
 
 TEST(Drsd, NonContiguousIterSet) {

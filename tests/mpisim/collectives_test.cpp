@@ -77,7 +77,7 @@ TEST_P(CollectivesParam, GatherCollectsInOrder) {
         Group g = Group::world(r);
         // Rank i contributes i+1 copies of its id.
         std::vector<int> mine(static_cast<size_t>(r.id() + 1), r.id());
-        auto all = gather(r, g, 0, mine);
+        auto all = gather(r, g, 0, mine.data(), mine.size());
         if (g.index_of(r.id()) == 0) {
             ASSERT_EQ(static_cast<int>(all.size()), n);
             for (int i = 0; i < n; ++i) {
@@ -98,23 +98,6 @@ TEST_P(CollectivesParam, AllgatherGivesEveryoneEverything) {
         auto all = allgather_scalar(r, g, 100 + r.id());
         ASSERT_EQ(static_cast<int>(all.size()), n);
         for (int i = 0; i < n; ++i) EXPECT_EQ(all[(size_t)i], 100 + i);
-    });
-}
-
-TEST_P(CollectivesParam, AlltoallRoutesChunks) {
-    Machine m(quiet_cluster(GetParam()));
-    int n = GetParam();
-    m.run([n](Rank& r) {
-        Group g = Group::world(r);
-        std::vector<std::vector<int>> outgoing(static_cast<size_t>(n));
-        for (int j = 0; j < n; ++j)
-            outgoing[(size_t)j] = {r.id() * 1000 + j};
-        auto incoming = alltoall(r, g, outgoing);
-        ASSERT_EQ(static_cast<int>(incoming.size()), n);
-        for (int i = 0; i < n; ++i) {
-            ASSERT_EQ(incoming[(size_t)i].size(), 1u);
-            EXPECT_EQ(incoming[(size_t)i][0], i * 1000 + r.id());
-        }
     });
 }
 
@@ -219,7 +202,7 @@ TEST(Group, CopiesAndSaltedGroupsKeepTheIndex) {
     EXPECT_NE(salted.hash(), g.hash());
     const Group* copies[] = {&copy, &assigned, &salted};
     for (const Group* h : copies) {
-        EXPECT_EQ(*h, g);
+        EXPECT_EQ(h->members(), g.members());
         for (int r = -2; r <= 14; ++r)
             EXPECT_EQ(h->index_of(r), g.index_of(r)) << r;
         for (int i = 0; i < h->size(); ++i)

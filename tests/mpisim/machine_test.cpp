@@ -45,7 +45,7 @@ TEST(Machine, SleepIsNotCpuTime) {
     double cpu = -1;
     m.run([&](Rank& r) {
         r.sleep(5.0);
-        cpu = r.exact_cpu_time();
+        cpu = r.node().cpu().app_cpu_seconds();
     });
     EXPECT_NEAR(m.elapsed_seconds(), 5.0, 1e-9);
     EXPECT_NEAR(cpu, 0.0, 1e-9);
@@ -264,8 +264,8 @@ TEST(Machine, ConcurrentMachinesOnTwoThreadsAgree) {
                 for (int i = 0; i < 20; ++i) {
                     r.compute(0.01 * (1 + r.id() % 3));
                     std::vector<double> row(64, r.hrtime());
-                    r.send_vector(right, i, row);
-                    (void)r.recv_vector<double>(left, i);
+                    r.send(right, i, row.data(), row.size() * sizeof(double));
+                    r.recv(left, i, row.data(), row.size() * sizeof(double));
                     r.sleep(1e-3);
                 }
             });
@@ -337,7 +337,7 @@ TEST(Machine, ReviveOfARankThatFailedKeepsItsErrorForRun) {
     EXPECT_EQ(started, 1);
 }
 
-// ---- explicit revocation and peer failure ----
+// ---- revocation and peer failure ----
 
 TEST(Machine, FailureExceptionsNameThemselves) {
     EXPECT_STREQ(MachineAborted{}.what(), "simulation machine aborted");
@@ -346,18 +346,19 @@ TEST(Machine, FailureExceptionsNameThemselves) {
     EXPECT_STREQ(EpochRevoked{}.what(), "control epoch revoked");
 }
 
-TEST(Machine, RevokeControlWakesOnlyControlPlaneRecvs) {
-    // Ranks 1 and 2 wait in a control-plane recv, rank 3 in a user-plane
-    // recv; rank 0 revokes at t=1 and only then sends rank 3 its message.
-    Machine m(quiet_cluster(4));
-    std::vector<int> revoked(4, 0);
-    std::vector<double> woke(4, -1.0);
+TEST(Machine, CrashRevokesOnlyControlPlaneRecvs) {
+    // Ranks 1 and 2 wait in a control-plane recv from rank 0, rank 3 in a
+    // user-plane recv from rank 0.  Node 4 crashes at t=1: the revocation
+    // wakes ranks 1 and 2 although their peer is alive, and rank 3 stays
+    // blocked until rank 0 sends it its message.
+    Machine m(quiet_cluster(5));
+    m.cluster().install_faults(sim::FaultPlan::parse("crash node=4 t=1"));
+    std::vector<int> revoked(5, 0);
+    std::vector<double> woke(5, -1.0);
     m.run([&](Rank& r) {
         const auto i = static_cast<std::size_t>(r.id());
         if (r.id() == 0) {
-            r.sleep(1.0);
-            r.revoke_control();
-            r.sleep(1.0);
+            r.sleep(2.0);
             const int v = 42;
             r.send(3, 5, &v, sizeof v);
         } else if (r.id() == 3) {
@@ -365,6 +366,8 @@ TEST(Machine, RevokeControlWakesOnlyControlPlaneRecvs) {
             r.recv(0, 5, &v, sizeof v);
             EXPECT_EQ(v, 42);
             woke[i] = r.hrtime();
+        } else if (r.id() == 4) {
+            r.sleep(5.0); // crashes in here
         } else {
             try {
                 r.recv_wire(0, make_tag(TagSpace::Runtime, 7));
@@ -374,7 +377,8 @@ TEST(Machine, RevokeControlWakesOnlyControlPlaneRecvs) {
             }
         }
     });
-    EXPECT_EQ(revoked, (std::vector<int>{0, 1, 1, 0}));
+    EXPECT_EQ(m.revoke_epoch(), 1u);
+    EXPECT_EQ(revoked, (std::vector<int>{0, 1, 1, 0, 0}));
     EXPECT_NEAR(woke[1], 1.0, 1e-9);
     EXPECT_NEAR(woke[2], 1.0, 1e-9);
     EXPECT_GT(woke[3], 2.0); // still blocked through the revocation

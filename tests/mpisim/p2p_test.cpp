@@ -10,20 +10,28 @@
 namespace dynmpi::msg {
 namespace {
 
+int recv_int(Rank& r, int src, int tag) {
+    int v = 0;
+    EXPECT_EQ(r.recv(src, tag, &v, sizeof v), sizeof v);
+    return v;
+}
+
 TEST(P2P, PingPongDeliversPayload) {
     Machine m(quiet_cluster(2));
     m.run([](Rank& r) {
         if (r.id() == 0) {
             std::vector<double> v(100);
             std::iota(v.begin(), v.end(), 0.0);
-            r.send_vector(1, 5, v);
-            auto back = r.recv_vector<double>(1, 6);
-            ASSERT_EQ(back.size(), 100u);
+            r.send(1, 5, v.data(), v.size() * sizeof(double));
+            std::vector<double> back(100);
+            ASSERT_EQ(r.recv(1, 6, back.data(), back.size() * sizeof(double)),
+                      100 * sizeof(double));
             for (int i = 0; i < 100; ++i) EXPECT_DOUBLE_EQ(back[(size_t)i], 2.0 * i);
         } else {
-            auto v = r.recv_vector<double>(0, 5);
+            std::vector<double> v(100);
+            r.recv(0, 5, v.data(), v.size() * sizeof(double));
             for (auto& x : v) x *= 2.0;
-            r.send_vector(0, 6, v);
+            r.send(0, 6, v.data(), v.size() * sizeof(double));
         }
     });
 }
@@ -33,12 +41,12 @@ TEST(P2P, MessagesMatchedByTag) {
     m.run([](Rank& r) {
         if (r.id() == 0) {
             int a = 111, b = 222;
-            r.send_value(1, 10, a);
-            r.send_value(1, 20, b);
+            r.send(1, 10, &a, sizeof a);
+            r.send(1, 20, &b, sizeof b);
         } else {
             // Receive out of order: tag 20 first.
-            EXPECT_EQ(r.recv_value<int>(0, 20), 222);
-            EXPECT_EQ(r.recv_value<int>(0, 10), 111);
+            EXPECT_EQ(recv_int(r, 0, 20), 222);
+            EXPECT_EQ(recv_int(r, 0, 10), 111);
         }
     });
 }
@@ -47,11 +55,11 @@ TEST(P2P, MessagesMatchedBySource) {
     Machine m(quiet_cluster(3));
     m.run([](Rank& r) {
         if (r.id() == 2) {
-            EXPECT_EQ(r.recv_value<int>(1, 0), 1);
-            EXPECT_EQ(r.recv_value<int>(0, 0), 0);
+            EXPECT_EQ(recv_int(r, 1, 0), 1);
+            EXPECT_EQ(recv_int(r, 0, 0), 0);
         } else {
             int me = r.id();
-            r.send_value(2, 0, me);
+            r.send(2, 0, &me, sizeof me);
         }
     });
 }
@@ -70,7 +78,7 @@ TEST(P2P, AnySourceReceivesFromEither) {
             EXPECT_EQ(got_src_sum, 3); // ranks 1 and 2
         } else {
             int v = r.id() * 10;
-            r.send_value(0, 3, v);
+            r.send(0, 3, &v, sizeof v);
         }
     });
 }
@@ -80,7 +88,7 @@ TEST(P2P, AnyTagReportsActualTag) {
     m.run([](Rank& r) {
         if (r.id() == 0) {
             int v = 9;
-            r.send_value(1, 42, v);
+            r.send(1, 42, &v, sizeof v);
         } else {
             int v, tag;
             r.recv(0, kAnyTag, &v, sizeof v, nullptr, &tag);
@@ -103,7 +111,8 @@ TEST(P2P, BlockedAnyTagRecvSkipsOtherTagSpaces) {
             r.send_wire(1, coll, &internal, sizeof internal);
             r.send_wire(1, rt, &internal, sizeof internal);
             r.sleep(1.0);
-            r.send_value(1, 5, 42);
+            const int v = 42;
+            r.send(1, 5, &v, sizeof v);
             return;
         }
         int v = 0, src = -1, tag = -1;
@@ -122,9 +131,9 @@ TEST(P2P, FifoPreservedPerSenderAndTag) {
     m.run([](Rank& r) {
         const int kN = 50;
         if (r.id() == 0) {
-            for (int i = 0; i < kN; ++i) r.send_value(1, 1, i);
+            for (int i = 0; i < kN; ++i) r.send(1, 1, &i, sizeof i);
         } else {
-            for (int i = 0; i < kN; ++i) EXPECT_EQ(r.recv_value<int>(0, 1), i);
+            for (int i = 0; i < kN; ++i) EXPECT_EQ(recv_int(r, 0, 1), i);
         }
     });
 }
@@ -134,7 +143,8 @@ TEST(P2P, SendRecvCrossExchange) {
     m.run([](Rank& r) {
         double mine = 100.0 + r.id(), theirs = -1;
         int peer = 1 - r.id();
-        r.sendrecv(peer, 0, &mine, sizeof mine, peer, 0, &theirs, sizeof theirs);
+        r.send(peer, 0, &mine, sizeof mine); // eager: returns before the recv
+        r.recv(peer, 0, &theirs, sizeof theirs);
         EXPECT_DOUBLE_EQ(theirs, 100.0 + peer);
     });
 }
@@ -173,29 +183,12 @@ TEST(P2P, RecvBufferTooSmallRejected) {
                  Error);
 }
 
-TEST(P2P, ProbeSeesBufferedMessage) {
-    Machine m(quiet_cluster(2));
-    m.run([](Rank& r) {
-        if (r.id() == 0) {
-            int v = 1;
-            r.send_value(1, 8, v);
-        } else {
-            EXPECT_FALSE(r.probe(0, 8));
-            r.sleep(1.0); // give the message time to arrive
-            EXPECT_TRUE(r.probe(0, 8));
-            EXPECT_FALSE(r.probe(0, 9));
-            r.recv_value<int>(0, 8);
-            EXPECT_FALSE(r.probe(0, 8));
-        }
-    });
-}
-
 TEST(P2P, SelfSendAllowed) {
     Machine m(quiet_cluster(1));
     m.run([](Rank& r) {
         int v = 77;
-        r.send_value(0, 0, v);
-        EXPECT_EQ(r.recv_value<int>(0, 0), 77);
+        r.send(0, 0, &v, sizeof v);
+        EXPECT_EQ(recv_int(r, 0, 0), 77);
     });
 }
 
@@ -203,7 +196,7 @@ TEST(P2P, InvalidDestinationRejected) {
     Machine m(quiet_cluster(2));
     EXPECT_THROW(m.run([](Rank& r) {
         int v = 0;
-        r.send_value(5, 0, v);
+        r.send(5, 0, &v, sizeof v);
     }),
                  Error);
 }

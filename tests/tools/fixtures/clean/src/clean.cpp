@@ -1,4 +1,5 @@
 // Fixture: a fully sanctioned file — the linter must stay silent.
+#include <numeric>
 #include <unordered_map>
 
 enum class TagSpace { User, Collective, Runtime };
@@ -16,4 +17,11 @@ int classify(unsigned long long t) {
     case TagSpace::Runtime: return 2;
     }
     return -1;
+}
+
+// A repair-critical function may call a same-named function of another
+// namespace: only msg:: collectives throw.
+// dynmpi-lint: repair-critical
+int local_total(const int* v, int n) {
+    return std::reduce(v, v + n, 0);
 }

@@ -16,13 +16,16 @@ from . import Finding
 
 # msg::Rank / msg::Machine entry points (and the collective helpers built on
 # them) that can surface NodeCrashed / PeerFailure / EpochRevoked.
-_THROWING = (
-    "send_wire|recv_wire|sendrecv|send_value|recv_value|send_vector"
-    "|recv_vector|send|recv|isend|irecv|waitall|wait|revoke_control"
-    "|sync_revocations|bcast|reduce|allreduce|barrier|gather|allgather")
+_COLLECTIVES = (
+    "bcast|bcast_payload|reduce|allreduce|allreduce_scalar|barrier|gather"
+    "|allgather|allgather_scalar")
+_THROWING = ("send_wire|recv_wire|recv_payload|send|recv|sync_revocations|"
+             + _COLLECTIVES)
 _MEMBER_CALL = re.compile(r"(?:\.|->)\s*(" + _THROWING + r")\s*[(<]")
+# Bare, or qualified as `msg::` / `dynmpi::msg::` (how src/ writes them).
 _FREE_COLLECTIVE = re.compile(
-    r"(?<![\w.>:])(bcast|reduce|allreduce|barrier|gather|allgather)\s*[(<]")
+    r"(?<![\w.>:])(?:(?:dynmpi\s*::\s*)?msg\s*::\s*)?(" + _COLLECTIVES
+    + r")\s*[(<]")
 
 # `Class::~Class(...) {` out of line, or `~Class() ... {` inline.
 _DTOR_OUT = re.compile(r"\b(\w+)\s*::\s*~\s*\1\s*\([^)]*\)[^{};]*\{")
