@@ -25,7 +25,7 @@ SenseError bursty_scenario(double duty) {
     cc.num_nodes = 1;
     cc.cpu.jitter_frac = 0.0;
     sim::Cluster c(cc);
-    c.node(0).spawn_competing("bursty", sim::BurstSpec{0.37, duty});
+    c.node(0).spawn_competing(sim::BurstSpec{0.37, duty});
     sim::VmstatSampler vm(c.node(0));
 
     double true_avg = duty; // long-run demand of the bursty process

@@ -154,7 +154,7 @@ int Runtime::init_phase(int lo, int hi, PhaseComm comm) {
     DYNMPI_REQUIRE(!committed_, "init_phase after commit_setup");
     DYNMPI_REQUIRE(lo >= 0 && hi <= global_rows_ && lo < hi,
                    "phase bounds outside the iteration space");
-    phases_.push_back(Phase{lo, hi, IterationTimer(opts_.grace_cycles)});
+    phases_.push_back(Phase{lo, hi, IterationTimer{}});
     model_.phases.push_back(comm);
     return static_cast<int>(phases_.size()) - 1;
 }

@@ -9,10 +9,6 @@
 
 namespace dynmpi {
 
-IterationTimer::IterationTimer(int grace_cycles) : grace_cycles_(grace_cycles) {
-    DYNMPI_REQUIRE(grace_cycles_ > 0, "grace period needs cycles");
-}
-
 void IterationTimer::start(int num_rows) {
     DYNMPI_REQUIRE(num_rows >= 0, "negative row count");
     num_rows_ = num_rows;
@@ -47,7 +43,6 @@ void IterationTimer::record_cycle(const std::vector<double>& wall,
                        static_cast<int>(cpu.size()) == num_rows_,
                    "measurement length mismatch");
     DYNMPI_REQUIRE(speed > 0, "speed must be positive");
-    speed_ = speed;
 
     // gethrtime path: de-rate the wall time by the observed load, keep the
     // minimum across cycles (removes context-switch spikes).

@@ -24,9 +24,6 @@ class IterationTimer {
 public:
     enum class Method { Proc, Hrtime };
 
-    /// Measure `grace_cycles` cycles per grace period.
-    explicit IterationTimer(int grace_cycles = 5);
-
     /// Begin a grace period measuring `num_rows` rows.
     void start(int num_rows);
 
@@ -38,7 +35,6 @@ public:
                       double speed);
 
     int cycles_recorded() const { return cycles_; }
-    bool complete() const { return cycles_ >= grace_cycles_; }
 
     /// Which mechanism the estimates would use right now.
     Method chosen_method() const;
@@ -51,12 +47,10 @@ private:
     /// /proc reader would observe them (cumulative counter, floor to jiffy).
     std::vector<double> quantize_proc(const std::vector<double>& cpu) const;
 
-    int grace_cycles_;
     int num_rows_ = 0;
     int cycles_ = 0;
     std::vector<double> hrtime_min_;  ///< min unloaded estimate per row
     std::vector<double> proc_sum_;    ///< sum of quantized /proc readings
-    double speed_ = 1.0;
 };
 
 }  // namespace dynmpi

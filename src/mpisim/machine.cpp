@@ -222,7 +222,7 @@ struct Machine::Fiber {
     }
 };
 
-Machine::Machine(sim::ClusterConfig config) : cluster_(std::move(config)) {
+Machine::Machine(const sim::ClusterConfig& config) : cluster_(config) {
     cluster_.network().set_delivery_handler(
         [this](sim::Packet&& p) { on_delivery(std::move(p)); });
     cluster_.set_crash_handler([this](int node) { on_node_crash(node); });

@@ -95,7 +95,7 @@ public:
 
 class Machine {
 public:
-    explicit Machine(sim::ClusterConfig config);
+    explicit Machine(const sim::ClusterConfig& config);
     ~Machine();
 
     Machine(const Machine&) = delete;

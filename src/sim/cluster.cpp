@@ -8,31 +8,31 @@ namespace dynmpi::sim {
 
 Cluster::~Cluster() = default;
 
-Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
-    DYNMPI_REQUIRE(config_.num_nodes > 0, "cluster needs at least one node");
-    DYNMPI_REQUIRE(config_.speeds.empty() ||
-                       static_cast<int>(config_.speeds.size()) ==
-                           config_.num_nodes,
+Cluster::Cluster(const ClusterConfig& config) {
+    DYNMPI_REQUIRE(config.num_nodes > 0, "cluster needs at least one node");
+    DYNMPI_REQUIRE(config.speeds.empty() ||
+                       static_cast<int>(config.speeds.size()) ==
+                           config.num_nodes,
                    "speeds must be empty or have one entry per node");
-    network_ = std::make_unique<Network>(engine_, config_.net,
-                                         config_.num_nodes);
-    DYNMPI_REQUIRE(config_.memories.empty() ||
-                       static_cast<int>(config_.memories.size()) ==
-                           config_.num_nodes,
+    network_ = std::make_unique<Network>(engine_, config.net,
+                                         config.num_nodes);
+    DYNMPI_REQUIRE(config.memories.empty() ||
+                       static_cast<int>(config.memories.size()) ==
+                           config.num_nodes,
                    "memories must be empty or have one entry per node");
-    for (int i = 0; i < config_.num_nodes; ++i) {
-        CpuParams cp = config_.cpu;
-        if (!config_.speeds.empty())
-            cp.speed = config_.speeds[static_cast<std::size_t>(i)];
+    for (int i = 0; i < config.num_nodes; ++i) {
+        CpuParams cp = config.cpu;
+        if (!config.speeds.empty())
+            cp.speed = config.speeds[static_cast<std::size_t>(i)];
         std::uint64_t mem =
-            config_.memories.empty()
+            config.memories.empty()
                 ? 0
-                : config_.memories[static_cast<std::size_t>(i)];
+                : config.memories[static_cast<std::size_t>(i)];
         nodes_.push_back(std::make_unique<Node>(
             engine_, i, cp,
-            hash_combine(config_.seed, static_cast<std::uint64_t>(i)), mem));
+            hash_combine(config.seed, static_cast<std::uint64_t>(i)), mem));
         daemons_.push_back(std::make_unique<PsDaemon>(engine_, *nodes_.back(),
-                                                      config_.ps_period));
+                                                      config.ps_period));
     }
 }
 
@@ -47,7 +47,7 @@ PsDaemon& Cluster::daemon(int i) {
 }
 
 int Cluster::spawn_competing(int node_id, BurstSpec spec) {
-    return node(node_id).spawn_competing("competing", spec);
+    return node(node_id).spawn_competing(spec);
 }
 
 void Cluster::kill_competing(int node_id, int pid) {
@@ -73,19 +73,6 @@ void Cluster::add_load_interval(int node_id, double t_start, double t_end,
             },
             /*weak=*/true);
     }
-}
-
-void Cluster::add_parallel_app(const std::vector<int>& nodes, double t_start,
-                               double t_end, double period_s, double duty) {
-    DYNMPI_REQUIRE(!nodes.empty(), "parallel app needs nodes");
-    DYNMPI_REQUIRE(period_s > 0.0 && duty > 0.0 && duty <= 1.0,
-                   "bad parallel-app phase shape");
-    // One lockstep bursty process per node: spawned at the same instant with
-    // the same spec, their toggle chains stay synchronized — the signature
-    // of a parallel application's compute/communicate phases.
-    for (int node_id : nodes)
-        add_load_interval(node_id, t_start, t_end, 1,
-                          BurstSpec{period_s, duty});
 }
 
 void Cluster::at(double t, std::function<void()> fn) {

@@ -37,7 +37,7 @@ struct ClusterConfig {
 
 class Cluster {
 public:
-    explicit Cluster(ClusterConfig config);
+    explicit Cluster(const ClusterConfig& config);
     ~Cluster();
 
     Cluster(const Cluster&) = delete;
@@ -48,7 +48,6 @@ public:
     int size() const { return static_cast<int>(nodes_.size()); }
     Node& node(int i);
     PsDaemon& daemon(int i);
-    const ClusterConfig& config() const { return config_; }
 
     // ---- load scripting ----
 
@@ -61,14 +60,6 @@ public:
     /// interval [t_start, t_end) (t_end < 0 means "forever").
     void add_load_interval(int node, double t_start, double t_end,
                            int count = 1, BurstSpec spec = {});
-
-    /// A competing *parallel* application (the paper's future-work case):
-    /// one process per listed node, all alternating compute/communicate in
-    /// lockstep with the given period and compute fraction.  Instantaneous
-    /// samplers see them flapping between all-runnable and all-blocked;
-    /// the windowed dmpi_ps average prices them at `duty`.
-    void add_parallel_app(const std::vector<int>& nodes, double t_start,
-                          double t_end, double period_s, double duty);
 
     /// Run an arbitrary callback at a virtual time (bench scripting).
     void at(double t, std::function<void()> fn);
@@ -103,7 +94,6 @@ public:
     const FaultInjector* faults() const { return injector_.get(); }
 
 private:
-    ClusterConfig config_;
     Engine engine_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<Network> network_;

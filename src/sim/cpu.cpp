@@ -22,10 +22,6 @@ Cpu::Cpu(Engine& engine, int node_id, CpuParams params, std::uint64_t seed)
     DYNMPI_REQUIRE(params_.speed > 0.0, "cpu speed must be positive");
 }
 
-void Cpu::set_app_running_cb(std::function<void(bool)> cb) {
-    app_running_cb_ = std::move(cb);
-}
-
 void Cpu::advance_progress() {
     if (!busy_) {
         last_update_ = engine_.now();
@@ -40,7 +36,7 @@ void Cpu::advance_progress() {
 
 void Cpu::schedule_completion() {
     if (completion_event_ != 0) engine_.cancel(completion_event_);
-    double wall_left = remaining_cpu_ / share() + batch_jitter_;
+    double wall_left = remaining_cpu_ / share();
     completion_event_ =
         engine_.after(ceil_ns(wall_left), [this] { finish_batch(); });
 }
@@ -89,9 +85,7 @@ void Cpu::start_batch(double ref_sec, std::function<void()> on_done) {
     // True batch progress follows the fluid processor-sharing model exactly;
     // the straggle model lives at the sync points (sync_straggle) and the
     // quantum-scale jitter only in *measurements* (reconstruct_rows).
-    batch_jitter_ = 0.0;
     on_done_ = std::move(on_done);
-    if (app_running_cb_) app_running_cb_(true);
     schedule_completion();
 }
 
@@ -104,7 +98,6 @@ void Cpu::finish_batch() {
     remaining_cpu_ = 0.0;
     busy_ = false;
     completion_event_ = 0;
-    if (app_running_cb_) app_running_cb_(false);
     auto done = std::move(on_done_);
     on_done_ = nullptr;
     if (done) done();
@@ -118,7 +111,6 @@ void Cpu::halt() {
     busy_ = false;
     remaining_cpu_ = 0.0;
     on_done_ = nullptr;
-    if (app_running_cb_) app_running_cb_(false);
 }
 
 double Cpu::next_wake_delay() {

@@ -83,10 +83,6 @@ public:
     /// Exact accumulated CPU seconds consumed by the app process.
     double app_cpu_seconds() const;
 
-    /// Notified with `true` when the app starts computing and `false` when it
-    /// stops (used to keep the process table and load integral current).
-    void set_app_running_cb(std::function<void(bool)> cb);
-
     /// Scheduling delay before a just-woken blocked process runs (0 when the
     /// node is unloaded).  Deterministic per call via an internal counter.
     double next_wake_delay();
@@ -145,10 +141,8 @@ private:
     double remaining_cpu_ = 0.0; ///< cpu-seconds at this node's speed
     SimTime last_update_ = 0;
     double app_cpu_ = 0.0;
-    double batch_jitter_ = 0.0; ///< extra wall time appended to this batch
     EventId completion_event_ = 0;
     std::function<void()> on_done_;
-    std::function<void(bool)> app_running_cb_;
     std::uint64_t batch_seq_ = 0;
     std::uint64_t wake_seq_ = 0;
     std::uint64_t straggle_seq_ = 0;

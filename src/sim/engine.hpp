@@ -41,7 +41,6 @@ public:
     /// Process a single event if one exists; returns false when idle.
     bool step();
 
-    bool idle() const { return queue_.empty(); }
     std::size_t pending_events() const { return queue_.size(); }
     std::uint64_t events_fired() const { return fired_; }
     /// High-water mark of the pending-event count (queue pressure).

@@ -165,11 +165,11 @@ void FaultPlan::validate(int num_nodes) const {
     }
 }
 
-FaultInjector::FaultInjector(Cluster& cluster, FaultPlan plan)
-    : cluster_(cluster), plan_(std::move(plan)) {
-    plan_.validate(cluster_.size());
+FaultInjector::FaultInjector(Cluster& cluster, const FaultPlan& plan)
+    : cluster_(cluster) {
+    plan.validate(cluster_.size());
     saved_speeds_.assign(static_cast<std::size_t>(cluster_.size()), 0.0);
-    for (const FaultSpec& f : plan_.faults) {
+    for (const FaultSpec& f : plan.faults) {
         cluster_.engine().at(
             from_seconds(f.t), [this, f] { inject(f); }, /*weak=*/true);
         bool window = f.duration_s > 0.0 && f.kind != FaultKind::Crash &&

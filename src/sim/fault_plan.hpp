@@ -72,12 +72,11 @@ public:
 /// counters.
 class FaultInjector {
 public:
-    FaultInjector(Cluster& cluster, FaultPlan plan);
+    FaultInjector(Cluster& cluster, const FaultPlan& plan);
 
     FaultInjector(const FaultInjector&) = delete;
     FaultInjector& operator=(const FaultInjector&) = delete;
 
-    const FaultPlan& plan() const { return plan_; }
     int injected() const { return injected_; }
 
 private:
@@ -86,7 +85,6 @@ private:
     void note(support::InstantId event, const FaultSpec& f);
 
     Cluster& cluster_;
-    FaultPlan plan_;
     int injected_ = 0;
     std::vector<double> saved_speeds_; ///< pre-slowdown speeds, per node
 };

@@ -99,21 +99,4 @@ void apply_load_trace(Cluster& cluster, const std::string& text) {
     apply_load_trace(cluster, parse_load_trace(text));
 }
 
-std::string format_load_trace(const std::vector<LoadDirective>& trace) {
-    std::ostringstream os;
-    for (const auto& d : trace) {
-        os << "node " << d.node << ": " << d.start_s << ' ';
-        if (d.end_s < 0)
-            os << "inf";
-        else
-            os << d.end_s;
-        if (d.count != 1) os << " x" << d.count;
-        if (d.burst.period_s > 0)
-            os << " bursty(" << d.burst.period_s << ',' << d.burst.duty
-               << ')';
-        os << '\n';
-    }
-    return os.str();
-}
-
 }  // namespace dynmpi::sim

@@ -2,7 +2,7 @@
 //
 // Benches and examples script competing-process activity; a small trace
 // language keeps those scripts data, not code, so experiments can be varied
-// without recompiling (and load histories can be logged and replayed).
+// without recompiling.
 //
 // Grammar (one directive per line, '#' comments):
 //
@@ -41,8 +41,5 @@ void apply_load_trace(Cluster& cluster,
 
 /// Convenience: parse + apply.
 void apply_load_trace(Cluster& cluster, const std::string& text);
-
-/// Render directives back to trace text (round-trips through the parser).
-std::string format_load_trace(const std::vector<LoadDirective>& trace);
 
 }  // namespace dynmpi::sim

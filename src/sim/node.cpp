@@ -8,16 +8,8 @@ Node::Node(Engine& engine, int id, CpuParams cpu_params, std::uint64_t seed,
            std::uint64_t memory_bytes)
     : engine_(engine),
       id_(id),
-      seed_(seed),
       memory_bytes_(memory_bytes),
-      cpu_(engine, id, cpu_params, seed),
-      app_pid_(table_.add(ProcKind::App, "mpi_rank", ProcState::Blocked)),
-      daemon_pid_(table_.add(ProcKind::Daemon, "dmpi_ps", ProcState::Blocked)) {
-    cpu_.set_app_running_cb([this](bool running) {
-        table_.set_state(app_pid_,
-                         running ? ProcState::Running : ProcState::Blocked);
-    });
-}
+      cpu_(engine, id, cpu_params, seed) {}
 
 void Node::crash() {
     if (crashed_) return;
@@ -35,7 +27,7 @@ void Node::revive() {
 
 double Node::competing_integral() const {
     integral_ +=
-        active_competing_ * to_seconds(engine_.now() - integral_last_);
+        active_competing() * to_seconds(engine_.now() - integral_last_);
     integral_last_ = engine_.now();
     return integral_;
 }
@@ -46,9 +38,7 @@ void Node::set_competing_runnable(int pid, bool runnable) {
     if (it->second.runnable == runnable) return;
     competing_integral(); // fold the elapsed interval at the old level
     it->second.runnable = runnable;
-    active_competing_ += runnable ? 1 : -1;
-    table_.set_state(pid, runnable ? ProcState::Ready : ProcState::Blocked);
-    cpu_.set_runnable_competitors(active_competing_);
+    cpu_.set_runnable_competitors(active_competing() + (runnable ? 1 : -1));
 }
 
 void Node::schedule_toggle(int pid) {
@@ -68,10 +58,10 @@ void Node::schedule_toggle(int pid) {
         /*weak=*/true);
 }
 
-int Node::spawn_competing(std::string name, BurstSpec spec) {
+int Node::spawn_competing(BurstSpec spec) {
     DYNMPI_REQUIRE(spec.duty > 0.0 && spec.duty <= 1.0,
                    "duty must be in (0, 1]");
-    int pid = table_.add(ProcKind::Competing, std::move(name));
+    int pid = next_pid_++;
     burst_.emplace(pid, CompetingState{spec, false, 0});
     set_competing_runnable(pid, true);
     schedule_toggle(pid);
@@ -84,14 +74,6 @@ void Node::kill_competing(int pid) {
     if (it->second.toggle_event != 0) engine_.cancel(it->second.toggle_event);
     set_competing_runnable(pid, false);
     burst_.erase(pid);
-    table_.remove(pid);
-}
-
-std::vector<ProcessInfo> Node::ps_snapshot() const {
-    auto snap = table_.snapshot();
-    for (auto& p : snap)
-        if (p.pid == app_pid_) p.cpu_seconds = cpu_.app_cpu_seconds();
-    return snap;
 }
 
 }  // namespace dynmpi::sim

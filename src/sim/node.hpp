@@ -1,20 +1,18 @@
-// A simulated cluster node: CPU, process table, and competing processes.
+// A simulated cluster node: CPU and competing processes.
 //
 // Competing processes model other users of a non-dedicated node.  They are
 // compute-bound (the paper uses infinite loops) and may optionally be
 // *bursty*, alternating runnable and blocked phases — the workload that
 // separates dmpi_ps-style time-averaged load sensing from vmstat-style
-// instantaneous sampling.
+// instantaneous sampling.  The node's one record of its load is the CPU's
+// runnable-competitor count; both load sensors read it (ps_daemon.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <unordered_map>
 
 #include "sim/cpu.hpp"
 #include "sim/engine.hpp"
-#include "sim/process_table.hpp"
 
 namespace dynmpi::sim {
 
@@ -36,10 +34,6 @@ public:
     int id() const { return id_; }
     Cpu& cpu() { return cpu_; }
     const Cpu& cpu() const { return cpu_; }
-    ProcessTable& procs() { return table_; }
-
-    /// Pid of the (single) monitored application process on this node.
-    int app_pid() const { return app_pid_; }
 
     // ---- failure ----
 
@@ -63,20 +57,17 @@ public:
     // ---- competing processes ----
 
     /// Start a competing process; returns its pid.
-    int spawn_competing(std::string name, BurstSpec spec = {});
+    int spawn_competing(BurstSpec spec = {});
 
     /// Terminate a competing process started with spawn_competing.
     void kill_competing(int pid);
 
     /// Number of competing processes currently runnable.
-    int active_competing() const { return active_competing_; }
+    int active_competing() const { return cpu_.runnable_competitors(); }
 
     /// ∫ active_competing dt from simulation start to now, in process-seconds
     /// (basis for windowed load averages).
     double competing_integral() const;
-
-    /// `ps`-style snapshot with the app's CPU time filled in.
-    std::vector<ProcessInfo> ps_snapshot() const;
 
 private:
     struct CompetingState {
@@ -90,16 +81,12 @@ private:
 
     Engine& engine_;
     int id_;
-    std::uint64_t seed_;
     std::uint64_t memory_bytes_;
-    ProcessTable table_;
     Cpu cpu_;
-    int app_pid_;
-    int daemon_pid_;
+    int next_pid_ = 0;
 
     // Keyed lookups only (spawn/kill/toggle by pid); never iterated.
     std::unordered_map<int, CompetingState> burst_; // dynmpi-lint: ok(unordered-lookup)
-    int active_competing_ = 0;
     bool crashed_ = false;
     int generation_ = 0;
 

@@ -58,34 +58,8 @@ int PsDaemon::reported_load() const {
     return 1 + static_cast<int>(std::lround(avg_competing()));
 }
 
-double PsDaemon::reported_share() const {
-    return 1.0 / (1.0 + avg_competing());
-}
-
 SimTime PsDaemon::last_sample_time() const {
     return history_.empty() ? -1 : history_.back().time;
-}
-
-double PsDaemon::avg_over(double window_s) const {
-    if (history_.empty()) return 0.0;
-    SimTime cutoff = history_.back().time - from_seconds(window_s);
-    double sum = 0.0;
-    int n = 0;
-    for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-        if (it->time <= cutoff) break;
-        sum += it->avg_competing;
-        ++n;
-    }
-    return n > 0 ? sum / n : history_.back().avg_competing;
-}
-
-int VmstatSampler::sample_runnable() const {
-    int n = 0;
-    for (const auto& p : node_.procs().snapshot())
-        if (p.kind != ProcKind::App &&
-            (p.state == ProcState::Running || p.state == ProcState::Ready))
-            ++n;
-    return n;
 }
 
 }  // namespace dynmpi::sim

@@ -1,15 +1,19 @@
 // Load-sensing daemons.
 //
+// Both sensors read one fact per node: how many competing processes are
+// runnable (the CPU's competitor count, Node::active_competing).
+//
 // PsDaemon models the paper's dmpi_ps: a per-node daemon that wakes every
 // second and reports how many processes are competing for the CPU.  Unlike
 // vmstat-based sensing it (a) always includes the monitored application and
-// (b) integrates over the whole window rather than sampling an instant, so a
-// competing process that happens to be blocked at the sampling instant is
-// still accounted for in proportion to its actual demand.
+// (b) integrates the count over the whole window (Node::competing_integral)
+// rather than sampling an instant, so a competing process that happens to be
+// blocked at the sampling instant is still accounted for in proportion to
+// its actual demand.
 //
-// VmstatSampler is the unreliable baseline the paper rejects: an
-// instantaneous count of runnable processes, which misses processes that
-// have voluntarily relinquished the CPU (e.g. blocked at a receive).
+// VmstatSampler is the unreliable baseline the paper rejects: the count at
+// one instant, which misses processes that have voluntarily relinquished
+// the CPU (e.g. blocked at a receive).
 #pragma once
 
 #include <deque>
@@ -41,16 +45,8 @@ public:
     /// nearest integer, plus one for the monitored application itself.
     int reported_load() const;
 
-    /// Fraction of this node's CPU the application can expect:
-    /// 1 / (1 + avg_competing).
-    double reported_share() const;
-
     SimTime last_sample_time() const;
     const std::vector<Sample>& history() const { return history_; }
-
-    /// Average competing load over the last `window_s` seconds of completed
-    /// samples (0 when nothing has been sampled yet).
-    double avg_over(double window_s) const;
 
     SimTime period() const { return period_; }
 
@@ -95,10 +91,10 @@ class VmstatSampler {
 public:
     explicit VmstatSampler(Node& node) : node_(node) {}
 
-    /// Count of processes in Running/Ready state *right now*, excluding the
+    /// Count of runnable competing processes *right now*, excluding the
     /// monitored application (it does not show as runnable while blocked at
     /// a receive — exactly the failure mode the paper describes).
-    int sample_runnable() const;
+    int sample_runnable() const { return node_.active_competing(); }
 
 private:
     Node& node_;

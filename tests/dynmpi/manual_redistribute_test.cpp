@@ -1,12 +1,11 @@
 // Manual REDISTRIBUTE (the language-annotation approach from the paper's
-// related work) and daemon windowed queries.
+// related work).
 #include <gtest/gtest.h>
 
 #include "common/cluster_fixture.hpp"
 #include "dynmpi/runtime.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
-#include "sim/ps_daemon.hpp"
 
 namespace dynmpi {
 namespace {
@@ -65,22 +64,6 @@ TEST(ManualRedistribute, RejectedInsideCycle) {
         rt.redistribute_manual({8});
     }),
                  Error);
-}
-
-TEST(DaemonWindow, AvgOverSelectsRecentSamples) {
-    sim::Cluster c(fast_cluster(1));
-    // Load only during [0, 2): later windows must fade it out.
-    c.add_load_interval(0, 0.0, 2.0);
-    c.engine().run_until(sim::from_seconds(4.1));
-    // Last 1s: no load at all.
-    EXPECT_NEAR(c.daemon(0).avg_over(1.0), 0.0, 1e-9);
-    // Last 4s: half the samples loaded.
-    EXPECT_NEAR(c.daemon(0).avg_over(4.0), 0.5, 0.07);
-}
-
-TEST(DaemonWindow, EmptyHistoryIsZero) {
-    sim::Cluster c(fast_cluster(1));
-    EXPECT_DOUBLE_EQ(c.daemon(0).avg_over(5.0), 0.0);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Competing *parallel* applications — the paper's §6 future-work case.
 //
 // A parallel competitor alternates compute and communicate in lockstep
-// across several nodes.  The windowed dmpi_ps average prices it at its
-// compute fraction ("the probability that an application is computing"),
-// which is exactly the load number the balancer needs; an instantaneous
-// sampler sees only 0 or 1.
+// across several nodes: one bursty process per node, all spawned at the same
+// instant with the same BurstSpec, so their toggle chains stay synchronized.
+// The windowed dmpi_ps average prices it at its compute fraction ("the
+// probability that an application is computing"), which is exactly the load
+// number the balancer needs; an instantaneous sampler sees only 0 or 1.
 #include <gtest/gtest.h>
 
 #include "common/cluster_fixture.hpp"
@@ -19,7 +20,9 @@ namespace {
 TEST(ParallelApp, DaemonPricesItAtComputeFraction) {
     sim::Cluster c(fast_cluster(4));
     // Period divides the daemon window exactly, so the average is exact.
-    c.add_parallel_app({0, 1}, 0.0, -1.0, /*period=*/0.05, /*duty=*/0.6);
+    for (int n : {0, 1})
+        c.add_load_interval(n, 0.0, -1.0, 1,
+                            sim::BurstSpec{/*period_s=*/0.05, /*duty=*/0.6});
     c.engine().run_until(sim::from_seconds(3.1));
     EXPECT_NEAR(c.daemon(0).avg_competing(), 0.6, 0.05);
     EXPECT_NEAR(c.daemon(1).avg_competing(), 0.6, 0.05);
@@ -32,7 +35,8 @@ TEST(ParallelApp, DaemonPricesItAtComputeFraction) {
 
 TEST(ParallelApp, LockstepAcrossItsNodes) {
     sim::Cluster c(fast_cluster(3));
-    c.add_parallel_app({0, 1, 2}, 0.0, -1.0, 0.2, 0.5);
+    for (int n : {0, 1, 2})
+        c.add_load_interval(n, 0.0, -1.0, 1, sim::BurstSpec{0.2, 0.5});
     // At any instant all member processes are in the same phase.
     for (double t : {0.05, 0.15, 0.25, 0.72}) {
         c.engine().run_until(sim::from_seconds(t));
@@ -54,7 +58,9 @@ TEST(ParallelApp, RuntimeAssignsFractionalShares) {
     // A 50%-duty parallel app on nodes 0 and 1: effective power 1/1.5 each,
     // nodes 2 and 3 stay at 1 — optimal counts ~ 12.8/12.8/19.2/19.2 of 64.
     msg::Machine m(fast_cluster(4));
-    m.cluster().add_parallel_app({0, 1}, 0.5, -1.0, 0.05, 0.5);
+    for (int n : {0, 1})
+        m.cluster().add_load_interval(n, 0.5, -1.0, 1,
+                                      sim::BurstSpec{0.05, 0.5});
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;
@@ -86,7 +92,7 @@ TEST(ParallelApp, RuntimeAssignsFractionalShares) {
 
 TEST(ParallelApp, BoundedAppEventuallyReleasesNodes) {
     msg::Machine m(fast_cluster(2));
-    m.cluster().add_parallel_app({1}, 0.5, 3.0, 0.05, 0.8);
+    m.cluster().add_load_interval(1, 0.5, 3.0, 1, sim::BurstSpec{0.05, 0.8});
     m.run([](msg::Rank& r) {
         RuntimeOptions o;
         o.calibrate = false;

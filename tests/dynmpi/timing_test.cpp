@@ -90,16 +90,6 @@ TEST(IterationTimer, SpeedScalesEstimates) {
     EXPECT_NEAR(t.estimates()[0], 0.002, 1e-9);
 }
 
-TEST(IterationTimer, CompleteAfterConfiguredCycles) {
-    IterationTimer t(3);
-    t.start(1);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_FALSE(t.complete());
-        t.record_cycle({0.01}, {0.01}, 0.0, 1.0);
-    }
-    EXPECT_TRUE(t.complete());
-}
-
 TEST(IterationTimer, MismatchedLengthsRejected) {
     IterationTimer t;
     t.start(2);

@@ -6,6 +6,7 @@
 
 #include "common/cluster_fixture.hpp"
 #include "mpisim/machine.hpp"
+#include "support/error.hpp"
 
 namespace dynmpi::mpi {
 namespace {

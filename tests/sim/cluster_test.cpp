@@ -72,8 +72,8 @@ TEST(Cluster, NodesHaveDecorrelatedSeeds) {
     ClusterConfig cfg = quiet_cluster(2);
     cfg.cpu.jitter_frac = 1.0;
     Cluster c(cfg);
-    c.node(0).spawn_competing("l");
-    c.node(1).spawn_competing("l");
+    c.node(0).spawn_competing();
+    c.node(1).spawn_competing();
     // Rows comparable to the quantum so preemption spikes are near-certain
     // and the per-node jitter streams become observable.
     c.node(0).cpu().start_batch(0.2, [] {});

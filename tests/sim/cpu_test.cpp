@@ -84,16 +84,6 @@ TEST(Cpu, OverlappingBatchRejected) {
     EXPECT_THROW(cpu.start_batch(1.0, [] {}), dynmpi::Error);
 }
 
-TEST(Cpu, AppRunningCallbackBracketsBatch) {
-    Engine e;
-    Cpu cpu(e, 0, quiet_cpu(), 1);
-    std::vector<bool> transitions;
-    cpu.set_app_running_cb([&](bool r) { transitions.push_back(r); });
-    cpu.start_batch(1.0, [] {});
-    e.run();
-    EXPECT_EQ(transitions, (std::vector<bool>{true, false}));
-}
-
 TEST(Cpu, ReconstructRowsMatchesBatchTotalUnloaded) {
     Engine e;
     Cpu cpu(e, 0, quiet_cpu(), 1);

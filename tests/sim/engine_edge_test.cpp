@@ -19,7 +19,7 @@ TEST(EngineEdge, WeakBeforeLastStrongFiresWeakAfterStays) {
     e.at(10, [&] { order.push_back(3); }, /*weak=*/true);
     e.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_FALSE(e.idle());
+    EXPECT_EQ(e.pending_events(), 1u);
 }
 
 TEST(EngineEdge, RunStopsAfterLastStrongEvenWithEarlierWeakPending) {
@@ -31,7 +31,7 @@ TEST(EngineEdge, RunStopsAfterLastStrongEvenWithEarlierWeakPending) {
     e.run();
     EXPECT_EQ(weak_fired, 1);
     EXPECT_EQ(e.now(), 10);
-    EXPECT_FALSE(e.idle()); // the t=20 weak event is still queued
+    EXPECT_EQ(e.pending_events(), 1u); // the t=20 weak event is still queued
 }
 
 TEST(EngineEdge, EventCancellingALaterEvent) {

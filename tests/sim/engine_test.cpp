@@ -81,7 +81,7 @@ TEST(Engine, CancelledEventNeverFires) {
     e.cancel(id);
     e.run();
     EXPECT_FALSE(fired);
-    EXPECT_TRUE(e.idle());
+    EXPECT_EQ(e.pending_events(), 0u);
 }
 
 }  // namespace

@@ -52,14 +52,6 @@ TEST(LoadTrace, RejectsGarbage) {
     EXPECT_THROW(parse_load_trace("node 1: 1.0 inf xab\n"), Error); // count
 }
 
-TEST(LoadTrace, FormatRoundTrips) {
-    std::string text =
-        "node 3: 1 inf x2\nnode 0: 2 8 bursty(0.25,0.5)\nnode 5: 0.5 3.5\n";
-    auto a = parse_load_trace(text);
-    auto b = parse_load_trace(format_load_trace(a));
-    EXPECT_EQ(a, b);
-}
-
 TEST(LoadTrace, AppliesToCluster) {
     Cluster c(quiet_cluster(4));
     apply_load_trace(c, "node 1: 1.0 3.0 x2\nnode 2: 2.0 inf\n");

@@ -8,18 +8,17 @@
 namespace dynmpi::sim {
 namespace {
 
-TEST(Node, StartsWithAppAndDaemonProcesses) {
+TEST(Node, StartsWithNoCompetingLoad) {
     Engine e;
     Node n(e, 0, quiet_cpu(), 1);
-    EXPECT_EQ(n.procs().size(), 2u);
-    EXPECT_EQ(n.procs().info(n.app_pid()).kind, ProcKind::App);
     EXPECT_EQ(n.active_competing(), 0);
+    EXPECT_DOUBLE_EQ(n.competing_integral(), 0.0);
 }
 
 TEST(Node, SpawnCompetingRaisesActiveCount) {
     Engine e;
     Node n(e, 0, quiet_cpu(), 1);
-    int pid = n.spawn_competing("loop");
+    int pid = n.spawn_competing();
     EXPECT_EQ(n.active_competing(), 1);
     EXPECT_EQ(n.cpu().runnable_competitors(), 1);
     n.kill_competing(pid);
@@ -30,7 +29,7 @@ TEST(Node, SpawnCompetingRaisesActiveCount) {
 TEST(Node, CompetingSlowsAppWork) {
     Engine e;
     Node n(e, 0, quiet_cpu(), 1);
-    n.spawn_competing("loop");
+    n.spawn_competing();
     n.cpu().start_batch(1.0, [] {});
     e.run();
     EXPECT_NEAR(to_seconds(e.now()), 2.0, 1e-6);
@@ -39,7 +38,7 @@ TEST(Node, CompetingSlowsAppWork) {
 TEST(Node, IntegralTracksConstantLoad) {
     Engine e;
     Node n(e, 0, quiet_cpu(), 1);
-    n.spawn_competing("loop");
+    n.spawn_competing();
     e.at(from_seconds(3.0), [] {});
     e.run();
     EXPECT_NEAR(n.competing_integral(), 3.0, 1e-6);
@@ -49,7 +48,7 @@ TEST(Node, IntegralTracksLoadInterval) {
     Engine e;
     Node n(e, 0, quiet_cpu(), 1);
     int pid = -1;
-    e.at(from_seconds(1.0), [&] { pid = n.spawn_competing("loop"); });
+    e.at(from_seconds(1.0), [&] { pid = n.spawn_competing(); });
     e.at(from_seconds(4.0), [&] { n.kill_competing(pid); });
     e.at(from_seconds(10.0), [] {});
     e.run();
@@ -59,7 +58,7 @@ TEST(Node, IntegralTracksLoadInterval) {
 TEST(Node, BurstyProcessIntegratesToDutyCycle) {
     Engine e;
     Node n(e, 0, quiet_cpu(), 1);
-    n.spawn_competing("bursty", BurstSpec{1.0, 0.25});
+    n.spawn_competing(BurstSpec{1.0, 0.25});
     e.at(from_seconds(8.0), [] {});
     e.run();
     // 25% duty over 8 seconds → 2 process-seconds (integral is exact here
@@ -76,43 +75,19 @@ TEST(Node, KillUnknownPidRejected) {
 TEST(Node, BurstyKillMidBurstStopsToggles) {
     Engine e;
     Node n(e, 0, quiet_cpu(), 1);
-    int pid = n.spawn_competing("bursty", BurstSpec{1.0, 0.5});
+    int pid = n.spawn_competing(BurstSpec{1.0, 0.5});
     e.at(from_seconds(0.25), [&] { n.kill_competing(pid); });
     e.run();
     EXPECT_EQ(n.active_competing(), 0);
     EXPECT_NEAR(n.competing_integral(), 0.25, 1e-6);
 }
 
-TEST(Node, PsSnapshotIncludesAppCpuTime) {
-    Engine e;
-    Node n(e, 0, quiet_cpu(), 1);
-    n.cpu().start_batch(1.5, [] {});
-    e.run();
-    bool found = false;
-    for (const auto& p : n.ps_snapshot())
-        if (p.kind == ProcKind::App) {
-            found = true;
-            EXPECT_NEAR(p.cpu_seconds, 1.5, 1e-6);
-        }
-    EXPECT_TRUE(found);
-}
-
-TEST(Node, AppStateReflectsComputing) {
-    Engine e;
-    Node n(e, 0, quiet_cpu(), 1);
-    EXPECT_EQ(n.procs().info(n.app_pid()).state, ProcState::Blocked);
-    n.cpu().start_batch(1.0, [] {});
-    EXPECT_EQ(n.procs().info(n.app_pid()).state, ProcState::Running);
-    e.run();
-    EXPECT_EQ(n.procs().info(n.app_pid()).state, ProcState::Blocked);
-}
-
 TEST(Node, MultipleCompetingProcessesStack) {
     Engine e;
     Node n(e, 0, quiet_cpu(), 1);
-    n.spawn_competing("a");
-    n.spawn_competing("b");
-    n.spawn_competing("c");
+    n.spawn_competing();
+    n.spawn_competing();
+    n.spawn_competing();
     EXPECT_EQ(n.active_competing(), 3);
     n.cpu().start_batch(1.0, [] {});
     e.run();

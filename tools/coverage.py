@@ -15,7 +15,7 @@ import os
 import subprocess
 import sys
 
-FLOOR = 99.17  # percent of src/ lines run by ctest (gcc 12: 99.175)
+FLOOR = 99.19  # percent of src/ lines run by ctest (gcc 12: 99.193)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src") + os.sep
