@@ -22,6 +22,7 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
     const int w = config.cols_math;
     const std::size_t row_bytes =
         static_cast<std::size_t>(config.cols_stored) * sizeof(double);
+    const std::size_t math_bytes = static_cast<std::size_t>(w) * sizeof(double);
 
     Runtime rt(rank, n, config.runtime);
     DenseArray* grid[2] = {
@@ -45,6 +46,7 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
                 row[c] = initial_value(r, c);
         }
 
+    std::vector<double> costs;
     for (int cycle = 0; cycle < config.cycles; ++cycle) {
         fire_hook(config.on_cycle, rank, cycle);
         rt.begin_cycle();
@@ -56,10 +58,14 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
             const int lo = rt.start_iter(ph);
             const int hi = rt.end_iter(ph); // inclusive
 
-            // Halo exchange on the read array (paper Figure 1 pattern).
-            if (rel > 0) rt.send_rel(rel - 1, 10, read.row_data(lo), row_bytes);
+            // Halo exchange on the read array (paper Figure 1 pattern): the
+            // math stripe is copied, the stored row charged (jacobi.hpp).
+            if (rel > 0)
+                rt.send_rel(rel - 1, 10, read.row_data(lo), math_bytes,
+                            row_bytes);
             if (rel < nact - 1)
-                rt.send_rel(rel + 1, 11, read.row_data(hi), row_bytes);
+                rt.send_rel(rel + 1, 11, read.row_data(hi), math_bytes,
+                            row_bytes);
             if (rel < nact - 1)
                 rt.recv_rel(rel + 1, 10, read.row_data(hi + 1), row_bytes);
             if (rel > 0)
@@ -87,9 +93,8 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
             }
 
             // Charge the paper-scale virtual cost.
-            std::vector<double> costs(
-                static_cast<std::size_t>(rt.my_iters(ph).count()),
-                config.sec_per_row);
+            costs.assign(static_cast<std::size_t>(rt.my_iters(ph).count()),
+                         config.sec_per_row);
             rt.run_phase(ph, costs);
         }
         rt.end_cycle();

@@ -8,11 +8,16 @@
 //
 // Stripe contract: each cycle writes only columns [0, cols_math) of a row —
 // columns 0 and cols_math-1 are copied, the stencil fills the ones between.
-// Columns [cols_math, cols_stored) are written once, at init, with the same
-// values in both arrays, and never again.  They stay correct because whole
-// rows travel together everywhere a row changes hands: redistribution
-// payloads, halo exchange and replica restore all carry all cols_stored
-// columns, so the virtual cost of moving a row is the paper-scale one.
+// Columns [cols_math, cols_stored), the filler, are written once, at init,
+// with the same values in both arrays, and never again.
+//  - A halo message copies only the math stripe but charges the whole
+//    stored row (msg::Rank::send's charged size), so its virtual cost is the
+//    paper-scale one.  A ghost row's filler is therefore stale by design,
+//    and nothing reads it: the stencil reads a ghost's math stripe only,
+//    and the checksums read owned rows only.
+//  - Redistribution payloads and replica packs still carry all cols_stored
+//    columns of owned rows, so an owned row's filler stays correct wherever
+//    the row moves.
 #pragma once
 
 #include "apps/app_common.hpp"

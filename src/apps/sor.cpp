@@ -22,6 +22,7 @@ SorResult run_sor(msg::Rank& rank, const SorConfig& config) {
     const int w = config.cols_math;
     const std::size_t row_bytes =
         static_cast<std::size_t>(config.cols_stored) * sizeof(double);
+    const std::size_t math_bytes = static_cast<std::size_t>(w) * sizeof(double);
 
     Runtime rt(rank, n, config.runtime);
     DenseArray& U = rt.register_dense("U", config.cols_stored, sizeof(double));
@@ -43,15 +44,18 @@ SorResult run_sor(msg::Rank& rank, const SorConfig& config) {
             row[c] = initial_value(r, c);
     }
 
+    // Copies the math stripe and charges the stored row (see sor.hpp).
     auto exchange_halo = [&](int tag_base) {
         const int rel = rt.rel_rank();
         const int nact = rt.num_active();
         const int lo = rt.start_iter(ph_red);
         const int hi = rt.end_iter(ph_red);
         if (rel > 0)
-            rt.send_rel(rel - 1, tag_base, U.row_data(lo), row_bytes);
+            rt.send_rel(rel - 1, tag_base, U.row_data(lo), math_bytes,
+                        row_bytes);
         if (rel < nact - 1)
-            rt.send_rel(rel + 1, tag_base + 1, U.row_data(hi), row_bytes);
+            rt.send_rel(rel + 1, tag_base + 1, U.row_data(hi), math_bytes,
+                        row_bytes);
         if (rel < nact - 1)
             rt.recv_rel(rel + 1, tag_base, U.row_data(hi + 1), row_bytes);
         if (rel > 0)
@@ -77,11 +81,12 @@ SorResult run_sor(msg::Rank& rank, const SorConfig& config) {
         }
     };
 
+    std::vector<double> half_costs;
     for (int cycle = 0; cycle < config.cycles; ++cycle) {
         fire_hook(config.on_cycle, rank, cycle);
         rt.begin_cycle();
         if (rt.participating()) {
-            std::vector<double> half_costs(
+            half_costs.assign(
                 static_cast<std::size_t>(rt.my_iters(ph_red).count()),
                 config.sec_per_row / 2.0);
 

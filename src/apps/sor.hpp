@@ -4,6 +4,11 @@
 // preceded by a boundary exchange — twice the communication of Jacobi for
 // half the per-sweep compute, which is exactly why the paper uses SOR for
 // the node-removal study (smaller computation/communication ratio).
+//
+// The stripe contract is Jacobi's (jacobi.hpp): the sweeps touch only
+// columns [0, cols_math), and a halo copies that stripe but charges the
+// whole stored row.  A ghost row's filler is stale by design and never
+// read; redistribution and replica packs still carry whole owned rows.
 #pragma once
 
 #include "apps/app_common.hpp"

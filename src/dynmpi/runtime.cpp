@@ -464,8 +464,8 @@ double Runtime::paging_factor() const {
 }
 
 void Runtime::send_rel(int rel_dst, int tag, const void* data,
-                       std::size_t bytes) {
-    rank_.send(active_.member(rel_dst), tag, data, bytes);
+                       std::size_t bytes, std::size_t charged) {
+    rank_.send(active_.member(rel_dst), tag, data, bytes, charged);
 }
 
 std::size_t Runtime::recv_rel(int rel_src, int tag, void* data,

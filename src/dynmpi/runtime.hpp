@@ -166,7 +166,10 @@ public:
 
     // ---- relative-rank messaging ----
 
-    void send_rel(int rel_dst, int tag, const void* data, std::size_t bytes);
+    /// `charged` as in msg::Rank::send: the bytes the model charges when
+    /// fewer are copied (0 charges `bytes`).
+    void send_rel(int rel_dst, int tag, const void* data, std::size_t bytes,
+                  std::size_t charged = 0);
     std::size_t recv_rel(int rel_src, int tag, void* data,
                          std::size_t capacity);
 

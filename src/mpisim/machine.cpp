@@ -483,12 +483,12 @@ void Machine::on_delivery(sim::Packet&& p) {
     const int dst = p.dst;
     if (p.control) {
         ++traffic_.control_messages;
-        traffic_.control_bytes += p.payload.size();
+        traffic_.control_bytes += p.charged_bytes();
     } else {
         auto space = static_cast<std::size_t>(tag_space(p.tag));
         DYNMPI_CHECK(space < 3, "unknown tag space");
         ++traffic_.messages[space];
-        traffic_.bytes[space] += p.payload.size();
+        traffic_.bytes[space] += p.charged_bytes();
     }
     RankState& rs = state(dst);
     if (!rs.recv || !rs.recv->matches(p)) {

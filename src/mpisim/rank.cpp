@@ -83,13 +83,14 @@ void Rank::send_wire(int dst, std::uint64_t wire_tag, sim::Payload payload) {
 }
 
 void Rank::transmit_wire(int dst, std::uint64_t wire_tag,
-                         sim::Payload payload) {
+                         sim::Payload payload, std::size_t charged) {
     sim::Packet p;
     p.src = id_;
     p.dst = dst;
     p.tag = wire_tag;
     p.control = control_mode_;
     p.payload = std::move(payload);
+    p.charged = charged;
     const int retries = std::max(0, net_params().send_retries);
     for (int attempt = 0; ; ++attempt) {
         // A failed transmit leaves the packet intact, so a retry resends
@@ -113,10 +114,16 @@ void Rank::transmit_wire(int dst, std::uint64_t wire_tag,
     }
 }
 
-void Rank::send(int dst, int tag, const void* data, std::size_t bytes) {
+void Rank::send(int dst, int tag, const void* data, std::size_t bytes,
+                std::size_t charged) {
     DYNMPI_REQUIRE(tag >= 0, "user tags must be non-negative");
-    send_wire(dst, make_tag(TagSpace::User, static_cast<std::uint64_t>(tag)),
-              data, bytes);
+    DYNMPI_REQUIRE(charged == 0 || charged >= bytes,
+                   "charged size below the copied bytes");
+    // As send_wire: charge first, copy after the yield.
+    charge_send_cost(dst, std::max(charged, bytes));
+    transmit_wire(dst,
+                  make_tag(TagSpace::User, static_cast<std::uint64_t>(tag)),
+                  sim::Payload(data, bytes), charged);
 }
 
 sim::Packet Rank::recv_packet(const RecvMatch& m) {
@@ -163,7 +170,7 @@ std::size_t Rank::recv(int src, int tag, void* data, std::size_t capacity,
         any_tag});
     DYNMPI_REQUIRE(p.payload.size() <= capacity,
                    "recv buffer too small for message");
-    charge_recv_cost(p.payload.size());
+    charge_recv_cost(p.charged_bytes());
     if (!p.payload.empty())
         std::memcpy(data, p.payload.data(), p.payload.size());
     if (out_src) *out_src = p.src;
@@ -173,7 +180,7 @@ std::size_t Rank::recv(int src, int tag, void* data, std::size_t capacity,
 
 sim::Payload Rank::recv_payload(int src, std::uint64_t wire_tag) {
     sim::Packet p = recv_packet(RecvMatch{src, wire_tag, false});
-    charge_recv_cost(p.payload.size());
+    charge_recv_cost(p.charged_bytes());
     return std::move(p.payload);
 }
 

@@ -65,11 +65,14 @@ public:
 
     /// Blocking eager send of `bytes` to rank `dst`.  Returns once the local
     /// CPU work (packetization/copy) is done and the message is queued on the
-    /// NIC; delivery completes asynchronously.
-    void send(int dst, int tag, const void* data, std::size_t bytes);
+    /// NIC; delivery completes asynchronously.  The model charges `charged`
+    /// bytes (wire time, both sides' CPU cost, traffic counters) but copies
+    /// only `bytes`; 0 charges `bytes`, and a smaller non-zero size throws.
+    void send(int dst, int tag, const void* data, std::size_t bytes,
+              std::size_t charged = 0);
 
     /// Blocking receive matching (src, tag); wildcards kAnySource/kAnyTag.
-    /// Returns actual byte count; throws if the buffer is too small.
+    /// Returns the copied byte count; throws if the buffer is too small.
     std::size_t recv(int src, int tag, void* data, std::size_t capacity,
                      int* out_src = nullptr, int* out_tag = nullptr);
 
@@ -164,7 +167,8 @@ private:
     /// The CPU component of a send (data plane only).
     void charge_send_cost(int dst, std::size_t bytes);
     /// Hand `payload` to the network, retrying transient failures.
-    void transmit_wire(int dst, std::uint64_t wire_tag, sim::Payload payload);
+    void transmit_wire(int dst, std::uint64_t wire_tag, sim::Payload payload,
+                       std::size_t charged = 0);
 
     Machine& machine_;
     int id_;

@@ -153,9 +153,13 @@ Cpu::RowTimes Cpu::reconstruct_rows(const std::vector<double>& row_ref_sec,
     out.wall.reserve(row_ref_sec.size());
     out.cpu.reserve(row_ref_sec.size());
 
-    // Find the timeline segment containing t0.
-    std::size_t seg = 0;
-    while (seg + 1 < timeline_.size() && timeline_[seg + 1].start <= t0) ++seg;
+    // The segment containing t0: the last one starting at or before it
+    // (timeline_ is sorted by start; of entries sharing a start, the last
+    // holds the count in effect).
+    const auto after = std::upper_bound(
+        timeline_.begin() + 1, timeline_.end(), t0,
+        [](SimTime t, const Segment& s) { return t < s.start; });
+    auto seg = static_cast<std::size_t>(after - timeline_.begin()) - 1;
 
     double t = to_seconds(t0);
     for (std::size_t r = 0; r < row_ref_sec.size(); ++r) {

@@ -67,7 +67,7 @@ bool Network::transmit(Packet&& p) {
         return false;
     }
     ++messages_;
-    bytes_ += p.payload.size();
+    bytes_ += p.charged_bytes();
 
     SimTime deliver_at;
     if (p.src == p.dst) {
@@ -78,7 +78,7 @@ bool Network::transmit(Packet&& p) {
     } else {
         SimTime start = std::max(engine_.now(),
                                  nic_free_[static_cast<std::size_t>(p.src)]);
-        SimTime xfer = from_seconds(static_cast<double>(p.payload.size()) /
+        SimTime xfer = from_seconds(static_cast<double>(p.charged_bytes()) /
                                     params_.bandwidth_Bps);
         nic_free_[static_cast<std::size_t>(p.src)] = start + xfer;
         deliver_at =

@@ -81,6 +81,15 @@ struct Packet {
     /// and coordination data out-of-band (paper §4.2).
     bool control = false;
     Payload payload;
+    /// Bytes the model charges for this packet: NIC serialization, the CPU
+    /// cost on both sides and the traffic counters.  0 charges the
+    /// payload's own size; a stencil halo copies only its computed columns
+    /// but charges the paper's whole row (DESIGN.md §2).
+    std::size_t charged = 0;
+
+    std::size_t charged_bytes() const {
+        return charged != 0 ? charged : payload.size();
+    }
 };
 
 class Network {

@@ -46,6 +46,30 @@ TEST(SorApp, ChecksumStableUnderRedistribution) {
     EXPECT_NEAR(adapted, quiet, std::abs(quiet) * 1e-9);
 }
 
+TEST(SorApp, HaloChargesStoredRowBytes) {
+    // A halo copies the 16 math columns but charges all 64 stored ones: each
+    // user-tag message is one 512-byte stored row, and the run's virtual
+    // time and traffic equal a run that computes on every stored column.
+    auto run = [](int cols_math) {
+        msg::Machine m(fast_cluster(3));
+        SorConfig sc = small_sor();
+        sc.cols_stored = 64;
+        sc.cols_math = cols_math;
+        sc.cycles = 5;
+        m.run([&](msg::Rank& r) { run_sor(r, sc); });
+        return std::pair(m.traffic(), m.cluster().engine().now());
+    };
+    const auto [narrow, narrow_end] = run(16);
+    const auto [wide, wide_end] = run(64);
+    const auto user = static_cast<std::size_t>(msg::TagSpace::User);
+    // 3 nodes: 4 halo messages per exchange, 2 exchanges per cycle.
+    EXPECT_EQ(narrow.messages[user], 4u * 2u * 5u);
+    EXPECT_EQ(narrow.bytes[user], narrow.messages[user] * 64 * sizeof(double));
+    EXPECT_EQ(narrow.total_bytes(), wide.total_bytes());
+    EXPECT_EQ(narrow.control_bytes, wide.control_bytes);
+    EXPECT_EQ(narrow_end, wide_end);
+}
+
 TEST(SorApp, TwoPhasesPerCycleCharged) {
     // SOR's two sweeps mean its per-cycle comm/compute profile differs from
     // Jacobi; verify both phases exist and both run.

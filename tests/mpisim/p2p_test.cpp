@@ -183,6 +183,63 @@ TEST(P2P, RecvBufferTooSmallRejected) {
                  Error);
 }
 
+TEST(P2P, ChargedSizeDrivesWireAndCpuCost) {
+    // 16 copied bytes charged as 8,192 cost exactly what an 8,192-byte send
+    // costs on the wire, on both CPUs and in the traffic counters, while
+    // the receiver gets (and has written) only the 16 bytes.
+    constexpr std::size_t kCharged = 8192, kCopied = 16;
+    struct Seen {
+        double send_done = 0, send_cpu = 0, recv_done = 0, recv_cpu = 0;
+        std::size_t got = 0;
+        std::uint64_t bytes = 0, wire_bytes = 0;
+    };
+    auto run = [](std::size_t copied, std::size_t charged) {
+        Machine m(quiet_cluster(2));
+        Seen s;
+        std::vector<std::uint8_t> in(kCharged, 0xAB);
+        m.run([&](Rank& r) {
+            if (r.id() == 0) {
+                std::vector<std::uint8_t> out(kCharged, 0x11);
+                r.send(1, 0, out.data(), copied, charged);
+                s.send_done = r.hrtime();
+                s.send_cpu = r.node().cpu().app_cpu_seconds();
+            } else {
+                s.got = r.recv(0, 0, in.data(), in.size());
+                s.recv_done = r.hrtime();
+                s.recv_cpu = r.node().cpu().app_cpu_seconds();
+            }
+        });
+        s.bytes = m.traffic().bytes[static_cast<int>(TagSpace::User)];
+        s.wire_bytes = m.cluster().network().bytes_sent();
+        if (copied == kCopied) {
+            for (std::size_t i = 0; i < in.size(); ++i)
+                EXPECT_EQ(in[i], i < kCopied ? 0x11 : 0xAB) << "byte " << i;
+        }
+        return s;
+    };
+    const Seen full = run(kCharged, 0), halo = run(kCopied, kCharged);
+    EXPECT_EQ(full.got, kCharged);
+    EXPECT_EQ(halo.got, kCopied);
+    EXPECT_EQ(halo.send_done, full.send_done);
+    EXPECT_EQ(halo.send_cpu, full.send_cpu);
+    EXPECT_EQ(halo.recv_done, full.recv_done);
+    EXPECT_EQ(halo.recv_cpu, full.recv_cpu);
+    EXPECT_EQ(halo.bytes, kCharged);
+    EXPECT_EQ(full.bytes, kCharged);
+    EXPECT_EQ(halo.wire_bytes, kCharged);
+}
+
+TEST(P2P, ChargedSizeBelowCopiedBytesRejected) {
+    Machine m(quiet_cluster(2));
+    EXPECT_THROW(m.run([](Rank& r) {
+        if (r.id() == 0) {
+            double v[2] = {1, 2};
+            r.send(1, 0, v, sizeof v, sizeof v[0]);
+        }
+    }),
+                 Error);
+}
+
 TEST(P2P, SelfSendAllowed) {
     Machine m(quiet_cluster(1));
     m.run([](Rank& r) {

@@ -114,6 +114,44 @@ TEST(Cpu, ReconstructRowsSpansLoadChange) {
     EXPECT_NEAR(to_seconds(e.now()), 2.5, 1e-5);
 }
 
+TEST(Cpu, ReconstructRowsAfterLongLoadHistory) {
+    // 1,000 load changes: at each millisecond k = 1..500 the count reads 3
+    // and then, at the same instant, settles at k % 2.  A row of 1 ms of
+    // work thus runs at full rate in even milliseconds and at half rate in
+    // odd ones; the hand-computed times below follow from that alone.
+    Engine e;
+    Cpu quiet(e, 0, quiet_cpu(), 1);
+    Cpu noisy(e, 1, CpuParams{}, 1); // default jitter
+    for (int k = 1; k <= 500; ++k)
+        e.at(from_seconds(k * 1e-3), [&quiet, &noisy, k] {
+            for (Cpu* c : {&quiet, &noisy}) {
+                c->set_runnable_competitors(3);
+                c->set_runnable_competitors(k % 2);
+            }
+        });
+    e.run();
+
+    const std::vector<double> rows(4, 1e-3);
+    auto expect_walls = [&](double t0_ms, std::vector<double> want_ms) {
+        auto rt = quiet.reconstruct_rows(rows, from_seconds(t0_ms * 1e-3), 1);
+        ASSERT_EQ(rt.wall.size(), want_ms.size());
+        for (std::size_t i = 0; i < want_ms.size(); ++i)
+            EXPECT_NEAR(rt.wall[i], want_ms[i] * 1e-3, 1e-12)
+                << "t0 " << t0_ms << " ms, row " << i;
+    };
+    expect_walls(0.5, {1.5, 1.0, 1.5, 1.5});   // before the first change
+    expect_walls(100.0, {1.0, 1.5, 1.5, 1.0}); // at a tie settled at 0
+    expect_walls(101.0, {1.5, 1.5, 1.0, 1.5}); // at a tie settled at 1
+    expect_walls(250.5, {1.5, 1.0, 1.5, 1.5}); // inside a segment
+    expect_walls(500.0, {1.0, 1.0, 1.0, 1.0}); // at the last change
+
+    // Of the entries sharing a start, the settled one sets a row's jitter:
+    // a 50 ms row measures clean at 0 competitors, where the transient 3
+    // would always add a preemption spike (the row outlasts a quantum).
+    auto rt = noisy.reconstruct_rows({0.05}, from_seconds(0.5), 1);
+    EXPECT_DOUBLE_EQ(rt.wall[0], 0.05);
+}
+
 TEST(Cpu, JitterSpikesSomeRowsOnLoadedNode) {
     // Preemptions land inside a 2ms row with probability ~2/30, so across
     // many rows a few measurements spike while most stay clean — the
